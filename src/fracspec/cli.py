@@ -15,7 +15,6 @@ The verify report is JSON with one entry per check
 """
 
 import argparse
-import os
 import sys
 
 import numpy as np
@@ -35,23 +34,6 @@ SUITES = ("semigroup", "fracpow", "spectrum", "class", "full")
 
 _GRID_ENDPOINTS = {"kipriyanov1d": (0.0, 1.0), "riesz": (-20.0, 20.0),
                    "difference": (0.0, 1.0), "custom-matrix": (0.0, 1.0)}
-
-_thread_limiter = None
-
-
-def _apply_thread_cap():
-    global _thread_limiter
-    cap = os.environ.get("FRACSPEC_THREADS")
-    if not cap:
-        return
-    try:
-        from threadpoolctl import threadpool_limits
-
-        _thread_limiter = threadpool_limits(limits=int(cap))
-    except ImportError:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = cap
-
 
 # --- deterministic JSON with 17-significant-digit decimals -----------------
 
@@ -102,30 +84,36 @@ def _make_parser():
     p = argparse.ArgumentParser(prog="fracspec",
                                 description="build and verify fractional-operator models")
     sub = p.add_subparsers(dest="command", required=True)
-    for name in ("build", "verify"):
-        q = sub.add_parser(name)
-        q.add_argument("--model", default="kipriyanov1d", choices=MODELS)
-        q.add_argument("--grid-n", type=int, default=128)
-        q.add_argument("--alpha", type=float, default=0.5)
-        q.add_argument("--sigma", type=float, default=0.25)
-        q.add_argument("--lambda", dest="lam", type=float, default=1.0)
-        q.add_argument("--mu", type=float, default=None,
-                       help="poisson shift length; default 4h, must be a multiple of h")
-        q.add_argument("--delta", type=float, default=1.0)
-        q.add_argument("--a11", default="const:1",
-                       help="coefficient spec (const:c | sin | poly:c0,c1,... | CSV path); "
-                            "matrix CSV path for custom-matrix")
-        q.add_argument("--rho", default="const:0")
-        q.add_argument("--suite", default="full", choices=SUITES)
-        q.add_argument("--seed", type=int, default=0)
-        q.add_argument("--out", required=(name == "build"),
-                       help="artifact path (output of build, input of verify)")
-        q.add_argument("--report", help="verification report path (verify only)")
+    q = sub.add_parser("build")
+    q.add_argument("--model", default="kipriyanov1d", choices=MODELS)
+    q.add_argument("--grid-n", type=int, default=128)
+    q.add_argument("--alpha", type=float, default=0.5)
+    q.add_argument("--sigma", type=float, default=0.25)
+    q.add_argument("--lambda", dest="lam", type=float, default=1.0)
+    q.add_argument("--mu", type=float, default=None,
+                   help="poisson shift length; default 4h, must be a multiple of h")
+    q.add_argument("--delta", type=float, default=1.0)
+    q.add_argument("--a11", default="const:1",
+                   help="coefficient spec (const:c | sin | poly:c0,c1,... | CSV path); "
+                        "matrix CSV path for custom-matrix")
+    q.add_argument("--rho", default="const:0")
+    q.add_argument("--seed", type=int, default=0)
+    q.add_argument("--out", required=True, help="artifact path to write")
+    # verify takes its model configuration from the artifact alone
+    q = sub.add_parser("verify")
+    q.add_argument("--out", help="artifact path to read")
+    q.add_argument("--suite", default="full", choices=SUITES)
+    q.add_argument("--seed", type=int, default=0)
+    q.add_argument("--report", help="verification report path; stdout when absent")
     return p
 
 
 def _validate(args):
     """Range checks; raises ValueError naming the offending field."""
+    if args.seed < 0:
+        raise ValueError("--seed must be nonnegative")
+    if args.command == "verify":
+        return
     if args.grid_n < 4:
         raise ValueError("--grid-n must be at least 4")
     if args.model == "riesz":
@@ -141,8 +129,6 @@ def _validate(args):
         raise ValueError("--mu must be positive")
     if args.delta < 0:
         raise ValueError("--delta must be nonnegative")
-    if args.seed < 0:
-        raise ValueError("--seed must be nonnegative")
 
 
 def _config_doc(args):
@@ -517,7 +503,6 @@ def cmd_verify(args):
 
 
 def main(argv=None):
-    _apply_thread_cap()
     args = _make_parser().parse_args(argv)
     if args.command == "build":
         return cmd_build(args)

@@ -11,17 +11,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT, Tolerances
-from .errors import DegenerateFit, NotPositiveDefinite
+from .errors import DegenerateFit
 from .numcore import (
-    adjoint,
     asmatrix,
     general_eigen,
     hermitian_eigen,
     hermitian_part,
     inverse,
+    min_hermitian_eig,
     op_norm,
-    singular_values,
     skew_part,
+    spd_power,
 )
 
 
@@ -57,22 +57,22 @@ def numerical_range(M, ip, n_angles=256, vertex=None, tol: Tolerances = DEFAULT)
         H = (H + H.conj().T) / 2
         v = _top_eigvec(H)
         pts[j] = v.conj() @ Ms @ v
-    gamma = float(np.min(pts.real)) if vertex is None else float(vertex)
-    rel = pts - gamma
-    spread = max(float(np.max(np.abs(rel))), 1.0)
-    keep = rel.real > tol.sector_guard_rel * spread
-    theta = float(np.max(np.abs(np.angle(rel[keep])))) if np.any(keep) else 0.0
-    return SectorEstimate(gamma, theta, pts)
+    return _fit_sector(pts, np.min(pts.real) if vertex is None else vertex, tol)
 
 
 def refit_sector(estimate, vertex, tol: Tolerances = DEFAULT):
     """Refit the sector of an existing boundary sample about a given vertex
     (e.g. the origin, as in the completeness criterion's sector)."""
-    rel = np.asarray(estimate.boundary) - vertex
+    return _fit_sector(np.asarray(estimate.boundary), vertex, tol)
+
+
+def _fit_sector(pts, vertex, tol):
+    """Smallest sector about ``vertex`` holding the boundary points ``pts``."""
+    rel = pts - float(vertex)
     spread = max(float(np.max(np.abs(rel))), 1.0)
     keep = rel.real > tol.sector_guard_rel * spread
     theta = float(np.max(np.abs(np.angle(rel[keep])))) if np.any(keep) else 0.0
-    return SectorEstimate(float(vertex), theta, estimate.boundary)
+    return SectorEstimate(float(vertex), theta, pts)
 
 
 @dataclass(frozen=True)
@@ -82,52 +82,32 @@ class H1H2Report:
     verdict: bool
 
 
-def _whitened_pair(L, N, ip, tol):
-    """Whitened L and the inverse square root of the whitened norm matrix."""
-    Ls = ip.whiten(asmatrix(L))
-    Ns = ip.whiten(asmatrix(N))
-    Ns = (Ns + Ns.conj().T) / 2
-    w, V = np.linalg.eigh(Ns)
-    if w[0] <= tol.pd_floor_rel * np.linalg.norm(Ns):
-        raise NotPositiveDefinite(f"norm matrix min eigenvalue {w[0]:.3e}")
-    S = (V / np.sqrt(w)) @ V.conj().T
-    return Ls, S
-
-
 def verify_H1_H2(L, hplus, ip, tol: Tolerances = DEFAULT):
     """Form bounds of L relative to the h+ norm matrix.
 
     C2 = min eigenvalue of the h+-whitened Hermitian part (exact, not
     sampled); C1 = largest singular value of the h+-whitened L.
     """
-    Ls, S = _whitened_pair(L, hplus, ip, tol)
-    W = S @ Ls @ S
+    S = spd_power(ip.whiten(hplus), -0.5, tol, "norm matrix")
+    W = S @ ip.whiten(L) @ S
     C2 = float(np.linalg.eigvalsh((W + W.conj().T) / 2)[0])
     C1 = float(np.linalg.svd(W, compute_uv=False)[0])
     return H1H2Report(C1, C2, bool(C2 > 0.0))
 
 
+def _factor(W, ip, tol):
+    """H = Re W, S = Hs^(-1/2) and the whitened B, Bs = S Ks S, of
+    W = H^(1/2)(I + iB)H^(1/2); Hs, Ks are the whitened Re W, Im W."""
+    H = hermitian_part(W, ip)
+    S = spd_power(ip.whiten(H), -0.5, tol, "Hermitian part")
+    return H, S, S @ ip.whiten(skew_part(W, ip)) @ S
+
+
 def sectorial_factorize(W, ip, tol: Tolerances = DEFAULT):
     """W = H^(1/2)(I + iB)H^(1/2) with H the ip-Hermitian part and B
     ip-self-adjoint; requires H positive definite."""
-    H = hermitian_part(W, ip)
-    K = skew_part(W, ip)
-    s = np.sqrt(ip.weights)
-    Hs = ip.whiten(H)
-    Hs = (Hs + Hs.conj().T) / 2
-    w, V = np.linalg.eigh(Hs)
-    if w[0] <= tol.pd_floor_rel * np.linalg.norm(Hs):
-        raise NotPositiveDefinite(f"Hermitian part min eigenvalue {w[0]:.3e}")
-    S = (V / np.sqrt(w)) @ V.conj().T  # Hs^(-1/2)
-    Bs = S @ ip.whiten(K) @ S
-    B = Bs * (s[None, :] / s[:, None])
-    return H, B
-
-
-def _half_power(Ms, p):
-    Ms = (Ms + Ms.conj().T) / 2
-    w, V = np.linalg.eigh(Ms)
-    return (V * w**p) @ V.conj().T
+    H, _, Bs = _factor(W, ip, tol)
+    return H, ip.unwhiten(Bs)
 
 
 @dataclass(frozen=True)
@@ -144,17 +124,9 @@ def realpart_resolvent_check(W, ip, tol: Tolerances = DEFAULT):
     algebra gives) and of the printed factor-1/2 variant.
     """
     Wm = asmatrix(W)
-    R = inverse(Wm)
-    X = hermitian_part(R, ip)
-    Hs = ip.whiten(hermitian_part(Wm, ip))
-    w, V = np.linalg.eigh((Hs + Hs.conj().T) / 2)
-    if w[0] <= tol.pd_floor_rel * np.linalg.norm(Hs):
-        raise NotPositiveDefinite(f"Hermitian part min eigenvalue {w[0]:.3e}")
-    S = (V / np.sqrt(w)) @ V.conj().T
-    Bs = S @ ip.whiten(skew_part(Wm, ip)) @ S
-    Ys = S @ inverse(np.eye(Wm.shape[0]) + Bs @ Bs) @ S
-    sw = np.sqrt(ip.weights)
-    Y = Ys * (sw[None, :] / sw[:, None])
+    X = hermitian_part(inverse(Wm), ip)
+    _, S, Bs = _factor(Wm, ip, tol)
+    Y = ip.unwhiten(S @ inverse(np.eye(Wm.shape[0]) + Bs @ Bs) @ S)
     scale = np.linalg.norm(X)
     return ResolventIdentityReport(
         float(np.linalg.norm(X - Y) / scale),
@@ -261,7 +233,7 @@ def maccretive_check(A, ip, t_samples=(0.01, 0.1, 1.0, 10.0, 100.0), tol: Tolera
     ||(A + t)^-1|| <= 1/t at each sampled t."""
     Am = asmatrix(A)
     n = Am.shape[0]
-    herm_min = float(np.linalg.eigvalsh(ip.whiten(hermitian_part(Am, ip)))[0])
+    herm_min = min_hermitian_eig(Am, ip)
     worst = 0.0
     for t in t_samples:
         nrm = op_norm(inverse(Am + t * np.eye(n)), ip)

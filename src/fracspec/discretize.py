@@ -82,6 +82,21 @@ class OperatorMatrix:
         return self.m @ np.asarray(f)
 
 
+def _values(f):
+    """The complex samples of a GridFunction, or of a plain array-like."""
+    return f.values if isinstance(f, GridFunction) else np.asarray(f, dtype=complex)
+
+
+def _like(x, values):
+    """``values`` wrapped like ``x``: on x's grid when x is a GridFunction or
+    an OperatorMatrix, bare otherwise."""
+    if isinstance(x, GridFunction):
+        return GridFunction(x.grid, values)
+    if isinstance(x, OperatorMatrix):
+        return OperatorMatrix(values, x.grid, x.ip)
+    return values
+
+
 def sample_coefficient(spec, grid):
     """Sample a coefficient given as "const:c", "sin", "poly:c0,c1,...",
     or a path to a CSV file (one value per node, last column used)."""
@@ -110,6 +125,19 @@ def _cell_moments(p, q, expo):
     return M0, M1
 
 
+def _axis_profile(grid, expo):
+    """One-sided weights g_m for int_0^inf f(x+s) s^expo ds, expo in (-1, 1)."""
+    n, h = grid.n, grid.h
+    k = np.arange(n, dtype=float)
+    M0, M1 = _cell_moments(k * h, (k + 1) * h, expo)
+    near = ((k + 1) * h * M0 - M1) / h  # weight for the node nearer to x
+    far = (M1 - k * h * M0) / h         # weight for the node farther from x
+    g = np.empty(n)
+    g[0] = near[0]
+    g[1:] = near[1:] + far[:-1]
+    return g
+
+
 def rl_integral_left(grid, alpha):
     """Riemann-Liouville integral (1/Gamma(a)) int_0^x f(t)(x-t)^(a-1) dt.
 
@@ -118,15 +146,8 @@ def rl_integral_left(grid, alpha):
     """
     if not 0.0 < alpha <= 1.0:
         raise BadAlpha(f"rl_integral needs alpha in (0, 1], got {alpha}")
-    n, h = grid.n, grid.h
-    k = np.arange(1, n + 1, dtype=float)
-    M0, M1 = _cell_moments((k - 1) * h, k * h, alpha - 1.0)
-    near = (k * h * M0 - M1) / h      # weight for the node nearer to x
-    far = (M1 - (k - 1) * h * M0) / h  # weight for the node farther from x
-    c = np.empty(n)
-    c[0] = near[0]
-    c[1:] = near[1:] + far[:-1]
-    return OperatorMatrix(toeplitz(c, np.zeros(n)) / gamma(alpha), grid, grid.ip())
+    c = _axis_profile(grid, alpha - 1.0)  # weights of f(x - m h), m = 0..n-1
+    return OperatorMatrix(toeplitz(c, np.zeros(grid.n)) / gamma(alpha), grid, grid.ip())
 
 
 def rl_integral_right(grid, alpha):
@@ -164,19 +185,6 @@ def marchaud_right_derivative(grid, alpha):
     diag += dist**-alpha / gamma(1.0 - alpha)
     np.fill_diagonal(W, diag)
     return OperatorMatrix(W, grid, grid.ip())
-
-
-def _axis_profile(grid, expo):
-    """One-sided weights g_m for int_0^inf f(x+s) s^expo ds, expo in (-1, 1)."""
-    n, h = grid.n, grid.h
-    k = np.arange(n, dtype=float)
-    M0, M1 = _cell_moments(k * h, (k + 1) * h, expo)
-    near = ((k + 1) * h * M0 - M1) / h
-    far = (M1 - k * h * M0) / h
-    g = np.empty(n)
-    g[0] = near[0]
-    g[1:] = near[1:] + far[:-1]
-    return g
 
 
 def axis_kernel_both(grid, expo):

@@ -19,10 +19,18 @@ from scipy.linalg import solve_banded, toeplitz
 from scipy.special import gamma, gammaln, roots_jacobi
 
 from .config import DEFAULT, Tolerances
-from .discretize import GridFunction, OperatorMatrix, axis_kernel_both, marchaud_right_derivative, riesz_constant, second_derivative
-from .errors import BadAlpha, IncommensurateShift, NotAccretive, QuadratureNotConverged
-from .numcore import InnerProduct, asmatrix, hermitian_part
-from .semigroup import generator_matrix
+from .discretize import (
+    OperatorMatrix,
+    _like,
+    _values,
+    axis_kernel_both,
+    marchaud_right_derivative,
+    riesz_constant,
+    second_derivative,
+)
+from .errors import BadAlpha, NotAccretive, QuadratureNotConverged
+from .numcore import InnerProduct, asmatrix, min_hermitian_eig
+from .semigroup import SemigroupSpec, generator_matrix
 
 
 @dataclass(frozen=True)
@@ -53,25 +61,23 @@ class _ResolventSolver:
         self.A = np.asarray(A, dtype=complex)
         n = self.A.shape[0]
         r, c = np.nonzero(self.A)
-        self.lo = int(np.max(r - c, initial=0))
-        self.up = int(np.max(c - r, initial=0))
-        self.banded = n > 64 and (self.lo + self.up + 1) <= 8
+        lo, up = int(np.max(r - c, initial=0)), int(np.max(c - r, initial=0))
+        self.banded = n > 64 and (lo + up + 1) <= 8
+        if self.banded:
+            # LAPACK band storage, built once; each shift rewrites the diagonal row
+            self.lo, self.up = lo, up
+            self.ab = np.zeros((lo + up + 1, n), dtype=complex)
+            for d in range(-lo, up + 1):
+                self.ab[up - d, max(d, 0) : n + min(d, 0)] = np.diagonal(self.A, d)
+            self.diag = self.ab[up].copy()
 
     def solve(self, lam, B):
-        M = self.A.copy()
-        M[np.diag_indices_from(M)] += lam
         if not self.banded:
+            M = self.A.copy()
+            M[np.diag_indices_from(M)] += lam
             return np.linalg.solve(M, B)
-        lo, up = self.lo, self.up
-        n = M.shape[0]
-        ab = np.zeros((lo + up + 1, n), dtype=complex)
-        for d in range(-lo, up + 1):
-            diag = np.diagonal(M, d)
-            if d >= 0:
-                ab[up - d, d:] = diag
-            else:
-                ab[up - d, : n + d] = diag
-        return solve_banded((lo, up), ab, B)
+        self.ab[self.up] = self.diag + lam
+        return solve_banded((self.lo, self.up), self.ab, B)
 
 
 def _gauss_nodes(a, b, m):
@@ -79,118 +85,71 @@ def _gauss_nodes(a, b, m):
     return (b - a) / 2 * (x + 1) + a, (b - a) / 2 * w
 
 
-def _balak_positive(A, B, cfg):
-    """(sin a pi / pi) int_0^inf l^(a-1) (l+A)^(-1) (A @ B-part) dl applied to B.
+def _stieltjes(solver, X, e, cfg):
+    """(sin a pi / pi) int_0^inf l^(e-1) (l+A)^(-1) X dl, a = cfg.alpha.
 
-    B is the raw right-hand side; the integrand uses A @ B.
+    With e = a and X = A B this is A^a B; with e = 1 - a and X = B it is
+    A^(-a) B (route 1 of the module docstring, for both signs).
     """
-    a = cfg.alpha
-    solver = _ResolventSolver(A)
-    AB = A @ B
-    acc = np.zeros_like(AB)
-    # inner piece (0, split): l = u^(1/a) flattens the l^(a-1) singularity
-    u, w = _gauss_nodes(0.0, cfg.split**a, cfg.nodes_inner)
+    acc = np.zeros_like(X)
+    # inner piece (0, split): l = u^(1/e)
+    u, w = _gauss_nodes(0.0, cfg.split**e, cfg.nodes_inner)
     for ui, wi in zip(u, w):
-        acc += (wi / a) * solver.solve(ui ** (1.0 / a), AB)
-    # outer piece (split, cap): l = split * v^(-1/(1-a))
-    v_cap = (cfg.split / cfg.outer_cap) ** (1.0 - a)
+        acc += (wi / e) * solver.solve(ui ** (1.0 / e), X)
+    # outer piece (split, cap): l = split * v^(-1/(1-e))
+    v_cap = (cfg.split / cfg.outer_cap) ** (1.0 - e)
     v, w = _gauss_nodes(v_cap, 1.0, cfg.nodes_outer)
-    s_fac = cfg.split**a / (1.0 - a)
+    s_fac = cfg.split**e / (1.0 - e)
     for vi, wi in zip(v, w):
-        lam = cfg.split * vi ** (-1.0 / (1.0 - a))
-        acc += (wi * s_fac * vi ** (-1.0 / (1.0 - a))) * solver.solve(lam, AB)
-    # analytic tail beyond cap from the Neumann series of (l+A)^(-1) A
-    term = B.copy()
+        lam = cfg.split * vi ** (-1.0 / (1.0 - e))
+        acc += (wi * s_fac * vi ** (-1.0 / (1.0 - e))) * solver.solve(lam, X)
+    # tail beyond cap: int l^(e-1) l^(-j) (-A)^(j-1) X dl for j = 1..4
+    term = X
     for j in range(1, 5):
-        term = A @ term
-        acc += (-1.0) ** (j + 1) * cfg.outer_cap ** (a - j) / (j - a) * term
-    return np.sin(a * np.pi) / np.pi * acc
+        if j > 1:
+            term = solver.A @ term
+        acc += (-1.0) ** (j + 1) * cfg.outer_cap ** (e - j) / (j - e) * term
+    return np.sin(cfg.alpha * np.pi) / np.pi * acc
 
 
-def _balak_negative(A, B, cfg):
-    """(sin a pi / pi) int_0^inf l^(-a) (l+A)^(-1) B dl."""
-    a = cfg.alpha
-    solver = _ResolventSolver(A)
-    acc = np.zeros_like(np.asarray(B, dtype=complex))
-    # inner piece: l = u^(1/(1-a)) flattens l^(-a)
-    u, w = _gauss_nodes(0.0, cfg.split ** (1.0 - a), cfg.nodes_inner)
-    for ui, wi in zip(u, w):
-        acc += (wi / (1.0 - a)) * solver.solve(ui ** (1.0 / (1.0 - a)), B)
-    # outer piece: l = split * v^(-1/a)
-    v_cap = (cfg.split / cfg.outer_cap) ** a
-    v, w = _gauss_nodes(v_cap, 1.0, cfg.nodes_outer)
-    s_fac = cfg.split ** (1.0 - a) / a
-    for vi, wi in zip(v, w):
-        lam = cfg.split * vi ** (-1.0 / a)
-        acc += (wi * s_fac * vi ** (-1.0 / a)) * solver.solve(lam, B)
-    # analytic tail
-    term = np.asarray(B, dtype=complex).copy()
-    for j in range(1, 5):
-        acc += (-1.0) ** (j + 1) * cfg.outer_cap ** (1.0 - a - j) / (a + j - 1.0) * term
-        term = A @ term
-    return np.sin(a * np.pi) / np.pi * acc
-
-
-def _check_accretive(A, ip, tol):
-    Am = asmatrix(A)
-    w = np.linalg.eigvalsh(ip.whiten(hermitian_part(Am, ip)))
-    if w[0] < -tol.accretive_floor_rel * np.linalg.norm(Am):
-        raise NotAccretive(f"Hermitian part has eigenvalue {w[0]:.3e}")
-
-
-def _resolve_ip(A, ip):
-    if ip is not None:
-        return ip
-    got = getattr(A, "ip", None)
-    return got if got is not None else InnerProduct.uniform(asmatrix(A).shape[0])
-
-
-def _wrap_like(A, m):
-    if isinstance(A, OperatorMatrix):
-        return OperatorMatrix(m, A.grid, A.ip)
-    return m
-
-
-def _with_doubling(kernel, A, B, cfg, check, tol):
-    out = kernel(A, B, cfg)
+def _balakrishnan(A, B, cfg, ip, check, tol, negative=False):
+    """A^(+-alpha) B for m-accretive A (accretive in ``ip``, else in A's own
+    inner product, else the uniform one); B = None stands for I.  With
+    ``check`` the result of doubled nodes is returned, after checking that
+    doubling moved it by at most ``quad_doubling_rel``."""
+    Am = asmatrix(A).astype(complex)
+    if ip is None:
+        ip = getattr(A, "ip", None) or InnerProduct.uniform(Am.shape[0])
+    herm_min = min_hermitian_eig(Am, ip)
+    if herm_min < -tol.accretive_floor_rel * np.linalg.norm(Am):
+        raise NotAccretive(f"Hermitian part has eigenvalue {herm_min:.3e}")
+    B = np.eye(Am.shape[0], dtype=complex) if B is None else B
+    e, X = (1.0 - cfg.alpha, B) if negative else (cfg.alpha, Am @ B)
+    solver = _ResolventSolver(Am)
+    out = _stieltjes(solver, X, e, cfg)
     if not check:
         return out
-    fine = kernel(A, B, cfg.doubled())
+    fine = _stieltjes(solver, X, e, cfg.doubled())
     scale = np.linalg.norm(fine)
-    if scale > 0 and np.linalg.norm(fine - out) / scale > tol.quad_doubling_rel:
-        raise QuadratureNotConverged(
-            f"node doubling moved the result by {np.linalg.norm(fine - out) / scale:.3e}")
+    moved = np.linalg.norm(fine - out) / scale if scale > 0 else 0.0
+    if moved > tol.quad_doubling_rel:
+        raise QuadratureNotConverged(f"node doubling moved the result by {moved:.3e}")
     return fine
 
 
 def balakrishnan_power(A, cfg, ip=None, check=False, tol: Tolerances = DEFAULT):
     """A^alpha via the Balakrishnan integral; A must be m-accretive."""
-    ip = _resolve_ip(A, ip)
-    _check_accretive(A, ip, tol)
-    Am = asmatrix(A).astype(complex)
-    out = _with_doubling(_balak_positive, Am, np.eye(Am.shape[0], dtype=complex), cfg, check, tol)
-    return _wrap_like(A, out)
+    return _like(A, _balakrishnan(A, None, cfg, ip, check, tol))
 
 
 def balakrishnan_apply(A, f, cfg, ip=None, check=False, tol: Tolerances = DEFAULT):
     """A^alpha f without forming the full power matrix."""
-    ip = _resolve_ip(A, ip)
-    _check_accretive(A, ip, tol)
-    Am = asmatrix(A).astype(complex)
-    v = f.values if isinstance(f, GridFunction) else np.asarray(f, dtype=complex)
-    out = _with_doubling(_balak_positive, Am, v, cfg, check, tol)
-    if isinstance(f, GridFunction):
-        return GridFunction(f.grid, out)
-    return out
+    return _like(f, _balakrishnan(A, _values(f), cfg, ip, check, tol))
 
 
 def negative_power(A, cfg, ip=None, check=False, tol: Tolerances = DEFAULT):
     """A^(-alpha) via the Balakrishnan integral."""
-    ip = _resolve_ip(A, ip)
-    _check_accretive(A, ip, tol)
-    Am = asmatrix(A).astype(complex)
-    out = _with_doubling(_balak_negative, Am, np.eye(Am.shape[0], dtype=complex), cfg, check, tol)
-    return _wrap_like(A, out)
+    return _like(A, _balakrishnan(A, None, cfg, ip, check, tol, negative=True))
 
 
 def lemma_constant(alpha, norm_J_inv):
@@ -273,16 +232,14 @@ def gl_power(spec, alpha, f, cfg=None):
     if spec.kind != "poisson":
         raise ValueError("gl_power applies to the Poisson-difference semigroup")
     m = spec.shift_steps
-    v = f.values if isinstance(f, GridFunction) else np.asarray(f, dtype=complex)
+    v = _values(f)
     n = v.size
     kmax = (n - 1) // m
     c = gl_coefficients(alpha, spec.lam, max(kmax, 1)).c
     out = c[0] * v.astype(complex)
     for k in range(1, kmax + 1):
         out[k * m :] += c[k] * v[: n - k * m]
-    if isinstance(f, GridFunction):
-        return GridFunction(f.grid, out)
-    return out
+    return _like(f, out)
 
 
 def gl_power_matrix(spec, alpha):
@@ -323,11 +280,9 @@ def _rel_l2(u, v, ip, mask=None):
 
 def marchaud_power_check(alpha, grid, f, cfg=None):
     """Shift-generator Balakrishnan power vs the Marchaud derivative matrix."""
-    from .semigroup import SemigroupSpec  # local to avoid import cycle noise
-
     cfg = cfg or BalakrishnanConfig(alpha)
     A = generator_matrix(SemigroupSpec("shift", grid))
-    v = f.values if isinstance(f, GridFunction) else np.asarray(f, dtype=complex)
+    v = _values(f)
     via_balak = balakrishnan_apply(A, v, cfg)
     via_closed = marchaud_right_derivative(grid, alpha).m @ v
     rel = _rel_l2(via_balak, via_closed, grid.ip())
@@ -338,13 +293,11 @@ def marchaud_power_check(alpha, grid, f, cfg=None):
 def riesz_power_check(alpha, grid, f, cfg=None, interior_margin=0.1):
     """Gauss-generator Balakrishnan power vs K_a times the |s|^(1-2a) kernel
     applied to f''; valid for alpha in (3/4, 1)."""
-    from .semigroup import SemigroupSpec
-
     if not 0.75 < alpha < 1.0:
         raise BadAlpha(f"riesz power route needs alpha in (3/4, 1), got {alpha}")
     cfg = cfg or BalakrishnanConfig(alpha)
     A = generator_matrix(SemigroupSpec("gauss", grid))
-    v = f.values if isinstance(f, GridFunction) else np.asarray(f, dtype=complex)
+    v = _values(f)
     via_balak = balakrishnan_apply(A, v, cfg)
     kernel = axis_kernel_both(grid, 1.0 - 2.0 * alpha)
     const = riesz_power_constant(alpha) * riesz_constant(alpha)

@@ -61,6 +61,11 @@ class InnerProduct:
         s = np.sqrt(self.weights)
         return asmatrix(M) * (s[:, None] / s[None, :])
 
+    def unwhiten(self, M):
+        """Inverse of :meth:`whiten`: diag(1/sqrt(w)) M diag(sqrt(w))."""
+        s = np.sqrt(self.weights)
+        return asmatrix(M) * (s[None, :] / s[:, None])
+
     def unwhiten_vecs(self, V):
         """Map standard-orthonormal columns back to ip-orthonormal ones."""
         return V / np.sqrt(self.weights)[:, None]
@@ -94,6 +99,23 @@ def skew_part(M, ip):
     return (M - adjoint(M, ip)) / 2j
 
 
+def _whiten_hermitian(M, ip, tol):
+    """ip.whiten(M), once M is checked to be ip-self-adjoint."""
+    M = asmatrix(M)
+    defect = hermitian_defect(M, ip)
+    if defect > tol.hermitian_rel:
+        raise NotHermitian(f"adjoint defect {defect:.3e} exceeds {tol.hermitian_rel:.1e}")
+    return ip.whiten(M)
+
+
+def _eigh(Ms):
+    """Eigenpairs of the Hermitian part of an already-whitened matrix."""
+    try:
+        return np.linalg.eigh((Ms + Ms.conj().T) / 2)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(str(exc)) from exc
+
+
 def hermitian_eigen(M, ip, tol: Tolerances = DEFAULT):
     """Eigendecomposition of an ip-self-adjoint matrix.
 
@@ -104,17 +126,27 @@ def hermitian_eigen(M, ip, tol: Tolerances = DEFAULT):
     V : ndarray
         Columns ip-orthonormal, M V = V diag(w).
     """
-    M = asmatrix(M)
-    defect = hermitian_defect(M, ip)
-    if defect > tol.hermitian_rel:
-        raise NotHermitian(f"adjoint defect {defect:.3e} exceeds {tol.hermitian_rel:.1e}")
-    Ms = ip.whiten(M)
-    Ms = (Ms + Ms.conj().T) / 2
-    try:
-        w, V = np.linalg.eigh(Ms)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(str(exc)) from exc
+    w, V = _eigh(_whiten_hermitian(M, ip, tol))
     return w, ip.unwhiten_vecs(V)
+
+
+def spd_power(Ms, p, tol: Tolerances = DEFAULT, what="matrix"):
+    """Hs^p for the Hermitian part Hs of an already-whitened matrix Ms.
+
+    Hs must be positive definite: its smallest eigenvalue has to exceed
+    ``pd_floor_rel * ||Hs||_F``, else :class:`NotPositiveDefinite` names
+    ``what``, the eigenvalue and the floor.
+    """
+    w, V = _eigh(Ms)
+    floor = tol.pd_floor_rel * np.linalg.norm(w)  # ||Hs||_F = ||eigenvalues||_2
+    if w[0] <= floor:
+        raise NotPositiveDefinite(f"{what} min eigenvalue {w[0]:.3e} not above floor {floor:.3e}")
+    return (V * w**p) @ V.conj().T
+
+
+def min_hermitian_eig(M, ip):
+    """Smallest eigenvalue of the ip-Hermitian part of M."""
+    return float(np.linalg.eigvalsh(ip.whiten(hermitian_part(M, ip)))[0])
 
 
 def general_eigen(M):
@@ -167,14 +199,4 @@ def inverse(M, tol: Tolerances = DEFAULT):
 
 def herm_power(M, p, ip, tol: Tolerances = DEFAULT):
     """M^p for ip-self-adjoint positive definite M, via eigendecomposition."""
-    M = asmatrix(M)
-    w, _ = hermitian_eigen(M, ip, tol)
-    floor = tol.pd_floor_rel * np.linalg.norm(M)
-    if w[0] <= floor:
-        raise NotPositiveDefinite(f"min eigenvalue {w[0]:.3e} not above {floor:.3e}")
-    s = np.sqrt(ip.weights)
-    Ms = ip.whiten(M)
-    Ms = (Ms + Ms.conj().T) / 2
-    ws, Vs = np.linalg.eigh(Ms)
-    Mp = (Vs * ws**p) @ Vs.conj().T
-    return Mp * (s[None, :] / s[:, None])
+    return ip.unwhiten(spd_power(_whiten_hermitian(M, ip, tol), p, tol))

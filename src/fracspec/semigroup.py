@@ -20,7 +20,7 @@ from scipy.linalg import toeplitz
 from scipy.stats import poisson as poisson_dist
 
 from .config import DEFAULT, Tolerances
-from .discretize import Grid1D, GridFunction, OperatorMatrix
+from .discretize import Grid1D, OperatorMatrix, _like, _values
 from .errors import (
     IncommensurateShift,
     NegativeParameter,
@@ -73,7 +73,7 @@ def apply(spec, t, f, tol: Tolerances = DEFAULT):
     """Apply T_t to a grid function."""
     if t < 0:
         raise NegativeTime(f"semigroup time must be >= 0, got {t}")
-    v = f.values if isinstance(f, GridFunction) else np.asarray(f, dtype=complex)
+    v = _values(f)
     grid = spec.grid
     if t == 0:
         out = v.copy()
@@ -96,9 +96,7 @@ def apply(spec, t, f, tol: Tolerances = DEFAULT):
         out = np.zeros_like(v)
         for k, w in enumerate(weights):
             out += w * _shift_values(v, -k * m)
-    if isinstance(f, GridFunction):
-        return GridFunction(grid, out)
-    return out
+    return _like(f, out)
 
 
 def generator_matrix(spec):
@@ -123,13 +121,11 @@ def yosida_resolvent(spec, n_param, f):
     if n_param <= 0:
         raise NegativeParameter(f"Yosida parameter must be > 0, got {n_param}")
     grid = spec.grid
-    v = f.values if isinstance(f, GridFunction) else np.asarray(f, dtype=complex)
+    v = _values(f)
     d = grid.h * np.arange(grid.n)
     kernel = grid.h * np.sqrt(n_param / 2.0) * np.exp(-np.sqrt(2.0 * n_param) * d)
     out = toeplitz(kernel) @ v
-    if isinstance(f, GridFunction):
-        return GridFunction(grid, out)
-    return out
+    return _like(f, out)
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from .fracpow import (
     lemma_constant,
     riesz_power_constant,
 )
-from .numcore import InnerProduct, adjoint, asmatrix, hermitian_part, inverse, op_norm
+from .numcore import InnerProduct, adjoint, asmatrix, inverse, min_hermitian_eig, op_norm
 from .semigroup import SemigroupSpec, generator_matrix
 
 
@@ -73,8 +73,7 @@ def assemble(spec, cfg=None):
 
 def check_class(spec):
     """Theorem-style membership test: gamma_G > C_alpha ||J^-1|| ||F||."""
-    G = asmatrix(spec.G)
-    gamma_G = float(np.linalg.eigvalsh(spec.ip.whiten(hermitian_part(G, spec.ip)))[0])
+    gamma_G = min_hermitian_eig(spec.G, spec.ip)
     norm_J_inv = op_norm(inverse(asmatrix(spec.J)), spec.ip)
     norm_F = op_norm(spec.F, spec.ip)
     C_alpha = lemma_constant(1.0 - spec.alpha, norm_J_inv) if spec.alpha > 0 else 1.0
@@ -178,7 +177,7 @@ def build_difference_model(grid, a, b, lam, mu, alpha, Q=None, nu=1.0):
         + adjoint(Qm, ip) @ Nm @ Qm
     sigma_const = 4.0 * lam * float(np.max(np.abs(av))) \
         + float(np.max(np.abs(bv))) * gl_abs_sum(alpha, lam)
-    gamma_N = float(np.linalg.eigvalsh(ip.whiten(hermitian_part(Nm, ip)))[0])
+    gamma_N = min_hermitian_eig(Nm, ip)
     norm_Q_inv = op_norm(inverse(Qm), ip)
     tspec = TransformSpec(A, multiply(grid, a), multiply(grid, b), alpha, ip)
     return Model(OperatorMatrix(L, grid, ip), tspec, OperatorMatrix(adjoint(Qm, ip) @ Qm, grid, ip),

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -70,8 +73,7 @@ class TestVerify:
         out = tmp_path / "art.json"
         rep = tmp_path / "rep.json"
         main(build_args(out, grid_n=48))
-        code = main(["verify", "--model", "kipriyanov1d", "--alpha", "0.6",
-                     "--sigma", "0.3", "--out", str(out), "--suite", "full",
+        code = main(["verify", "--out", str(out), "--suite", "full",
                      "--seed", "1", "--report", str(rep)])
         assert code == 0
         doc = json.loads(rep.read_text())
@@ -115,6 +117,15 @@ class TestVerify:
         assert boundary[0] == "re,im"
         assert len(boundary) == 257
 
+    def test_build_flags_rejected(self, tmp_path, capsys):
+        # the model configuration comes from the artifact alone
+        out = tmp_path / "art.json"
+        main(build_args(out))
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--model", "riesz", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "--model" in capsys.readouterr().err
+
     def test_missing_artifact_exit_2(self, tmp_path, capsys):
         assert main(["verify", "--out", str(tmp_path / "nope.json")]) == 2
         assert main(["verify", "--suite", "fracpow"]) == 2
@@ -138,7 +149,7 @@ class TestCustomMatrix:
         out = tmp_path / "art.json"
         assert main(["build", "--model", "custom-matrix", "--a11", str(mpath),
                      "--out", str(out)]) == 0
-        code = main(["verify", "--model", "custom-matrix", "--out", str(out),
+        code = main(["verify", "--out", str(out),
                      "--suite", "full", "--report", str(tmp_path / "rep.json")])
         assert code == 0
         doc = json.loads((tmp_path / "rep.json").read_text())
@@ -157,7 +168,7 @@ class TestCustomMatrix:
         out = tmp_path / "art.json"
         assert main(["build", "--model", "custom-matrix", "--a11", str(mpath),
                      "--out", str(out)]) == 0
-        code = main(["verify", "--model", "custom-matrix", "--out", str(out),
+        code = main(["verify", "--out", str(out),
                      "--suite", "spectrum", "--report", str(tmp_path / "rep.json")])
         assert code == 1
         doc = json.loads((tmp_path / "rep.json").read_text())
@@ -170,7 +181,7 @@ class TestCustomMatrix:
         self.write_matrix(mpath, np.diag([1.0] * 19 + [0.0]))
         out = tmp_path / "art.json"
         main(["build", "--model", "custom-matrix", "--a11", str(mpath), "--out", str(out)])
-        code = main(["verify", "--model", "custom-matrix", "--out", str(out),
+        code = main(["verify", "--out", str(out),
                      "--suite", "spectrum", "--report", str(tmp_path / "rep.json")])
         assert code == 4
         doc = json.loads((tmp_path / "rep.json").read_text())
@@ -182,3 +193,18 @@ class TestThreadCap:
         monkeypatch.setenv("FRACSPEC_THREADS", "1")
         out = tmp_path / "art.json"
         assert main(build_args(out)) == 0
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
+    def test_env_cap_reaches_blas(self):
+        # BLAS sizes its pool when numpy loads, so the cap must be in place
+        # by then; a capped process runs a large matmul on its one thread
+        code = ("import fracspec, numpy as np; a = np.ones((400, 400)); a @ a; "
+                "print([l for l in open('/proc/self/status') if l.startswith('Threads:')][0])")
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+        env["FRACSPEC_THREADS"] = "1"
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out.split() == ["Threads:", "1"]

@@ -3,7 +3,7 @@ import pytest
 
 from fracspec import diagnostics as dg
 from fracspec.errors import DegenerateFit, NotPositiveDefinite
-from fracspec.numcore import InnerProduct, adjoint, singular_values
+from fracspec.numcore import InnerProduct, adjoint, herm_power, singular_values
 
 
 def rand_accretive(n, seed, herm_floor=1.0):
@@ -114,6 +114,13 @@ class TestH1H2:
         with pytest.raises(NotPositiveDefinite):
             dg.verify_H1_H2(np.eye(2), np.diag([1.0, 0.0]), ip)
 
+    def test_not_positive_definite_names_eigenvalue_and_floor(self):
+        ip = InnerProduct.uniform(2)
+        with pytest.raises(NotPositiveDefinite) as err:
+            dg.verify_H1_H2(np.eye(2), np.diag([2.0, -1.0]), ip)
+        # floor = pd_floor_rel * ||N||_F = 1e-12 * sqrt(5)
+        assert str(err.value) == "norm matrix min eigenvalue -1.000e+00 not above floor 2.236e-12"
+
 
 class TestSectorialFactorization:
     def test_hermitian_gives_zero_B(self):
@@ -133,7 +140,7 @@ class TestSectorialFactorization:
                 W = unwhiten(W0, ip)
                 H, B = dg.sectorial_factorize(W, ip)
                 # check in whitened coordinates: W = H^1/2 (I + iB) H^1/2
-                root = dg._half_power(ip.whiten(H), 0.5)
+                root = ip.whiten(herm_power(H, 0.5, ip))
                 recon = root @ (np.eye(n) + 1j * ip.whiten(B)) @ root
                 assert np.linalg.norm(recon - ip.whiten(W)) <= 1e-10 * np.linalg.norm(W)
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.special import gammaln
 
 from fracspec import fracpow as fp
@@ -97,6 +98,25 @@ class TestBalakrishnan:
             fp.BalakrishnanConfig(0.0)
         with pytest.raises(BadAlpha):
             fp.BalakrishnanConfig(1.0)
+
+
+class TestBandedGenerators:
+    """The paper's non-normal generators above n = 64, where the resolvent
+    solves take the banded path, against Schur-Pade powers."""
+
+    @pytest.mark.parametrize("kind, alpha", [("shift", 0.6), ("poisson", 0.5)])
+    def test_power_and_negative_power(self, kind, alpha):
+        grid = Grid1D(0.0, 1.0, 96)
+        A = generator_matrix(SemigroupSpec(kind, grid, mu=4 * grid.h if kind == "poisson" else 0.0))
+        assert fp._ResolventSolver(A.m).banded
+        cfg = fp.BalakrishnanConfig(alpha)
+        P = fp.balakrishnan_power(A, cfg, check=True).m
+        want = scipy.linalg.fractional_matrix_power(A.m, alpha)
+        assert np.linalg.norm(P - want) <= 1e-8 * np.linalg.norm(want)
+        N = fp.negative_power(A, cfg, check=True).m
+        assert np.linalg.norm(N @ P - np.eye(96)) <= 1e-8 * np.linalg.norm(np.eye(96))
+        f = np.sin(np.arange(96.0))
+        assert np.allclose(fp.balakrishnan_apply(A, f, cfg), P @ f, rtol=0, atol=1e-8 * np.linalg.norm(P @ f))
 
 
 class TestLemmaConstant:

@@ -157,6 +157,20 @@ class TestAdjointSolveInverse:
             nc.inverse(M)
 
 
+class TestSpdCore:
+    def test_unwhiten_inverts_whiten(self):
+        ip = nc.InnerProduct(np.random.default_rng(3).uniform(0.5, 2.0, 6))
+        M = rand_hermitian(6, 3)
+        assert np.allclose(ip.unwhiten(ip.whiten(M)), M, rtol=1e-14, atol=0)
+
+    def test_herm_power_runs_one_eigh(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda M: calls.append(1) or eigh(M))
+        nc.herm_power(rand_spd(5, 4), 0.5, nc.InnerProduct.uniform(5))
+        assert len(calls) == 1
+
+
 class TestHermPower:
     def test_diagonal_sqrt(self):
         ip = nc.InnerProduct.uniform(2)
