@@ -7,14 +7,16 @@ fracspec verify --out artifact.json --suite full --seed 0 --report report.json
 
 The artifact is a single JSON file holding the assembled operator matrix,
 its transform description, the grid, inner-product weights and model
-parameters, with all floats serialized to 17 significant decimal digits.
-The verify report is JSON with one entry per check
+parameters; ``build`` refuses a matrix with a non-finite entry. Both files are
+strict JSON (shortest round-trip floats; "nan", "inf", "-inf" as strings), the
+artifact compact and the report indented. The verify report has one entry per check
 ({name, paper_anchor, status, numbers}) plus CSV sidecars
 ``<report>.spectrum.csv`` (index, re, im, modulus) and
 ``<report>.boundary.csv`` (re, im).
 """
 
 import argparse
+import json
 import sys
 
 import numpy as np
@@ -35,43 +37,31 @@ SUITES = ("semigroup", "fracpow", "spectrum", "class", "full")
 _GRID_ENDPOINTS = {"kipriyanov1d": (0.0, 1.0), "riesz": (-20.0, 20.0),
                    "difference": (0.0, 1.0), "custom-matrix": (0.0, 1.0)}
 
-# --- deterministic JSON with 17-significant-digit decimals -----------------
+# --- strict JSON (RFC 8259 has no NaN or Infinity tokens) ------------------
 
-def _dumps(obj, indent=0):
-    pad = " " * indent
+def _finite(obj):
+    """``obj`` with each non-finite float spelled "nan", "inf" or "-inf"."""
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [f'{pad}  "{k}": {_dumps(v, indent + 2)}' for k, v in obj.items()]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+        return {k: _finite(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        flat = all(not isinstance(v, (dict, list, tuple)) for v in obj)
-        if flat:
-            return "[" + ", ".join(_dumps(v) for v in obj) + "]"
-        items = [pad + "  " + _dumps(v, indent + 2) for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(obj, bool) or obj is None:
-        return {True: "true", False: "false", None: "null"}[obj]
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        if not np.isfinite(x):
-            return '"inf"' if x > 0 else ('"-inf"' if x < 0 else '"nan"')
-        return format(x, ".17g")
-    if isinstance(obj, str):
-        import json
-
-        return json.dumps(obj)
-    raise TypeError(f"cannot serialize {type(obj)!r}")
+        return [_finite(v) for v in obj]
+    if isinstance(obj, (float, np.floating)) and not np.isfinite(obj):
+        return str(float(obj))
+    return obj
 
 
-def _matrix_doc(m):
+def _json(doc, **layout):
+    """Strict JSON of ``doc``, arrays via ``tolist()``. ``layout`` holds json.dumps's
+    indent and separators; only unindented text comes from the C encoder."""
+    return json.dumps(_finite(doc), allow_nan=False, default=lambda a: a.tolist(),
+                      **layout) + "\n"
+
+
+def _matrix_doc(m, what):
     m = numcore.asmatrix(m).astype(complex)
-    return {"re": [list(map(float, row)) for row in m.real],
-            "im": [list(map(float, row)) for row in m.imag]}
+    if not np.isfinite(m).all():
+        raise ValueError(f"{what} holds non-finite entries")
+    return {"re": m.real, "im": m.imag}
 
 
 def _matrix_from_doc(doc):
@@ -143,7 +133,7 @@ def _build_model(args):
     if args.model == "custom-matrix":
         m = np.loadtxt(args.a11, delimiter=",", dtype=complex, ndmin=2)
         n = m.shape[0]
-        grid = Grid1D(0.0, 1.0, n)
+        grid = Grid1D(a, b, n)
         ip = InnerProduct.uniform(n)
         L = OperatorMatrix(m, grid, ip)
         return Model(L, TransformSpec(L, L, L, 0.0, ip), L), grid
@@ -153,7 +143,7 @@ def _build_model(args):
     if args.model == "riesz":
         return transform.build_riesz_model(grid, args.a11, args.rho, args.sigma,
                                            args.alpha, args.delta), grid
-    mu = args.mu if args.mu is not None else 4 * grid.h
+    mu = _semigroup_spec_for(_config_doc(args), grid).mu
     model = transform.build_difference_model(grid, args.a11, args.rho, args.lam, mu, args.alpha)
     return model, grid
 
@@ -166,36 +156,34 @@ def cmd_build(args):
         return 2
     try:
         model, grid = _build_model(args)
+        text = _json({
+            "schema": SCHEMA_ARTIFACT,
+            "config": _config_doc(args),
+            "grid": {"a": grid.a, "b": grid.b, "n": grid.n, "h": grid.h},
+            "ip_weights": model.L.ip.weights,
+            "matrix": _matrix_doc(model.L.m, "matrix"),
+            "transform": {
+                "alpha": model.spec.alpha,
+                "J": _matrix_doc(model.spec.J, "J"),
+                "G": _matrix_doc(model.spec.G, "G"),
+                "F": _matrix_doc(model.spec.F, "F"),
+            },
+            "hplus": _matrix_doc(model.hplus, "hplus"),
+            "delta": model.delta,
+            "sigma_const": model.sigma_const,
+            "gamma_N": model.gamma_N,
+            "norm_Q_inv": model.norm_Q_inv,
+        }, separators=(",", ":"))
     except (FracspecError, ValueError, OSError) as exc:
         print(f"assembly failed: {exc}", file=sys.stderr)
         return 3
-    doc = {
-        "schema": SCHEMA_ARTIFACT,
-        "config": _config_doc(args),
-        "grid": {"a": grid.a, "b": grid.b, "n": grid.n, "h": grid.h},
-        "ip_weights": list(map(float, model.L.ip.weights)),
-        "matrix": _matrix_doc(model.L.m),
-        "transform": {
-            "alpha": model.spec.alpha,
-            "J": _matrix_doc(model.spec.J),
-            "G": _matrix_doc(model.spec.G),
-            "F": _matrix_doc(model.spec.F),
-        },
-        "hplus": _matrix_doc(model.hplus),
-        "delta": model.delta,
-        "sigma_const": model.sigma_const,
-        "gamma_N": model.gamma_N,
-        "norm_Q_inv": model.norm_Q_inv,
-    }
     with open(args.out, "w") as fh:
-        fh.write(_dumps(doc) + "\n")
+        fh.write(text)
     print(f"wrote artifact {args.out}")
     return 0
 
 
 def _load_artifact(path):
-    import json
-
     with open(path) as fh:
         doc = json.load(fh)
     g = doc["grid"]
@@ -224,22 +212,21 @@ def _load_artifact(path):
 class _Checks:
     def __init__(self):
         self.entries = []
-        self.errored = False
 
-    def run(self, name, anchor, fn):
+    def attempt(self, name, anchor, fn):
+        """``fn()``, or None after recording an error entry for ``name``."""
         try:
-            status, numbers = fn()
+            return fn()
         except Exception as exc:  # error is distinct from fail
-            self.errored = True
             self.entries.append({"name": name, "paper_anchor": anchor,
                                  "status": "error", "numbers": {"message": str(exc)}})
-            return
-        self.entries.append({"name": name, "paper_anchor": anchor,
-                             "status": status, "numbers": numbers})
 
-    @property
-    def all_ok(self):
-        return all(e["status"] in ("pass", "info") for e in self.entries)
+    def run(self, name, anchor, fn):
+        result = self.attempt(name, anchor, fn)
+        if result is not None:
+            status, numbers = result
+            self.entries.append({"name": name, "paper_anchor": anchor,
+                                 "status": status, "numbers": numbers})
 
 
 def _semigroup_spec_for(config, grid):
@@ -342,15 +329,14 @@ def _run_spectrum_suite(checks, model, grid, report_path):
 
     checks.run("generator-m-accretive", "resolvent-bound-m-accretivity", maccr)
 
-    try:
+    def resolvent_spectrum():
         R = numcore.inverse(L)
-        svals = numcore.singular_values(R, ip)
-        evals = numcore.general_eigen(R)
-    except (FracspecError, np.linalg.LinAlgError) as exc:
-        checks.errored = True
-        checks.entries.append({"name": "resolvent-spectrum", "paper_anchor": "resolvent-order-mu",
-                               "status": "error", "numbers": {"message": str(exc)}})
+        return numcore.singular_values(R, ip), numcore.general_eigen(R)
+
+    spectrum = checks.attempt("resolvent-spectrum", "resolvent-order-mu", resolvent_spectrum)
+    if spectrum is None:
         return
+    svals, evals = spectrum
 
     state = {}
 
@@ -490,16 +476,17 @@ def cmd_verify(args):
 
     doc = {"schema": SCHEMA_REPORT, "suite": args.suite, "seed": args.seed,
            "config": config, "checks": checks.entries}
-    text = _dumps(doc) + "\n"
+    text = _json(doc, indent=2)
     if args.report:
         with open(args.report, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
-    if checks.errored:
+    statuses = {e["status"] for e in checks.entries}
+    if "error" in statuses:
         return 4
-    return 0 if checks.all_ok else 1
+    return 0 if statuses <= {"pass", "info"} else 1
 
 
 def main(argv=None):

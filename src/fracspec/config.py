@@ -11,20 +11,16 @@ from dataclasses import dataclass
 class Tolerances:
     # numcore
     hermitian_rel: float = 1e-10       # adjoint defect for "self-adjoint"
-    eigen_residual_rel: float = 1e-10
-    trace_rel: float = 1e-8
     cond_cap: float = 1e12
     pd_floor_rel: float = 1e-12        # min eigenvalue > floor * ||M||
     # fracpow
     accretive_floor_rel: float = 1e-10
     quad_doubling_rel: float = 1e-8
-    gl_tail: float = 1e-12
     # semigroup
     poisson_tail: float = 1e-14
     # diagnostics
     fit_fraction: float = 0.5          # fraction of spectrum trusted in fits
     schatten_refine_rel: float = 0.05  # two-point refinement agreement
-    schatten_cauchy_rel: float = 1e-6
     sector_guard_rel: float = 1e-12    # Re(z - vertex) floor for angle fit
     maccretive_slack: float = 1e-8
 

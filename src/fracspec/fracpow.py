@@ -183,7 +183,7 @@ def gl_coefficients(alpha, lam, K):
     return GLCoefficients(alpha, lam, c)
 
 
-def gl_coefficients_alt(alpha, lam, K, nodes=None, tol: Tolerances = DEFAULT):
+def gl_coefficients_alt(alpha, lam, K, tol: Tolerances = DEFAULT):
     """C'_k = lam^(k+1) (sin a pi / pi) int_0^inf xi^(a-1) (xi+lam)^(-k-1) dxi,
     evaluated by Gauss-Jacobi quadrature after mapping onto (0, 1).
 
@@ -226,7 +226,7 @@ def gl_abs_sum(alpha, lam, K=100_000):
     return float(c[0] - np.sum(c[1:]) + gl_partial_sum(alpha, lam, K))
 
 
-def gl_power(spec, alpha, f, cfg=None):
+def gl_power(spec, alpha, f):
     """A^alpha f for the Poisson-difference generator via the Grunwald series
     A^a f(x) = sum_k C_k f(x - k mu); exact on the grid (zero extension)."""
     if spec.kind != "poisson":

@@ -6,7 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from fracspec.cli import _dumps, main
+from fracspec import numcore
+from fracspec.cli import _build_model, _json, _load_artifact, _make_parser, main
 
 
 def build_args(out, **kw):
@@ -18,16 +19,55 @@ def build_args(out, **kw):
     return args
 
 
-class TestDumps:
-    def test_deterministic_floats(self):
-        s = _dumps({"x": 0.1, "y": [1.0, float("inf"), float("nan")], "z": None, "b": True})
-        assert '"x": 0.10000000000000001' in s
-        assert '"inf"' in s and '"nan"' in s
-        assert '"z": null' in s and '"b": true' in s
+# one small build per model, at the benchmark's model flags
+SMALL_BUILDS = {
+    "kipriyanov1d": ["--grid-n", "24", "--alpha", "0.6", "--sigma", "0.3",
+                     "--a11", "const:1.0", "--rho", "const:0.1"],
+    "riesz": ["--grid-n", "24", "--alpha", "0.9", "--rho", "const:0.1"],
+    "difference": ["--grid-n", "24", "--rho", "const:0.1"],
+}
 
-    def test_round_trip_precision(self):
-        x = np.pi / 3
-        assert float(json.loads(_dumps({"x": x}))["x"]) == x
+
+def strict_loads(text):
+    """json.loads that refuses the NaN/Infinity tokens RFC 8259 lacks."""
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestArtifactFormat:
+    @pytest.mark.parametrize("model", sorted(SMALL_BUILDS))
+    def test_build_load_lossless(self, tmp_path, capsys, model):
+        argv = ["build", "--model", model, *SMALL_BUILDS[model], "--out", str(tmp_path / "a.json")]
+        assert main(argv) == 0
+        built, _ = _build_model(_make_parser().parse_args(argv))
+        loaded, grid, config = _load_artifact(str(tmp_path / "a.json"))
+        assert config["model"] == model and grid.n == 24
+        pairs = [(built.L, loaded.L), (built.spec.J, loaded.spec.J), (built.spec.G, loaded.spec.G),
+                 (built.spec.F, loaded.spec.F), (built.hplus, loaded.hplus)]
+        for want, got in pairs:
+            assert np.array_equal(numcore.asmatrix(want), numcore.asmatrix(got))
+        assert np.array_equal(built.L.ip.weights, loaded.L.ip.weights)
+        assert loaded.spec.alpha == built.spec.alpha
+        for key in ("delta", "sigma_const", "gamma_N", "norm_Q_inv"):
+            assert np.array_equal(getattr(built, key), getattr(loaded, key), equal_nan=True)
+        if model != "difference":
+            assert np.isnan(loaded.sigma_const)
+
+    def test_artifact_and_report_are_strict_json(self, tmp_path, capsys):
+        out, rep = tmp_path / "a.json", tmp_path / "r.json"
+        assert main(["build", "--model", "kipriyanov1d", *SMALL_BUILDS["kipriyanov1d"],
+                     "--out", str(out)]) == 0
+        assert main(["verify", "--out", str(out), "--report", str(rep)]) == 0
+        artifact = strict_loads(out.read_text())
+        assert artifact["sigma_const"] == "nan"
+        assert strict_loads(rep.read_text())["schema"] == "fracspec-report-1"
+
+    def test_non_finite_numbers_become_strings(self):
+        doc = {"x": float("nan"), "y": [np.inf, -np.inf, (np.float64("nan"),)],
+               "z": None, "b": True, "a": np.array([0.1, 2.0]), "i": np.int64(3)}
+        assert strict_loads(_json(doc)) == {"x": "nan", "y": ["inf", "-inf", ["nan"]],
+                                            "z": None, "b": True, "a": [0.1, 2.0], "i": 3}
 
 
 class TestBuild:
@@ -60,6 +100,12 @@ class TestBuild:
         out = tmp_path / "art.json"
         assert main(build_args(out, a11="const:-1.0")) == 3
         assert "assembly failed" in capsys.readouterr().err
+
+    def test_non_finite_coefficient_exit_3(self, tmp_path, capsys):
+        out = tmp_path / "art.json"
+        assert main(build_args(out, rho="const:nan")) == 3
+        assert "assembly failed" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_byte_identical_rebuild(self, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -139,6 +185,19 @@ class TestVerify:
         assert doc["checks"][0]["name"] == "class-membership"
 
 
+    def test_resolvent_failure_is_error_entry(self, tmp_path, capsys):
+        out, rep = tmp_path / "art.json", tmp_path / "rep.json"
+        main(build_args(out))
+        doc = json.loads(out.read_text())
+        doc["matrix"]["re"][3][3] = "nan"  # how artifacts once spelled NaN entries
+        out.write_text(json.dumps(doc))
+        code = main(["verify", "--out", str(out), "--suite", "spectrum", "--report", str(rep)])
+        assert code == 4
+        by_name = {c["name"]: c for c in json.loads(rep.read_text())["checks"]}
+        assert by_name["resolvent-spectrum"]["status"] == "error"
+        assert by_name["resolvent-spectrum"]["numbers"]["message"]
+
+
 class TestCustomMatrix:
     def write_matrix(self, path, m):
         np.savetxt(path, m, delimiter=",")
@@ -176,6 +235,17 @@ class TestCustomMatrix:
         assert statuses["completeness-criterion"] == "fail"
         assert "error" not in statuses.values()
 
+    def test_non_finite_entry_exit_3(self, tmp_path, capsys):
+        m = np.eye(6)
+        m[2, 3] = np.nan
+        mpath = tmp_path / "m.csv"
+        self.write_matrix(mpath, m)
+        out = tmp_path / "art.json"
+        assert main(["build", "--model", "custom-matrix", "--a11", str(mpath),
+                     "--out", str(out)]) == 3
+        assert "assembly failed: matrix holds non-finite entries" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_singular_matrix_exit_4(self, tmp_path, capsys):
         mpath = tmp_path / "m.csv"
         self.write_matrix(mpath, np.diag([1.0] * 19 + [0.0]))
@@ -189,11 +259,6 @@ class TestCustomMatrix:
 
 
 class TestThreadCap:
-    def test_env_cap_applies(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("FRACSPEC_THREADS", "1")
-        out = tmp_path / "art.json"
-        assert main(build_args(out)) == 0
-
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
     def test_env_cap_reaches_blas(self):
         # BLAS sizes its pool when numpy loads, so the cap must be in place
