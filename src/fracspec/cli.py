@@ -5,11 +5,11 @@ Usage
 fracspec build  --model kipriyanov1d --grid-n 128 --alpha 0.5 --out artifact.json
 fracspec verify --out artifact.json --suite full --seed 0 --report report.json
 
-The artifact is a single JSON file holding the assembled operator matrix,
-its transform description, the grid, inner-product weights and model
-parameters; ``build`` refuses a matrix with a non-finite entry. Both files are
-strict JSON (shortest round-trip floats; "nan", "inf", "-inf" as strings), the
-artifact compact and the report indented. The verify report has one entry per check
+The artifact is a single JSON file holding the model's inputs: its config and
+the a11 and rho samples (for custom-matrix, the matrix). ``build`` and ``verify``
+assemble the model from them with one function; ``build`` refuses a model with a
+non-finite entry. Both files are strict JSON (shortest round-trip floats; "nan",
+"inf", "-inf" as strings), the artifact compact and the report indented. The verify report has one entry per check
 ({name, paper_anchor, status, numbers}) plus CSV sidecars
 ``<report>.spectrum.csv`` (index, re, im, modulus) and
 ``<report>.boundary.csv`` (re, im).
@@ -17,18 +17,19 @@ artifact compact and the report indented. The verify report has one entry per ch
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
 
 from . import diagnostics, fracpow, numcore, semigroup, transform
-from .discretize import Grid1D, OperatorMatrix
+from .discretize import Grid1D, OperatorMatrix, sample_coefficient
 from .errors import FracspecError
 from .fracpow import BalakrishnanConfig
 from .numcore import InnerProduct
 from .transform import Model, TransformSpec
 
-SCHEMA_ARTIFACT = "fracspec-artifact-1"
+SCHEMA_ARTIFACT, SCHEMA_ARTIFACT_1 = "fracspec-artifact-2", "fracspec-artifact-1"
 SCHEMA_REPORT = "fracspec-report-1"
 
 MODELS = ("kipriyanov1d", "riesz", "difference", "custom-matrix")
@@ -57,14 +58,11 @@ def _json(doc, **layout):
                       **layout) + "\n"
 
 
-def _matrix_doc(m, what):
-    m = numcore.asmatrix(m).astype(complex)
-    if not np.isfinite(m).all():
-        raise ValueError(f"{what} holds non-finite entries")
-    return {"re": m.real, "im": m.imag}
+def _complex_doc(v):
+    return {"re": v.real, "im": v.imag}
 
 
-def _matrix_from_doc(doc):
+def _complex_from_doc(doc):
     return np.asarray(doc["re"], dtype=float) + 1j * np.asarray(doc["im"], dtype=float)
 
 
@@ -106,6 +104,10 @@ def _validate(args):
         return
     if args.grid_n < 4:
         raise ValueError("--grid-n must be at least 4")
+    for flag, value in (("--alpha", args.alpha), ("--sigma", args.sigma), ("--lambda", args.lam),
+                        ("--mu", args.mu), ("--delta", args.delta)):
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{flag} must be finite")
     if args.model == "riesz":
         if not args.sigma / 2 + 0.75 < args.alpha < 1.0:
             raise ValueError("--alpha must satisfy sigma/2 + 3/4 < alpha < 1 for the riesz model")
@@ -128,24 +130,38 @@ def _config_doc(args):
             "seed": args.seed}
 
 
-def _build_model(args):
-    a, b = _GRID_ENDPOINTS[args.model]
-    if args.model == "custom-matrix":
-        m = np.loadtxt(args.a11, delimiter=",", dtype=complex, ndmin=2)
-        n = m.shape[0]
-        grid = Grid1D(a, b, n)
-        ip = InnerProduct.uniform(n)
+def _build_model(config, doc=None):
+    """The model and grid that ``config`` describes, and the artifact's data:
+    the a11 and rho samples, or the custom matrix. They are taken from ``doc``
+    (a loaded artifact) when it holds them, else from the config's specs."""
+    doc = doc or {}
+    a, b = _GRID_ENDPOINTS[config["model"]]
+    if config["model"] == "custom-matrix":
+        m = (_complex_from_doc(doc["matrix"]) if "matrix" in doc
+             else np.loadtxt(config["a11"], delimiter=",", dtype=complex, ndmin=2))
+        grid = Grid1D(a, b, m.shape[0])
+        ip = InnerProduct.uniform(grid.n)
         L = OperatorMatrix(m, grid, ip)
-        return Model(L, TransformSpec(L, L, L, 0.0, ip), L), grid
-    grid = Grid1D(a, b, args.grid_n)
-    if args.model == "kipriyanov1d":
-        return transform.build_kipriyanov_1d(grid, args.a11, args.rho, args.sigma, args.alpha), grid
-    if args.model == "riesz":
-        return transform.build_riesz_model(grid, args.a11, args.rho, args.sigma,
-                                           args.alpha, args.delta), grid
-    mu = _semigroup_spec_for(_config_doc(args), grid).mu
-    model = transform.build_difference_model(grid, args.a11, args.rho, args.lam, mu, args.alpha)
-    return model, grid
+        model, data = Model(L, TransformSpec(L, L, L, 0.0, ip), L), {"matrix": _complex_doc(L.m)}
+    else:
+        grid = Grid1D(a, b, config["grid_n"])
+        stored = doc.get("coefficients", {})
+        a11, rho = (_complex_from_doc(stored[k]) if k in stored
+                    else sample_coefficient(config[k], grid) for k in ("a11", "rho"))
+        alpha, sigma = config["alpha"], config["sigma"]
+        if config["model"] == "kipriyanov1d":
+            model = transform.build_kipriyanov_1d(grid, a11, rho, sigma, alpha)
+        elif config["model"] == "riesz":
+            model = transform.build_riesz_model(grid, a11, rho, sigma, alpha, config["delta"])
+        else:
+            mu = _semigroup_spec_for(config, grid).mu
+            model = transform.build_difference_model(grid, a11, rho, config["lambda"], mu, alpha)
+        data = {"coefficients": {"a11": _complex_doc(a11), "rho": _complex_doc(rho)}}
+    for what, m in (("matrix", model.L), ("J", model.spec.J), ("G", model.spec.G),
+                    ("F", model.spec.F), ("hplus", model.hplus)):
+        if not np.isfinite(m.m).all():
+            raise ValueError(f"{what} holds non-finite entries")
+    return model, grid, data
 
 
 def cmd_build(args):
@@ -154,26 +170,10 @@ def cmd_build(args):
     except (ValueError, FracspecError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2
+    config = _config_doc(args)
     try:
-        model, grid = _build_model(args)
-        text = _json({
-            "schema": SCHEMA_ARTIFACT,
-            "config": _config_doc(args),
-            "grid": {"a": grid.a, "b": grid.b, "n": grid.n, "h": grid.h},
-            "ip_weights": model.L.ip.weights,
-            "matrix": _matrix_doc(model.L.m, "matrix"),
-            "transform": {
-                "alpha": model.spec.alpha,
-                "J": _matrix_doc(model.spec.J, "J"),
-                "G": _matrix_doc(model.spec.G, "G"),
-                "F": _matrix_doc(model.spec.F, "F"),
-            },
-            "hplus": _matrix_doc(model.hplus, "hplus"),
-            "delta": model.delta,
-            "sigma_const": model.sigma_const,
-            "gamma_N": model.gamma_N,
-            "norm_Q_inv": model.norm_Q_inv,
-        }, separators=(",", ":"))
+        _, _, data = _build_model(config)
+        text = _json({"schema": SCHEMA_ARTIFACT, "config": config, **data}, separators=(",", ":"))
     except (FracspecError, ValueError, OSError) as exc:
         print(f"assembly failed: {exc}", file=sys.stderr)
         return 3
@@ -184,26 +184,14 @@ def cmd_build(args):
 
 
 def _load_artifact(path):
+    """Model, grid and config of the artifact at ``path``, re-assembled. A schema-1
+    artifact stores no samples (its matrices are not read), so a CSV path in its
+    config must still exist."""
     with open(path) as fh:
         doc = json.load(fh)
-    g = doc["grid"]
-    grid = Grid1D(g["a"], g["b"], g["n"])
-    ip = InnerProduct(np.asarray(doc["ip_weights"], dtype=float))
-    L = OperatorMatrix(_matrix_from_doc(doc["matrix"]), grid, ip)
-    t = doc["transform"]
-    spec = TransformSpec(
-        OperatorMatrix(_matrix_from_doc(t["J"]), grid, ip),
-        OperatorMatrix(_matrix_from_doc(t["G"]), grid, ip),
-        OperatorMatrix(_matrix_from_doc(t["F"]), grid, ip),
-        t["alpha"], ip)
-    hplus = OperatorMatrix(_matrix_from_doc(doc["hplus"]), grid, ip)
-
-    def _num(key):
-        v = doc.get(key)
-        return float("nan") if v is None or isinstance(v, str) else float(v)
-
-    model = Model(L, spec, hplus, delta=_num("delta"), sigma_const=_num("sigma_const"),
-                  gamma_N=_num("gamma_N"), norm_Q_inv=_num("norm_Q_inv"))
+    if not isinstance(doc, dict) or doc.get("schema") not in (SCHEMA_ARTIFACT, SCHEMA_ARTIFACT_1):
+        raise ValueError("not a fracspec artifact")
+    model, grid, _ = _build_model(doc["config"], doc)
     return model, grid, doc["config"]
 
 
@@ -218,8 +206,9 @@ class _Checks:
         try:
             return fn()
         except Exception as exc:  # error is distinct from fail
+            numbers = {"exception": type(exc).__name__, "message": str(exc)}
             self.entries.append({"name": name, "paper_anchor": anchor,
-                                 "status": "error", "numbers": {"message": str(exc)}})
+                                 "status": "error", "numbers": numbers})
 
     def run(self, name, anchor, fn):
         result = self.attempt(name, anchor, fn)
@@ -459,7 +448,7 @@ def cmd_verify(args):
         return 2
     try:
         model, grid, config = _load_artifact(args.out)
-    except (OSError, KeyError, ValueError) as exc:
+    except (OSError, KeyError, TypeError, ValueError, FracspecError) as exc:
         print(f"cannot read artifact: {exc}", file=sys.stderr)
         return 2
 

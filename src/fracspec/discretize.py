@@ -138,16 +138,20 @@ def _axis_profile(grid, expo):
     return g
 
 
-def rl_integral_left(grid, alpha):
-    """Riemann-Liouville integral (1/Gamma(a)) int_0^x f(t)(x-t)^(a-1) dt.
+def _one_sided(grid, beta, side):
+    """(1/Gamma(b)) int_0^inf f(x - s) s^(b-1) ds for side "minus", as
+    lower-triangular Toeplitz product-trapezoidal weights, or f(x + s) for
+    "plus", the transpose."""
+    W = toeplitz(_axis_profile(grid, beta - 1.0) / gamma(beta), np.zeros(grid.n))
+    return OperatorMatrix(W.T.copy() if side == "plus" else W, grid, grid.ip())
 
-    Lower-triangular Toeplitz product-trapezoidal weights; alpha = 1
-    reduces to cumulative trapezoidal integration.
-    """
+
+def rl_integral_left(grid, alpha):
+    """Riemann-Liouville integral (1/Gamma(a)) int_0^x f(t)(x-t)^(a-1) dt;
+    alpha = 1 reduces to cumulative trapezoidal integration."""
     if not 0.0 < alpha <= 1.0:
         raise BadAlpha(f"rl_integral needs alpha in (0, 1], got {alpha}")
-    c = _axis_profile(grid, alpha - 1.0)  # weights of f(x - m h), m = 0..n-1
-    return OperatorMatrix(toeplitz(c, np.zeros(grid.n)) / gamma(alpha), grid, grid.ip())
+    return _one_sided(grid, alpha, "minus")
 
 
 def rl_integral_right(grid, alpha):
@@ -199,13 +203,11 @@ def axis_kernel_both(grid, expo):
 
 
 def one_sided_potential(grid, beta, side="plus"):
-    """Fractional integral on the axis: (1/Gamma(b)) int_0^inf f(x -+ s) s^(b-1) ds."""
+    """Fractional integral on the axis: (1/Gamma(b)) int_0^inf f(x + s) s^(b-1) ds
+    for side "plus" (upper-triangular), f(x - s) for "minus"."""
     if not 0.0 < beta < 2.0:
         raise BadAlpha(f"one-sided potential needs beta in (0, 2), got {beta}")
-    g = _axis_profile(grid, beta - 1.0) / gamma(beta)
-    W = toeplitz(np.zeros(grid.n), g) if side == "plus" else toeplitz(g, np.zeros(grid.n))
-    np.fill_diagonal(W, g[0])
-    return OperatorMatrix(W, grid, grid.ip())
+    return _one_sided(grid, beta, side)
 
 
 def riesz_constant(beta):
@@ -238,7 +240,7 @@ def first_difference(grid):
 def _check_lower_bound(vals, bound, what):
     re = np.real(vals)
     b = np.broadcast_to(np.asarray(bound, dtype=float), re.shape)
-    bad = np.flatnonzero(re <= b)
+    bad = np.flatnonzero(~(re > b))  # NaN is not above any bound
     if bad.size:
         i = int(bad[0])
         raise CoefficientBoundViolated(

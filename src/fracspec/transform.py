@@ -7,7 +7,6 @@ import numpy as np
 from .discretize import (
     Grid1D,
     OperatorMatrix,
-    _check_lower_bound,
     elliptic_1d,
     first_difference,
     fourth_order_weighted,
@@ -119,7 +118,6 @@ def build_kipriyanov_1d(grid, a11, rho, sigma, alpha, gamma_a=0.0):
     ip = grid.ip()
     J = generator_matrix(SemigroupSpec("shift", grid))
     G = multiply(grid, a11)
-    _check_lower_bound(sample_coefficient(a11, grid), gamma_a, "kipriyanov coefficient a11")
     frac_in = rl_integral_left(grid, sigma).m if sigma > 0 else np.eye(grid.n)
     F = OperatorMatrix(frac_in @ multiply(grid, rho).m, grid, ip)
     L = elliptic_1d(grid, a11, gamma_a).m + F.m @ marchaud_right_derivative(grid, alpha).m

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from fracspec import numcore
-from fracspec.cli import _build_model, _json, _load_artifact, _make_parser, main
+from fracspec.cli import _build_model, _config_doc, _json, _load_artifact, _make_parser, main
+
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
 
 def build_args(out, **kw):
@@ -40,7 +42,7 @@ class TestArtifactFormat:
     def test_build_load_lossless(self, tmp_path, capsys, model):
         argv = ["build", "--model", model, *SMALL_BUILDS[model], "--out", str(tmp_path / "a.json")]
         assert main(argv) == 0
-        built, _ = _build_model(_make_parser().parse_args(argv))
+        built, _, _ = _build_model(_config_doc(_make_parser().parse_args(argv)))
         loaded, grid, config = _load_artifact(str(tmp_path / "a.json"))
         assert config["model"] == model and grid.n == 24
         pairs = [(built.L, loaded.L), (built.spec.J, loaded.spec.J), (built.spec.G, loaded.spec.G),
@@ -59,8 +61,7 @@ class TestArtifactFormat:
         assert main(["build", "--model", "kipriyanov1d", *SMALL_BUILDS["kipriyanov1d"],
                      "--out", str(out)]) == 0
         assert main(["verify", "--out", str(out), "--report", str(rep)]) == 0
-        artifact = strict_loads(out.read_text())
-        assert artifact["sigma_const"] == "nan"
+        strict_loads(out.read_text())
         assert strict_loads(rep.read_text())["schema"] == "fracspec-report-1"
 
     def test_non_finite_numbers_become_strings(self):
@@ -75,10 +76,9 @@ class TestBuild:
         out = tmp_path / "art.json"
         assert main(build_args(out)) == 0
         doc = json.loads(out.read_text())
-        assert doc["schema"] == "fracspec-artifact-1"
-        assert doc["grid"]["n"] == 24
-        assert len(doc["matrix"]["re"]) == 24
-        assert len(doc["transform"]["J"]["re"]) == 24
+        assert sorted(doc) == ["coefficients", "config", "schema"]
+        assert doc["schema"] == "fracspec-artifact-2"
+        assert len(doc["coefficients"]["a11"]["re"]) == 24
         assert doc["config"]["model"] == "kipriyanov1d"
 
     def test_invalid_alpha_exit_2(self, tmp_path, capsys):
@@ -100,6 +100,22 @@ class TestBuild:
         out = tmp_path / "art.json"
         assert main(build_args(out, a11="const:-1.0")) == 3
         assert "assembly failed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model,flag,value", [
+        ("kipriyanov1d", "lambda", "nan"), ("kipriyanov1d", "delta", "inf"),
+        ("riesz", "delta", "nan"), ("difference", "mu", "nan"), ("difference", "lambda", "inf"),
+        ("custom-matrix", "alpha", "inf"), ("kipriyanov1d", "sigma", "nan")])
+    def test_non_finite_flag_exit_2(self, tmp_path, capsys, model, flag, value):
+        out = tmp_path / "art.json"
+        assert main(build_args(out, model=model, **{flag: value})) == 2
+        assert f"--{flag} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_nan_a11_exit_3(self, tmp_path, capsys):
+        out = tmp_path / "art.json"
+        assert main(build_args(out, a11="const:nan")) == 3
+        assert "not above bound" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_non_finite_coefficient_exit_3(self, tmp_path, capsys):
         out = tmp_path / "art.json"
@@ -185,18 +201,6 @@ class TestVerify:
         assert doc["checks"][0]["name"] == "class-membership"
 
 
-    def test_resolvent_failure_is_error_entry(self, tmp_path, capsys):
-        out, rep = tmp_path / "art.json", tmp_path / "rep.json"
-        main(build_args(out))
-        doc = json.loads(out.read_text())
-        doc["matrix"]["re"][3][3] = "nan"  # how artifacts once spelled NaN entries
-        out.write_text(json.dumps(doc))
-        code = main(["verify", "--out", str(out), "--suite", "spectrum", "--report", str(rep)])
-        assert code == 4
-        by_name = {c["name"]: c for c in json.loads(rep.read_text())["checks"]}
-        assert by_name["resolvent-spectrum"]["status"] == "error"
-        assert by_name["resolvent-spectrum"]["numbers"]["message"]
-
 
 class TestCustomMatrix:
     def write_matrix(self, path, m):
@@ -255,7 +259,68 @@ class TestCustomMatrix:
                      "--suite", "spectrum", "--report", str(tmp_path / "rep.json")])
         assert code == 4
         doc = json.loads((tmp_path / "rep.json").read_text())
-        assert any(c["status"] == "error" for c in doc["checks"])
+        entry = {c["name"]: c for c in doc["checks"]}["resolvent-spectrum"]
+        assert entry["status"] == "error"
+        assert entry["numbers"]["exception"] == "IllConditioned"
+        assert entry["numbers"]["message"]
+
+
+class TestArtifactInputs:
+    """Verify re-assembles the model from the artifact's config and samples."""
+
+    def verify(self, art, rep):
+        code = main(["verify", "--out", str(art), "--report", str(rep)])
+        return code, [rep.read_bytes()] + [
+            (rep.parent / (rep.name + ext)).read_bytes() for ext in (".spectrum.csv", ".boundary.csv")]
+
+    def test_schema_1_artifact_gives_the_same_report(self, tmp_path, capsys):
+        # written by the schema-1 builder, which stored the assembled matrices
+        with open(os.path.join(DATA, "kipriyanov1d-n8-artifact-1.json")) as fh:
+            v1 = json.load(fh)
+        assert v1["schema"] == "fracspec-artifact-1"
+        v2 = tmp_path / "v2.json"
+        assert main(build_args(v2, grid_n=8)) == 0
+        want = self.verify(v2, tmp_path / "r2.json")
+        assert want[0] == 4  # at n = 8 order-estimate errors: it needs 16 singular values
+        v1_path = tmp_path / "v1.json"
+        v1_path.write_text(json.dumps(v1))
+        assert self.verify(v1_path, tmp_path / "r1.json") == want
+        # its stored blocks are not read
+        v1["matrix"]["re"][0][0] = "nan"
+        v1["transform"]["J"]["im"][1][1] = 1e300
+        v1_path.write_text(json.dumps(v1))
+        assert self.verify(v1_path, tmp_path / "r1.json") == want
+
+    def test_csv_coefficient_not_read_at_verify(self, tmp_path, capsys):
+        csv = tmp_path / "a11.csv"
+        np.savetxt(csv, 1.0 + np.linspace(0.0, 1.0, 24), delimiter=",")
+        out = tmp_path / "art.json"
+        assert main(build_args(out, a11=csv)) == 0
+        before = self.verify(out, tmp_path / "r.json")
+        csv.unlink()
+        assert self.verify(out, tmp_path / "r.json") == before
+
+    def test_custom_matrix_nan_entry_exit_2(self, tmp_path, capsys):
+        mpath, out = tmp_path / "m.csv", tmp_path / "art.json"
+        np.savetxt(mpath, np.diag(np.arange(1.0, 9.0)), delimiter=",")
+        assert main(["build", "--model", "custom-matrix", "--a11", str(mpath), "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert sorted(doc) == ["config", "matrix", "schema"]
+        doc["matrix"]["re"][2][3] = "nan"
+        out.write_text(json.dumps(doc))
+        assert main(["verify", "--out", str(out), "--report", str(tmp_path / "r.json")]) == 2
+        assert "cannot read artifact" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [("alpha", 1.5), ("grid_n", 2), ("schema", "other")])
+    def test_rejected_input_exit_2(self, tmp_path, capsys, key, value):
+        out = tmp_path / "art.json"
+        assert main(build_args(out)) == 0
+        doc = json.loads(out.read_text())
+        (doc if key == "schema" else doc["config"])[key] = value
+        out.write_text(json.dumps(doc))
+        assert main(["verify", "--out", str(out), "--report", str(tmp_path / "r.json")]) == 2
+        assert "cannot read artifact" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
 
 
 class TestThreadCap:

@@ -157,6 +157,16 @@ class TestAxisKernels:
         exact = dz.riesz_constant(beta) * 2.0 * half
         assert abs(out[i] - exact) <= 2e-3 * abs(exact)
 
+    def test_one_sided_potential_sides_are_rl_integrals(self):
+        # "plus" integrates f(x + s): the right-sided RL integral, upper-triangular
+        g = dz.Grid1D(-5.0, 5.0, 40)
+        for beta in (0.3, 0.8):
+            plus = dz.one_sided_potential(g, beta, "plus").m
+            assert np.array_equal(plus, dz.rl_integral_right(g, beta).m)
+            assert np.array_equal(plus, np.triu(plus))
+            assert np.array_equal(dz.one_sided_potential(g, beta, "minus").m,
+                                  dz.rl_integral_left(g, beta).m)
+
     def test_rejects_beta_one(self):
         g = unit_grid(8)
         with pytest.raises(BadAlpha):

@@ -98,6 +98,8 @@ class TestKipriyanovModel:
             tf.build_kipriyanov_1d(g, "const:1.0", "const:0.1", 0.3, 1.0)
         with pytest.raises(CoefficientBoundViolated):
             tf.build_kipriyanov_1d(g, "const:-1.0", "const:0.1", 0.3, 0.5)
+        with pytest.raises(CoefficientBoundViolated):
+            tf.build_kipriyanov_1d(g, "const:nan", "const:0.1", 0.3, 0.5)
 
     def test_rho_zero_reduces_to_elliptic(self):
         from fracspec.discretize import elliptic_1d
