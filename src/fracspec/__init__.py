@@ -12,7 +12,6 @@ if os.environ.get("FRACSPEC_THREADS"):
 from .config import DEFAULT, Tolerances
 from .discretize import Grid1D, GridFunction, OperatorMatrix
 from .fracpow import BalakrishnanConfig, GLCoefficients
-from .numcore import InnerProduct
 from .semigroup import SemigroupSpec
 from .transform import ClassReport, Model, TransformSpec
 
@@ -24,7 +23,6 @@ __all__ = [
     "OperatorMatrix",
     "BalakrishnanConfig",
     "GLCoefficients",
-    "InnerProduct",
     "SemigroupSpec",
     "ClassReport",
     "Model",

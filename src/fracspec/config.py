@@ -1,7 +1,8 @@
 """Centralized numerical tolerances and caps.
 
-Every threshold used by the library lives here so that acceptance checks
-are deterministic and tunable from one place.
+Every threshold used by the library lives here, in ``DEFAULT``, which the
+routines read directly. The values are fixed: no routine takes them per call,
+so acceptance checks are deterministic.
 """
 
 from dataclasses import dataclass

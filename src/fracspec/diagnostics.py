@@ -1,16 +1,12 @@
 """Spectral diagnostics: numerical range, sectorial factorization, order,
 Schatten classification, eigenvalue inequality, asymptotics, completeness.
-
-All weighted notions are computed by whitening with diag(sqrt(w)); the
-Rayleigh quotient and spectra are invariant under that similarity, so the
-standard-inner-product routines apply verbatim to the whitened matrix.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT, Tolerances
+from .config import DEFAULT
 from .errors import DegenerateFit
 from .numcore import (
     asmatrix,
@@ -40,7 +36,7 @@ def _top_eigvec(H):
     return V[:, -1]
 
 
-def numerical_range(M, ip, n_angles=256, vertex=None, tol: Tolerances = DEFAULT):
+def numerical_range(M, n_angles=256, vertex=None):
     """Boundary of the numerical range by the support-function method.
 
     For each angle phi the extreme point of Theta(M) in direction e^(i phi)
@@ -50,27 +46,27 @@ def numerical_range(M, ip, n_angles=256, vertex=None, tol: Tolerances = DEFAULT)
     """
     if n_angles < 16:
         raise ValueError("need n_angles >= 16")
-    Ms = ip.whiten(asmatrix(M))
+    M = asmatrix(M)
     pts = np.empty(n_angles, dtype=complex)
     for j, phi in enumerate(np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False)):
-        H = np.exp(1j * phi) * Ms
+        H = np.exp(1j * phi) * M
         H = (H + H.conj().T) / 2
         v = _top_eigvec(H)
-        pts[j] = v.conj() @ Ms @ v
-    return _fit_sector(pts, np.min(pts.real) if vertex is None else vertex, tol)
+        pts[j] = v.conj() @ M @ v
+    return _fit_sector(pts, np.min(pts.real) if vertex is None else vertex)
 
 
-def refit_sector(estimate, vertex, tol: Tolerances = DEFAULT):
+def refit_sector(estimate, vertex):
     """Refit the sector of an existing boundary sample about a given vertex
     (e.g. the origin, as in the completeness criterion's sector)."""
-    return _fit_sector(np.asarray(estimate.boundary), vertex, tol)
+    return _fit_sector(np.asarray(estimate.boundary), vertex)
 
 
-def _fit_sector(pts, vertex, tol):
+def _fit_sector(pts, vertex):
     """Smallest sector about ``vertex`` holding the boundary points ``pts``."""
     rel = pts - float(vertex)
     spread = max(float(np.max(np.abs(rel))), 1.0)
-    keep = rel.real > tol.sector_guard_rel * spread
+    keep = rel.real > DEFAULT.sector_guard_rel * spread
     theta = float(np.max(np.abs(np.angle(rel[keep])))) if np.any(keep) else 0.0
     return SectorEstimate(float(vertex), theta, pts)
 
@@ -82,60 +78,57 @@ class H1H2Report:
     verdict: bool
 
 
-def verify_H1_H2(L, hplus, ip, tol: Tolerances = DEFAULT):
-    """Form bounds of L relative to the h+ norm matrix.
+def verify_H1_H2(L, hplus):
+    """Form bounds of L relative to the h+ norm matrix N.
 
-    C2 = min eigenvalue of the h+-whitened Hermitian part (exact, not
-    sampled); C1 = largest singular value of the h+-whitened L.
+    With W = N^(-1/2) L N^(-1/2): C2 = min eigenvalue of the Hermitian part
+    of W (exact, not sampled); C1 = largest singular value of W.
     """
-    S = spd_power(ip.whiten(hplus), -0.5, tol, "norm matrix")
-    W = S @ ip.whiten(L) @ S
+    S = spd_power(asmatrix(hplus), -0.5, "norm matrix")
+    W = S @ asmatrix(L) @ S
     C2 = float(np.linalg.eigvalsh((W + W.conj().T) / 2)[0])
     C1 = float(np.linalg.svd(W, compute_uv=False)[0])
     return H1H2Report(C1, C2, bool(C2 > 0.0))
 
 
-def _factor(W, ip, tol):
-    """H = Re W, S = Hs^(-1/2) and the whitened B, Bs = S Ks S, of
-    W = H^(1/2)(I + iB)H^(1/2); Hs, Ks are the whitened Re W, Im W."""
-    H = hermitian_part(W, ip)
-    S = spd_power(ip.whiten(H), -0.5, tol, "Hermitian part")
-    return H, S, S @ ip.whiten(skew_part(W, ip)) @ S
+def _factor(W):
+    """H = Re W, S = H^(-1/2) and B = S (Im W) S of W = H^(1/2)(I + iB)H^(1/2)."""
+    H = hermitian_part(W)
+    S = spd_power(H, -0.5, "Hermitian part")
+    return H, S, S @ skew_part(W) @ S
 
 
-def sectorial_factorize(W, ip, tol: Tolerances = DEFAULT):
-    """W = H^(1/2)(I + iB)H^(1/2) with H the ip-Hermitian part and B
-    ip-self-adjoint; requires H positive definite."""
-    H, _, Bs = _factor(W, ip, tol)
-    return H, ip.unwhiten(Bs)
+def sectorial_factorize(W):
+    """W = H^(1/2)(I + iB)H^(1/2) with H the Hermitian part and B
+    self-adjoint; requires H positive definite."""
+    H, _, B = _factor(W)
+    return H, B
 
 
 @dataclass(frozen=True)
 class ResolventIdentityReport:
     defect_factor1: float
     defect_factor_half: float
-    norm_re_resolvent: float
 
 
-def realpart_resolvent_check(W, ip, tol: Tolerances = DEFAULT):
+def realpart_resolvent_check(W):
     """Compare Re(W^-1) with H^(-1/2)(I + B^2)^(-1)H^(-1/2).
 
     Reports the relative defect of the factor-1 identity (which matrix
     algebra gives) and of the printed factor-1/2 variant.
     """
     Wm = asmatrix(W)
-    X = hermitian_part(inverse(Wm), ip)
-    _, S, Bs = _factor(Wm, ip, tol)
-    Y = ip.unwhiten(S @ inverse(np.eye(Wm.shape[0]) + Bs @ Bs) @ S)
+    X = hermitian_part(inverse(Wm))
+    _, S, B = _factor(Wm)
+    Y = S @ inverse(np.eye(Wm.shape[0]) + B @ B) @ S
     scale = np.linalg.norm(X)
     return ResolventIdentityReport(
         float(np.linalg.norm(X - Y) / scale),
         float(np.linalg.norm(X - Y / 2) / scale),
-        float(scale),
     )
 
 
-def order_estimate(svals, fraction=None, tol: Tolerances = DEFAULT):
+def order_estimate(svals, fraction=None):
     """Order mu from the log-log slope of the leading singular values.
 
     Only the first ``fraction`` of the spectrum is used; the discrete tail is
@@ -146,7 +139,7 @@ def order_estimate(svals, fraction=None, tol: Tolerances = DEFAULT):
         raise ValueError("need at least 16 singular values")
     if np.any(s <= 0):
         raise ValueError("singular values must be positive")
-    m = max(8, int(s.size * (fraction if fraction is not None else tol.fit_fraction)))
+    m = max(8, int(s.size * (fraction if fraction is not None else DEFAULT.fit_fraction)))
     y = np.log(s[:m])
     if np.ptp(y) < 1e-12:
         raise DegenerateFit("singular values carry no decay to fit")
@@ -171,9 +164,9 @@ def schatten_sum(svals, p):
     return float(np.sum(np.asarray(svals, dtype=float) ** p))
 
 
-def refinement_converged(sum_coarse, sum_fine, tol: Tolerances = DEFAULT):
+def refinement_converged(sum_coarse, sum_fine):
     """Two-point refinement surrogate for convergence of a Schatten sum."""
-    return bool(abs(sum_fine - sum_coarse) <= tol.schatten_refine_rel * abs(sum_fine))
+    return bool(abs(sum_fine - sum_coarse) <= DEFAULT.schatten_refine_rel * abs(sum_fine))
 
 
 def schatten_classify(svals, mu, extra_ps=()):
@@ -187,10 +180,10 @@ def schatten_classify(svals, mu, extra_ps=()):
     return SchattenClassification(float(mu), float(predicted), bool(mu > 1.0), sums)
 
 
-def eigenvalue_inequality(R_W, R_H, ip, p=1.0):
+def eigenvalue_inequality(R_W, R_H, p=1.0):
     """Ratio profile rho_n = sum_(i<=n)|l_i(R_W)|^p / sum_(i<=n) l_i(R_H)^p."""
     lw = np.abs(general_eigen(R_W)) ** p
-    wh, _ = hermitian_eigen(R_H, ip)
+    wh, _ = hermitian_eigen(R_H)
     lh = np.sort(wh)[::-1] ** p
     ratios = np.cumsum(lw) / np.cumsum(lh)
     return ratios, float(np.max(ratios))
@@ -203,11 +196,11 @@ class AsymptoticsReport:
     trend_slope: float
 
 
-def asymptotics_check(eigenvalues, mu, eps, fraction=None, tol: Tolerances = DEFAULT):
+def asymptotics_check(eigenvalues, mu, eps, fraction=None):
     """Check |l_i| = o(i^(-mu+eps)): the sequence i^(mu-eps)|l_i| must be
     decreasing-trending over the trusted leading range."""
     lam = np.abs(np.asarray(eigenvalues, dtype=complex))
-    m = max(8, int(lam.size * (fraction if fraction is not None else tol.fit_fraction)))
+    m = max(8, int(lam.size * (fraction if fraction is not None else DEFAULT.fit_fraction)))
     i = np.arange(1, m + 1, dtype=float)
     seq = i ** (mu - eps) * lam[:m]
     x = np.log(i)
@@ -228,16 +221,16 @@ class MAccretiveReport:
     passed: bool
 
 
-def maccretive_check(A, ip, t_samples=(0.01, 0.1, 1.0, 10.0, 100.0), tol: Tolerances = DEFAULT):
+def maccretive_check(A, t_samples=(0.01, 0.1, 1.0, 10.0, 100.0)):
     """Dual m-accretivity test: Hermitian part nonnegative and
     ||(A + t)^-1|| <= 1/t at each sampled t."""
     Am = asmatrix(A)
     n = Am.shape[0]
-    herm_min = min_hermitian_eig(Am, ip)
+    herm_min = min_hermitian_eig(Am)
     worst = 0.0
     for t in t_samples:
-        nrm = op_norm(inverse(Am + t * np.eye(n)), ip)
+        nrm = op_norm(inverse(Am + t * np.eye(n)))
         worst = max(worst, nrm * t - 1.0)
-    passed = (herm_min >= -tol.accretive_floor_rel * np.linalg.norm(Am)
-              and worst <= tol.maccretive_slack)
+    passed = (herm_min >= -DEFAULT.accretive_floor_rel * np.linalg.norm(Am)
+              and worst <= DEFAULT.maccretive_slack)
     return MAccretiveReport(herm_min, float(worst), bool(passed))

@@ -14,7 +14,6 @@ from scipy.linalg import toeplitz
 from scipy.special import gamma
 
 from .errors import BadAlpha, CoefficientBoundViolated
-from .numcore import InnerProduct
 
 
 @dataclass(frozen=True)
@@ -39,10 +38,6 @@ class Grid1D:
     def nodes(self):
         return self.a + self.h * np.arange(1, self.n + 1)
 
-    def ip(self):
-        """Uniform quadrature inner product approximating L2(a, b)."""
-        return InnerProduct.uniform(self.n, self.h)
-
 
 @dataclass(frozen=True)
 class GridFunction:
@@ -64,11 +59,10 @@ class GridFunction:
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Dense matrix tagged with the grid and inner product it acts on."""
+    """Dense matrix tagged with the grid it acts on."""
 
     m: np.ndarray
     grid: Grid1D
-    ip: InnerProduct
 
     def __post_init__(self):
         m = np.asarray(self.m, dtype=complex)
@@ -93,7 +87,7 @@ def _like(x, values):
     if isinstance(x, GridFunction):
         return GridFunction(x.grid, values)
     if isinstance(x, OperatorMatrix):
-        return OperatorMatrix(values, x.grid, x.ip)
+        return OperatorMatrix(values, x.grid)
     return values
 
 
@@ -143,7 +137,7 @@ def _one_sided(grid, beta, side):
     lower-triangular Toeplitz product-trapezoidal weights, or f(x + s) for
     "plus", the transpose."""
     W = toeplitz(_axis_profile(grid, beta - 1.0) / gamma(beta), np.zeros(grid.n))
-    return OperatorMatrix(W.T.copy() if side == "plus" else W, grid, grid.ip())
+    return OperatorMatrix(W.T.copy() if side == "plus" else W, grid)
 
 
 def rl_integral_left(grid, alpha):
@@ -156,7 +150,7 @@ def rl_integral_left(grid, alpha):
 
 def rl_integral_right(grid, alpha):
     """Right-sided twin: (1/Gamma(a)) int_x^d f(t)(t-x)^(a-1) dt."""
-    return OperatorMatrix(rl_integral_left(grid, alpha).m.T.copy(), grid, grid.ip())
+    return OperatorMatrix(rl_integral_left(grid, alpha).m.T.copy(), grid)
 
 
 def marchaud_right_derivative(grid, alpha):
@@ -188,7 +182,7 @@ def marchaud_right_derivative(grid, alpha):
     diag = c * (first + np.concatenate(([0.0], np.cumsum(M0)))[n - np.arange(1, n + 1)])
     diag += dist**-alpha / gamma(1.0 - alpha)
     np.fill_diagonal(W, diag)
-    return OperatorMatrix(W, grid, grid.ip())
+    return OperatorMatrix(W, grid)
 
 
 def axis_kernel_both(grid, expo):
@@ -219,22 +213,22 @@ def riesz_potential(grid, beta):
     """Riesz potential B_b int f(s) |s - x|^(b-1) ds on the truncated axis."""
     if not 0.0 < beta < 2.0 or beta == 1.0:
         raise BadAlpha(f"riesz potential needs beta in (0,1) or (1,2), got {beta}")
-    return OperatorMatrix(riesz_constant(beta) * axis_kernel_both(grid, beta - 1.0),
-                          grid, grid.ip())
+    K = riesz_constant(beta) * axis_kernel_both(grid, beta - 1.0)
+    return OperatorMatrix(K, grid)
 
 
 def second_derivative(grid):
     """Centered second-difference d^2/dx^2 with zero-extension boundaries."""
     n, h = grid.n, grid.h
     D2 = (np.diag(np.full(n - 1, 1.0), -1) - 2.0 * np.eye(n) + np.diag(np.full(n - 1, 1.0), 1)) / h**2
-    return OperatorMatrix(D2, grid, grid.ip())
+    return OperatorMatrix(D2, grid)
 
 
 def first_difference(grid):
     """Backward difference (f_i - f_(i-1))/h with Dirichlet boundary; invertible."""
     n, h = grid.n, grid.h
     D1 = (np.eye(n) - np.diag(np.full(n - 1, 1.0), -1)) / h
-    return OperatorMatrix(D1, grid, grid.ip())
+    return OperatorMatrix(D1, grid)
 
 
 def _check_lower_bound(vals, bound, what):
@@ -266,7 +260,7 @@ def elliptic_1d(grid, a11, gamma_a=0.0):
     W[idx, idx] = (mid[:-1] + mid[1:]) / h**2
     W[idx[:-1], idx[:-1] + 1] = -mid[1:n] / h**2
     W[idx[1:], idx[1:] - 1] = -mid[1:n] / h**2
-    return OperatorMatrix(W, grid, grid.ip())
+    return OperatorMatrix(W, grid)
 
 
 def fourth_order_weighted(grid, a, gamma_a=0.0):
@@ -279,12 +273,12 @@ def fourth_order_weighted(grid, a, gamma_a=0.0):
     bound = gamma_a * (1.0 + np.abs(grid.nodes)) ** 5
     _check_lower_bound(av, bound, "fourth_order coefficient a")
     D2 = second_derivative(grid).m.real
-    return OperatorMatrix(D2.T @ (av[:, None] * D2), grid, grid.ip())
+    return OperatorMatrix(D2.T @ (av[:, None] * D2), grid)
 
 
 def multiply(grid, rho):
     """Multiplication operator: diagonal matrix of coefficient samples."""
-    return OperatorMatrix(np.diag(sample_coefficient(rho, grid)), grid, grid.ip())
+    return OperatorMatrix(np.diag(sample_coefficient(rho, grid)), grid)
 
 
 def weighted_h2_matrix(grid, lam=5):
@@ -295,4 +289,4 @@ def weighted_h2_matrix(grid, lam=5):
     """
     w = (1.0 + np.abs(grid.nodes)) ** lam
     D2 = second_derivative(grid).m.real
-    return OperatorMatrix(np.eye(grid.n) + D2.T @ (w[:, None] * D2), grid, grid.ip())
+    return OperatorMatrix(np.eye(grid.n) + D2.T @ (w[:, None] * D2), grid)

@@ -6,7 +6,7 @@ class FracspecError(Exception):
 
 
 class NotHermitian(FracspecError):
-    """Matrix is not self-adjoint w.r.t. the given inner product."""
+    """Matrix is not self-adjoint."""
 
 
 class NotPositiveDefinite(FracspecError):

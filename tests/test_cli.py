@@ -30,6 +30,18 @@ SMALL_BUILDS = {
 }
 
 
+# (name, status) of each check of a full verify, by suite
+SEMIGROUP_OK = [("semigroup-law", "pass"), ("semigroup-contraction", "pass"),
+                ("semigroup-identity", "pass")]
+FRACPOW_OK = [("gl-coefficient-identity", "pass"), ("gl-absolute-sum", "pass"),
+              ("lemma-constant", "pass"), ("balakrishnan-vs-spectral", "pass")]
+SPECTRUM_OK = [("generator-m-accretive", "pass"), ("order-estimate", "info"),
+               ("schatten-classification", "info"), ("numerical-range", "info"),
+               ("h1-h2-bounds", "pass"), ("sectorial-factorization", "pass"),
+               ("realpart-resolvent-identity", "pass"), ("completeness-criterion", "pass"),
+               ("eigenvalue-asymptotics", "pass")]
+
+
 def strict_loads(text):
     """json.loads that refuses the NaN/Infinity tokens RFC 8259 lacks."""
     def refuse(token):
@@ -49,7 +61,7 @@ class TestArtifactFormat:
                  (built.spec.F, loaded.spec.F), (built.hplus, loaded.hplus)]
         for want, got in pairs:
             assert np.array_equal(numcore.asmatrix(want), numcore.asmatrix(got))
-        assert np.array_equal(built.L.ip.weights, loaded.L.ip.weights)
+        assert built.L.grid == loaded.L.grid
         assert loaded.spec.alpha == built.spec.alpha
         for key in ("delta", "sigma_const", "gamma_N", "norm_Q_inv"):
             assert np.array_equal(getattr(built, key), getattr(loaded, key), equal_nan=True)
@@ -200,6 +212,32 @@ class TestVerify:
         doc = json.loads(capsys.readouterr().out)
         assert doc["checks"][0]["name"] == "class-membership"
 
+    @pytest.mark.parametrize("model,grid_n,code,checks", [
+        ("kipriyanov1d", 24, 0, SEMIGROUP_OK + FRACPOW_OK + SPECTRUM_OK
+         + [("class-membership", "pass")]),
+        ("riesz", 64, 1, SEMIGROUP_OK + [("yosida-kernel-vs-solve", "info")] + FRACPOW_OK
+         + SPECTRUM_OK + [("class-membership", "fail")]),
+        ("difference", 24, 1, SEMIGROUP_OK + FRACPOW_OK + SPECTRUM_OK
+         + [("class-membership", "fail"), ("difference-h2-threshold", "fail")]),
+    ])
+    def test_full_suite_outcome_per_model(self, tmp_path, capsys, model, grid_n, code, checks):
+        out, rep = tmp_path / "art.json", tmp_path / "rep.json"
+        flags = SMALL_BUILDS[model][2:]  # all but --grid-n
+        assert main(["build", "--model", model, "--grid-n", str(grid_n), *flags,
+                     "--out", str(out)]) == 0
+        assert main(["verify", "--out", str(out), "--report", str(rep)]) == code
+        doc = json.loads(rep.read_text())
+        assert [(c["name"], c["status"]) for c in doc["checks"]] == checks
+
+    def test_unresolved_gauss_time_is_error_entry(self, tmp_path, capsys):
+        # on (-20, 20) at n = 24, h^2/4 exceeds the smallest probe time 0.1
+        out, rep = tmp_path / "art.json", tmp_path / "rep.json"
+        assert main(["build", "--model", "riesz", *SMALL_BUILDS["riesz"], "--out", str(out)]) == 0
+        assert main(["verify", "--out", str(out), "--suite", "full", "--report", str(rep)]) == 4
+        entry = json.loads(rep.read_text())["checks"][0]
+        assert (entry["name"], entry["status"]) == ("semigroup-suite", "error")
+        assert entry["numbers"]["exception"] == "UnderResolvedTime"
+
 
 
 class TestCustomMatrix:
@@ -281,7 +319,13 @@ class TestArtifactInputs:
         v2 = tmp_path / "v2.json"
         assert main(build_args(v2, grid_n=8)) == 0
         want = self.verify(v2, tmp_path / "r2.json")
-        assert want[0] == 4  # at n = 8 order-estimate errors: it needs 16 singular values
+        code, (report, *_) = want
+        checks = {c["name"]: c for c in json.loads(report)["checks"]}
+        assert code == 0 and "error" not in {c["status"] for c in checks.values()}
+        # eight singular values are too few for an order, and no order is assumed
+        assert checks["order-estimate"]["numbers"] == {
+            "message": "need at least 16 singular values", "count": 8}
+        assert checks["schatten-classification"]["numbers"] == {"message": "order unavailable"}
         v1_path = tmp_path / "v1.json"
         v1_path.write_text(json.dumps(v1))
         assert self.verify(v1_path, tmp_path / "r1.json") == want

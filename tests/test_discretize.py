@@ -16,7 +16,6 @@ class TestGrid:
         g = dz.Grid1D(0.0, 1.0, 9)
         assert np.isclose(g.h, 0.1)
         assert np.allclose(g.nodes, np.arange(1, 10) * 0.1)
-        assert np.allclose(g.ip().weights, 0.1)
 
     def test_validation(self):
         with pytest.raises(ValueError):

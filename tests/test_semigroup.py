@@ -157,9 +157,8 @@ class TestYosida:
         g = Grid1D(-10.0, 10.0, 511)
         spec = sg.SemigroupSpec("gauss", g)
         f = np.exp(-g.nodes**2)
-        ip = g.ip()
-        d_small = ip.norm(sg.yosida_resolvent(spec, 10.0, f) - f)
-        d_large = ip.norm(sg.yosida_resolvent(spec, 100.0, f) - f)
+        d_small = np.linalg.norm(sg.yosida_resolvent(spec, 10.0, f) - f)
+        d_large = np.linalg.norm(sg.yosida_resolvent(spec, 100.0, f) - f)
         assert d_large < d_small / 2
 
     def test_kernel_mass_contracts(self):
