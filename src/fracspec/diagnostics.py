@@ -36,13 +36,13 @@ def _top_eigvec(H):
     return V[:, -1]
 
 
-def numerical_range(M, n_angles=256, vertex=None):
+def numerical_range(M, n_angles=256):
     """Boundary of the numerical range by the support-function method.
 
     For each angle phi the extreme point of Theta(M) in direction e^(i phi)
     is the Rayleigh quotient at the top eigenvector of Re(e^(i phi) M).
-    The fitted sector uses the supplied vertex, or the minimal real part of
-    the boundary when none is given.
+    The fitted sector's vertex is the minimal real part of the boundary
+    (``refit_sector`` takes another).
     """
     if n_angles < 16:
         raise ValueError("need n_angles >= 16")
@@ -53,7 +53,7 @@ def numerical_range(M, n_angles=256, vertex=None):
         H = (H + H.conj().T) / 2
         v = _top_eigvec(H)
         pts[j] = v.conj() @ M @ v
-    return _fit_sector(pts, np.min(pts.real) if vertex is None else vertex)
+    return _fit_sector(pts, np.min(pts.real))
 
 
 def refit_sector(estimate, vertex):

@@ -148,11 +148,6 @@ def rl_integral_left(grid, alpha):
     return _one_sided(grid, alpha, "minus")
 
 
-def rl_integral_right(grid, alpha):
-    """Right-sided twin: (1/Gamma(a)) int_x^d f(t)(t-x)^(a-1) dt."""
-    return OperatorMatrix(rl_integral_left(grid, alpha).m.T.copy(), grid)
-
-
 def marchaud_right_derivative(grid, alpha):
     """Marchaud-type truncated right fractional derivative.
 

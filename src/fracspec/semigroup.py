@@ -134,10 +134,9 @@ class AxiomReport:
     contraction_max: float     # max ||T_t f|| / ||f|| over random probes
     continuity_defect: float   # ||T_t0 f - f|| / ||f|| at the smallest time
     t0_identity_exact: bool
-    passed: bool
 
 
-def verify_axioms(spec, times=(0.1, 0.5, 1.0), tolerance=1e-10, n_probes=100, seed=0):
+def verify_axioms(spec, times=(0.1, 0.5, 1.0), n_probes=100, seed=0):
     """Check the C0-semigroup axioms on random and smooth probes."""
     grid = spec.grid
     rng = np.random.default_rng(seed)
@@ -164,6 +163,4 @@ def verify_axioms(spec, times=(0.1, 0.5, 1.0), tolerance=1e-10, n_probes=100, se
 
     t_small = max(min(times) / 8, grid.h**2 / 2 if spec.kind == "gauss" else 0.0)
     continuity = np.linalg.norm(apply(spec, t_small, smooth) - smooth) / nrm
-
-    passed = t0_exact and contraction <= 1.0 + tolerance
-    return AxiomReport(float(law), float(contraction), float(continuity), t0_exact, passed)
+    return AxiomReport(float(law), float(contraction), float(continuity), t0_exact)

@@ -54,14 +54,13 @@ class ClassReport:
     margin: float
 
 
-def assemble(spec, cfg=None):
+def assemble(spec):
     """Z = J^H G J + F J^alpha; alpha = 0 uses J^0 = I."""
     J, G, F = asmatrix(spec.J), asmatrix(spec.G), asmatrix(spec.F)
     if spec.alpha == 0.0:
         Ja = np.eye(J.shape[0], dtype=complex)
     else:
-        cfg = cfg or BalakrishnanConfig(spec.alpha)
-        Ja = asmatrix(balakrishnan_power(J, cfg))
+        Ja = asmatrix(balakrishnan_power(J, BalakrishnanConfig(spec.alpha)))
     Z = J.conj().T @ G @ J + F @ Ja
     if isinstance(spec.J, OperatorMatrix):
         return OperatorMatrix(Z, spec.J.grid)

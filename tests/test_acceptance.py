@@ -1,16 +1,20 @@
 """Acceptance suite: one test per criterion, each printing a PASS line with
-the measured numbers once its assertions hold."""
+the measured numbers once its assertions hold. Where ``fracspec verify`` makes
+a verdict, the test runs that check from ``fracspec.checks`` on its own model
+and asserts the check's status; a bound stricter than the check's is asserted
+on the check's numbers."""
 
 import time
 
 import numpy as np
 from scipy.special import gammaln
 
+from fracspec import checks
 from fracspec import diagnostics as dg
 from fracspec import fracpow as fp
 from fracspec import numcore as nc
-from fracspec import semigroup as sg
 from fracspec import transform as tf
+from fracspec.cli import _build_model
 from fracspec.cli import main as cli_main
 from fracspec.discretize import Grid1D
 
@@ -19,17 +23,30 @@ def _report(k, msg):
     print(f"acceptance {k:02d}: PASS - {msg}")
 
 
+def _run(ctx, *names):
+    """(status, numbers) of the named checks, run in table order on ``ctx``;
+    a gate's None included."""
+    return {e.name: e.fn(ctx) for e in checks.ENTRIES if e.name in names}
+
+
+def _matrix_context(M):
+    """The check context verify builds for a custom matrix M."""
+    config = {"model": "custom-matrix"}
+    model, grid, _ = _build_model(config, {"matrix": {"re": M.real, "im": M.imag}})
+    return checks.Context(model, grid, config)
+
+
 def test_01_gl_coefficient_identity():
     t0 = time.perf_counter()
     worst = 0.0
     for alpha in (0.25, 0.5, 0.75):
         for lam in (0.5, 1.0, 2.0):
-            c = fp.gl_coefficients(alpha, lam, 40).c
-            cp = fp.gl_coefficients_alt(alpha, lam, 40)
-            assert abs(cp[0] - c[0]) <= 1e-10
-            rel = np.max(np.abs(np.diff(cp) - c[1:]) / np.abs(c[1:]))
-            worst = max(worst, float(rel))
-            assert rel <= 1e-8
+            ctx = checks.Context(None, None, {"model": "difference", "alpha": alpha, "lambda": lam})
+            status, numbers = _run(ctx, "gl-coefficient-identity")["gl-coefficient-identity"]
+            assert status == "pass" and (numbers["alpha"], numbers["lambda"]) == (alpha, lam)
+            first = numbers["table"][0]
+            assert abs(first["C_prime"] - first["C"]) <= 1e-10
+            worst = max(worst, numbers["max_rel_defect"])
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0
     _report(1, f"GL identity max rel defect {worst:.2e} in {elapsed:.2f}s")
@@ -58,17 +75,15 @@ def test_02_balakrishnan_vs_spectral():
 
 
 def test_03_semigroup_axioms():
-    gp = Grid1D(0.0, 1.0, 127)
-    poisson = sg.verify_axioms(sg.SemigroupSpec("poisson", gp, lam=1.0, mu=4 * gp.h))
-    assert poisson.law_defect <= 1e-12
-    gg = Grid1D(-10.0, 10.0, 512)
-    gauss = sg.verify_axioms(sg.SemigroupSpec("gauss", gg))
-    assert gauss.law_defect <= 10 * gg.h
-    shift = sg.verify_axioms(sg.SemigroupSpec("shift", Grid1D(0.0, 1.0, 255)))
-    for rep in (poisson, gauss, shift):
-        assert rep.contraction_max <= 1.0 + 1e-10  # 100 random probes each
-        assert rep.t0_identity_exact
-    _report(3, f"law defects poisson {poisson.law_defect:.1e}, gauss {gauss.law_defect:.1e}; "
+    # law within 1e-12 (poisson) or 10h; contraction <= 1+1e-10 on 100 probes; T0 exact
+    law = {}
+    for model, grid in (("difference", Grid1D(0.0, 1.0, 127)), ("riesz", Grid1D(-10.0, 10.0, 512)),
+                        ("kipriyanov1d", Grid1D(0.0, 1.0, 255))):
+        ctx = checks.Context(None, grid, {"model": model, "mu": None, "lambda": 1.0})
+        entries = {e["name"]: e for e in checks.run(ctx, ["semigroup"])}
+        assert [e["status"] for e in entries.values() if e["status"] != "info"] == ["pass"] * 3
+        law[ctx.semigroup_spec.kind] = entries["semigroup-law"]["numbers"]["max_defect"]
+    _report(3, f"law defects poisson {law['poisson']:.1e}, gauss {law['gauss']:.1e}; "
                f"contraction <= 1+1e-10 on 100 probes; T0 exact")
 
 
@@ -91,16 +106,14 @@ def test_05_sectorial_factorization():
     H = H @ H.conj().T / n + np.eye(n)
     K = rng.standard_normal((n, n))
     W = H + (K - K.T) / 2
-    Hf, Bf = dg.sectorial_factorize(W)
-    root = nc.herm_power(Hf, 0.5)
-    recon = root @ (np.eye(n) + 1j * Bf) @ root
-    rel = np.linalg.norm(recon - W) / np.linalg.norm(W)
-    assert rel <= 1e-10
-    rep = dg.realpart_resolvent_check(W)
-    assert rep.defect_factor1 <= 1e-10
-    assert abs(rep.defect_factor_half - 0.5) <= 0.05  # the printed 1/2 misses Re R by half
-    _report(5, f"reconstruction {rel:.1e}, factor-1 defect {rep.defect_factor1:.1e}, "
-               f"factor-1/2 defect {rep.defect_factor_half:.3f}")
+    got = _run(_matrix_context(W), "sectorial-factorization", "realpart-resolvent-identity")
+    assert [status for status, _ in got.values()] == ["pass", "pass"]
+    rel = got["sectorial-factorization"][1]["reconstruction_rel"]  # <= 1e-10
+    rep = got["realpart-resolvent-identity"][1]
+    assert rep["defect_factor1"] <= 1e-10
+    assert abs(rep["defect_factor_half"] - 0.5) <= 0.05  # the printed 1/2 misses Re R by half
+    _report(5, f"reconstruction {rel:.1e}, factor-1 defect {rep['defect_factor1']:.1e}, "
+               f"factor-1/2 defect {rep['defect_factor_half']:.3f}")
 
 
 def _kipriyanov_resolvent_svals(n):
@@ -137,54 +150,56 @@ def test_07_eigenvalue_inequality():
         _, sup = dg.eigenvalue_inequality(R_W, R_H, p=1.0)
         assert np.isfinite(sup)
         sups.append(sup)
-        evals = nc.general_eigen(R_W)
-        svals = nc.singular_values(R_W)
-        mu, _ = dg.order_estimate(svals)
-        assert dg.asymptotics_check(evals, mu, 0.1).passed
+        ctx = checks.Context(m, g, {"model": "kipriyanov1d"})
+        got = _run(ctx, "resolvent-spectrum", "order-estimate", "eigenvalue-asymptotics")
+        assert got["eigenvalue-asymptotics"][0] == "pass"
     spread = (max(sups) - min(sups)) / max(sups)
     assert spread <= 0.2
     _report(7, f"sup-ratios {', '.join(f'{s:.6f}' for s in sups)} (spread {spread:.1%}), "
                f"asymptotics pass at eps=0.1")
 
 
+_COMPLETENESS = ("resolvent-spectrum", "order-estimate", "numerical-range", "completeness-criterion")
+
+
 def test_08_completeness_criterion():
     g, m = _eigenvalue_model(256)
-    svals = nc.singular_values(nc.inverse(m.L.m))
-    mu, _ = dg.order_estimate(svals)
-    assert mu >= 1.9
-    est = dg.numerical_range(m.L, n_angles=128)
-    sector = dg.refit_sector(est, 0.0)
-    assert sector.semi_angle <= 0.05
-    assert dg.completeness_criterion(sector, mu)
+    status, good = _run(checks.Context(m, g, {"model": "kipriyanov1d"}),
+                        *_COMPLETENESS)["completeness-criterion"]
+    assert status == "pass"
+    assert good["mu"] >= 1.9
+    assert good["theta"] <= 0.05
 
-    # adversarial control: semi-angle pi/3 with planted s_n = n^(-0.4)
+    # adversarial control: semi-angle pi/3, and a resolvent with planted
+    # s-numbers n^(-0.4)
     n = 64
     k = np.arange(1, n + 1, dtype=float)
     phases = np.where(k % 2 == 0, np.exp(1j * np.pi / 3), np.exp(-1j * np.pi / 3))
-    M = np.diag(k**-0.4 * phases)
-    bad_mu, _ = dg.order_estimate(nc.singular_values(M))
-    bad = dg.refit_sector(dg.numerical_range(M, n_angles=256), 0.0)
-    assert abs(bad.semi_angle - np.pi / 3) <= 1e-2
-    assert not dg.completeness_criterion(bad, bad_mu)
-    _report(8, f"theta {sector.semi_angle:.2e} rad, mu {mu:.3f}, verdict true; "
-               f"control theta {bad.semi_angle:.3f} vs bound {np.pi * bad_mu / 2:.3f} false")
+    status, bad = _run(_matrix_context(np.diag(k**0.4 * phases)), *_COMPLETENESS)[
+        "completeness-criterion"]
+    assert status == "fail"
+    assert abs(bad["mu"] - 0.4) <= 1e-10
+    assert abs(bad["theta"] - np.pi / 3) <= 1e-2
+    _report(8, f"theta {good['theta']:.2e} rad, mu {good['mu']:.3f}, verdict true; "
+               f"control theta {bad['theta']:.3f} vs bound {bad['bound']:.3f} false")
 
 
 def test_09_class_membership_flip():
     g = Grid1D(0.0, 1.0, 64)
 
-    def report(scale):
+    def membership(scale):
         m = tf.build_kipriyanov_1d(g, "const:1.0", f"const:{0.1 * scale}", 0.3, 0.6)
-        return tf.check_class(m.spec)
+        return _run(checks.Context(m, g, {"model": "kipriyanov1d"}),
+                    "class-membership")["class-membership"]
 
-    base = report(1.0)
-    assert base.member
-    assert not report(100.0).member
-    threshold1 = base.C_alpha * base.norm_J_inv * base.norm_F  # at scale 1
-    crossing = base.gamma_G / threshold1
-    assert report(crossing * 0.99).member
-    assert not report(crossing * 1.01).member
-    _report(9, f"margin {base.margin:.3f} at base, x100 fails, "
+    status, base = membership(1.0)
+    assert status == "pass"
+    assert membership(100.0)[0] == "fail"
+    threshold1 = base["C_alpha"] * base["norm_J_inv"] * base["norm_F"]  # at scale 1
+    crossing = base["gamma_G"] / threshold1
+    assert membership(crossing * 0.99)[0] == "pass"
+    assert membership(crossing * 1.01)[0] == "fail"
+    _report(9, f"margin {base['margin']:.3f} at base, x100 fails, "
                f"flip within 1% of analytic crossing scale {crossing:.3f}")
 
 
@@ -209,8 +224,9 @@ def test_10_difference_model_sigma():
                                    nu=1.02 * thresh)
     lo = tf.build_difference_model(g, "const:0.0", "const:1.0", lam, 4 * g.h, alpha,
                                    nu=0.98 * thresh)
-    assert hi.gamma_N > hi.h2_threshold
-    assert not lo.gamma_N > lo.h2_threshold
+    verdicts = [_run(checks.Context(model, g, {"model": "difference"}),
+                     "difference-h2-threshold")["difference-h2-threshold"][0] for model in (hi, lo)]
+    assert verdicts == ["pass", "fail"]
     _report(10, f"sigma_const {m.sigma_const:.12f} vs direct {direct:.12f} "
                 f"(rel {rel:.1e}); H2 verdict flips across gamma_N threshold")
 

@@ -42,6 +42,40 @@ SPECTRUM_OK = [("generator-m-accretive", "pass"), ("order-estimate", "info"),
                ("eigenvalue-asymptotics", "pass")]
 
 
+def assert_close(got, want):
+    """``got`` equals the fixture ``want`` in structure, key order, strings and
+    flags, and in every float to the benchmark's default tolerance."""
+    if isinstance(want, dict):
+        assert list(got) == list(want)
+        for key in want:
+            assert_close(got[key], want[key])
+    elif isinstance(want, list):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_close(g, w)
+    elif isinstance(want, float):
+        assert got == pytest.approx(want, rel=1e-6, abs=1e-12)
+    else:
+        assert got == want
+
+
+def assert_matches_fixture(report, name):
+    """The report at ``report`` and its CSV sidecars match the fixture
+    ``tests/data/<name>.json`` and its sidecars (absent when the fixture's are)."""
+    with open(os.path.join(DATA, name + ".json")) as fh:
+        assert_close(json.loads(report.read_text()), json.load(fh))
+    for ext in (".spectrum.csv", ".boundary.csv"):
+        got, want = report.parent / (report.name + ext), os.path.join(DATA, name + ".json" + ext)
+        assert got.exists() == os.path.exists(want)
+        if got.exists():
+            with open(want) as fh:
+                want_lines = fh.read().splitlines()
+            got_lines = got.read_text().splitlines()
+            assert got_lines[0] == want_lines[0] and len(got_lines) == len(want_lines)
+            rows = [[float(x) for x in line.split(",")] for line in got_lines[1:]]
+            assert_close(rows, [[float(x) for x in line.split(",")] for line in want_lines[1:]])
+
+
 def strict_loads(text):
     """json.loads that refuses the NaN/Infinity tokens RFC 8259 lacks."""
     def refuse(token):
@@ -134,6 +168,11 @@ class TestBuild:
         assert main(build_args(out, rho="const:nan")) == 3
         assert "assembly failed" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_unwritable_artifact_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "no" / "such" / "a.json"
+        assert main(build_args(out)) == 2
+        assert f"cannot write {out}: No such file or directory" in capsys.readouterr().err
 
     def test_byte_identical_rebuild(self, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -228,6 +267,26 @@ class TestVerify:
         assert main(["verify", "--out", str(out), "--report", str(rep)]) == code
         doc = json.loads(rep.read_text())
         assert [(c["name"], c["status"]) for c in doc["checks"]] == checks
+        assert_matches_fixture(rep, f"verify-{model}-n{grid_n}")
+
+    def test_gate_errors_match_fixtures(self, tmp_path, capsys, monkeypatch):
+        # a semigroup-suite error skips the rest of its suite; a resolvent-spectrum
+        # error skips the rest of its suite and writes no sidecars
+        monkeypatch.chdir(tmp_path)  # the custom matrix's path is recorded as given
+        assert main(["build", "--model", "riesz", *SMALL_BUILDS["riesz"], "--out", "a.json"]) == 0
+        assert main(["verify", "--out", "a.json", "--report", "r.json"]) == 4
+        assert_matches_fixture(tmp_path / "r.json", "verify-riesz-n24")
+        np.savetxt("m.csv", np.diag([1.0] * 19 + [0.0]), delimiter=",")
+        assert main(["build", "--model", "custom-matrix", "--a11", "m.csv", "--out", "b.json"]) == 0
+        assert main(["verify", "--out", "b.json", "--report", "s.json"]) == 4
+        assert_matches_fixture(tmp_path / "s.json", "verify-custom-singular")
+        assert not (tmp_path / "s.json.spectrum.csv").exists()
+
+    def test_unwritable_report_exit_2(self, tmp_path, capsys):
+        out, rep = tmp_path / "art.json", tmp_path / "no" / "such" / "r.json"
+        assert main(build_args(out)) == 0
+        assert main(["verify", "--out", str(out), "--suite", "class", "--report", str(rep)]) == 2
+        assert f"cannot write {rep}: " in capsys.readouterr().err
 
     def test_unresolved_gauss_time_is_error_entry(self, tmp_path, capsys):
         # on (-20, 20) at n = 24, h^2/4 exceeds the smallest probe time 0.1

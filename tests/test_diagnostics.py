@@ -62,7 +62,7 @@ class TestNumericalRange:
     def test_sector_angle_known(self):
         # diag(e^(i pi/4), e^(-i pi/4), 1): sector about 0 has theta = pi/4
         M = np.diag([np.exp(1j * np.pi / 4), np.exp(-1j * np.pi / 4), 1.0])
-        est = dg.numerical_range(M, n_angles=512, vertex=0.0)
+        est = dg.refit_sector(dg.numerical_range(M, n_angles=512), 0.0)
         assert abs(est.semi_angle - np.pi / 4) <= 1e-3
 
     def test_refit_sector(self):
