@@ -10,7 +10,7 @@ if os.environ.get("FRACSPEC_THREADS"):
         os.environ[_var] = os.environ["FRACSPEC_THREADS"]
 
 from .config import DEFAULT, Tolerances
-from .discretize import Grid1D, GridFunction, OperatorMatrix
+from .discretize import Grid1D
 from .fracpow import BalakrishnanConfig, GLCoefficients
 from .semigroup import SemigroupSpec
 from .transform import ClassReport, Model, TransformSpec
@@ -19,8 +19,6 @@ __all__ = [
     "DEFAULT",
     "Tolerances",
     "Grid1D",
-    "GridFunction",
-    "OperatorMatrix",
     "BalakrishnanConfig",
     "GLCoefficients",
     "SemigroupSpec",

@@ -78,7 +78,7 @@ def _yosida(ctx):
         return None
     f = np.exp(-(ctx.grid.nodes**2))
     via_kernel = semigroup.yosida_resolvent(spec, 1.0, f)
-    via_solve = np.linalg.solve(np.eye(ctx.grid.n) + semigroup.generator_matrix(spec).m, f)
+    via_solve = np.linalg.solve(np.eye(ctx.grid.n) + semigroup.generator_matrix(spec), f)
     return "info", {"rel_l2": float(np.linalg.norm(via_kernel - via_solve)
                                     / np.linalg.norm(via_solve))}
 
@@ -133,7 +133,7 @@ def _maccretive(ctx):
 
 
 def _resolvent_spectrum(ctx):
-    R = numcore.inverse(ctx.model.L.m)
+    R = numcore.inverse(ctx.model.L)
     ctx.svals, ctx.evals = numcore.singular_values(R), numcore.general_eigen(R)
 
 
@@ -165,7 +165,7 @@ def _h1_h2(ctx):
 
 
 def _factorization(ctx):
-    L = ctx.model.L.m
+    L = ctx.model.L
     H, B = diagnostics.sectorial_factorize(L)
     Hh = numcore.herm_power(H, 0.5)
     rel = float(np.linalg.norm(Hh @ (np.eye(len(L)) + 1j * B) @ Hh - L) / np.linalg.norm(L))

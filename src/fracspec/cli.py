@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import checks, transform
-from .discretize import Grid1D, OperatorMatrix, sample_coefficient
+from .discretize import Grid1D, sample_coefficient
 from .errors import FracspecError
 from .transform import Model, TransformSpec
 
@@ -138,8 +138,9 @@ def _build_model(config, doc=None):
         m = (_complex_from_doc(doc["matrix"]) if "matrix" in doc
              else np.loadtxt(config["a11"], delimiter=",", dtype=complex, ndmin=2))
         grid = Grid1D(a, b, m.shape[0])
-        L = OperatorMatrix(m, grid)
-        model, data = Model(L, TransformSpec(L, L, L, 0.0), L), {"matrix": _complex_doc(L.m)}
+        if m.shape != (grid.n, grid.n):
+            raise ValueError("matrix shape must match grid size")
+        model, data = Model(m, TransformSpec(m, m, m, 0.0), m), {"matrix": _complex_doc(m)}
     else:
         grid = Grid1D(a, b, config["grid_n"])
         stored = doc.get("coefficients", {})
@@ -156,7 +157,7 @@ def _build_model(config, doc=None):
         data = {"coefficients": {"a11": _complex_doc(a11), "rho": _complex_doc(rho)}}
     for what, m in (("matrix", model.L), ("J", model.spec.J), ("G", model.spec.G),
                     ("F", model.spec.F), ("hplus", model.hplus)):
-        if not np.isfinite(m.m).all():
+        if not np.isfinite(m).all():
             raise ValueError(f"{what} holds non-finite entries")
     return model, grid, data
 
@@ -203,6 +204,8 @@ def cmd_verify(args):
         model, grid, config = _load_artifact(args.out)
     except (OSError, KeyError, TypeError, ValueError, FracspecError) as exc:
         print(f"cannot read artifact: {exc}", file=sys.stderr)
+        return 2
+    if args.report and not _write(args.report, ""):  # fail before the checks run
         return 2
 
     ctx = checks.Context(model, grid, config, args.seed)

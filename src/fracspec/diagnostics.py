@@ -9,7 +9,6 @@ import numpy as np
 from .config import DEFAULT
 from .errors import DegenerateFit
 from .numcore import (
-    asmatrix,
     general_eigen,
     hermitian_eigen,
     hermitian_part,
@@ -46,7 +45,6 @@ def numerical_range(M, n_angles=256):
     """
     if n_angles < 16:
         raise ValueError("need n_angles >= 16")
-    M = asmatrix(M)
     pts = np.empty(n_angles, dtype=complex)
     for j, phi in enumerate(np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False)):
         H = np.exp(1j * phi) * M
@@ -84,8 +82,8 @@ def verify_H1_H2(L, hplus):
     With W = N^(-1/2) L N^(-1/2): C2 = min eigenvalue of the Hermitian part
     of W (exact, not sampled); C1 = largest singular value of W.
     """
-    S = spd_power(asmatrix(hplus), -0.5, "norm matrix")
-    W = S @ asmatrix(L) @ S
+    S = spd_power(hplus, -0.5, "norm matrix")
+    W = S @ L @ S
     C2 = float(np.linalg.eigvalsh((W + W.conj().T) / 2)[0])
     C1 = float(np.linalg.svd(W, compute_uv=False)[0])
     return H1H2Report(C1, C2, bool(C2 > 0.0))
@@ -117,10 +115,9 @@ def realpart_resolvent_check(W):
     Reports the relative defect of the factor-1 identity (which matrix
     algebra gives) and of the printed factor-1/2 variant.
     """
-    Wm = asmatrix(W)
-    X = hermitian_part(inverse(Wm))
-    _, S, B = _factor(Wm)
-    Y = S @ inverse(np.eye(Wm.shape[0]) + B @ B) @ S
+    X = hermitian_part(inverse(W))
+    _, S, B = _factor(W)
+    Y = S @ inverse(np.eye(W.shape[0]) + B @ B) @ S
     scale = np.linalg.norm(X)
     return ResolventIdentityReport(
         float(np.linalg.norm(X - Y) / scale),
@@ -224,13 +221,12 @@ class MAccretiveReport:
 def maccretive_check(A, t_samples=(0.01, 0.1, 1.0, 10.0, 100.0)):
     """Dual m-accretivity test: Hermitian part nonnegative and
     ||(A + t)^-1|| <= 1/t at each sampled t."""
-    Am = asmatrix(A)
-    n = Am.shape[0]
-    herm_min = min_hermitian_eig(Am)
+    n = A.shape[0]
+    herm_min = min_hermitian_eig(A)
     worst = 0.0
     for t in t_samples:
-        nrm = op_norm(inverse(Am + t * np.eye(n)))
+        nrm = op_norm(inverse(A + t * np.eye(n)))
         worst = max(worst, nrm * t - 1.0)
-    passed = (herm_min >= -DEFAULT.accretive_floor_rel * np.linalg.norm(Am)
+    passed = (herm_min >= -DEFAULT.accretive_floor_rel * np.linalg.norm(A)
               and worst <= DEFAULT.maccretive_slack)
     return MAccretiveReport(herm_min, float(worst), bool(passed))

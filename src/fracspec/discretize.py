@@ -39,58 +39,6 @@ class Grid1D:
         return self.a + self.h * np.arange(1, self.n + 1)
 
 
-@dataclass(frozen=True)
-class GridFunction:
-    grid: Grid1D
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=complex)
-        if v.shape != (self.grid.n,):
-            raise ValueError("values length must match grid size")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("grid function values must be finite")
-        object.__setattr__(self, "values", v)
-
-    @classmethod
-    def sample(cls, grid, fn):
-        return cls(grid, np.asarray([fn(x) for x in grid.nodes]))
-
-
-@dataclass(frozen=True)
-class OperatorMatrix:
-    """Dense matrix tagged with the grid it acts on."""
-
-    m: np.ndarray
-    grid: Grid1D
-
-    def __post_init__(self):
-        m = np.asarray(self.m, dtype=complex)
-        if m.shape != (self.grid.n, self.grid.n):
-            raise ValueError("matrix shape must match grid size")
-        object.__setattr__(self, "m", m)
-
-    def __matmul__(self, f):
-        if isinstance(f, GridFunction):
-            return GridFunction(self.grid, self.m @ f.values)
-        return self.m @ np.asarray(f)
-
-
-def _values(f):
-    """The complex samples of a GridFunction, or of a plain array-like."""
-    return f.values if isinstance(f, GridFunction) else np.asarray(f, dtype=complex)
-
-
-def _like(x, values):
-    """``values`` wrapped like ``x``: on x's grid when x is a GridFunction or
-    an OperatorMatrix, bare otherwise."""
-    if isinstance(x, GridFunction):
-        return GridFunction(x.grid, values)
-    if isinstance(x, OperatorMatrix):
-        return OperatorMatrix(values, x.grid)
-    return values
-
-
 def sample_coefficient(spec, grid):
     """Sample a coefficient given as "const:c", "sin", "poly:c0,c1,...",
     or a path to a CSV file (one value per node, last column used)."""
@@ -137,7 +85,7 @@ def _one_sided(grid, beta, side):
     lower-triangular Toeplitz product-trapezoidal weights, or f(x + s) for
     "plus", the transpose."""
     W = toeplitz(_axis_profile(grid, beta - 1.0) / gamma(beta), np.zeros(grid.n))
-    return OperatorMatrix(W.T.copy() if side == "plus" else W, grid)
+    return W.T.copy() if side == "plus" else W
 
 
 def rl_integral_left(grid, alpha):
@@ -177,7 +125,7 @@ def marchaud_right_derivative(grid, alpha):
     diag = c * (first + np.concatenate(([0.0], np.cumsum(M0)))[n - np.arange(1, n + 1)])
     diag += dist**-alpha / gamma(1.0 - alpha)
     np.fill_diagonal(W, diag)
-    return OperatorMatrix(W, grid)
+    return W
 
 
 def axis_kernel_both(grid, expo):
@@ -208,22 +156,19 @@ def riesz_potential(grid, beta):
     """Riesz potential B_b int f(s) |s - x|^(b-1) ds on the truncated axis."""
     if not 0.0 < beta < 2.0 or beta == 1.0:
         raise BadAlpha(f"riesz potential needs beta in (0,1) or (1,2), got {beta}")
-    K = riesz_constant(beta) * axis_kernel_both(grid, beta - 1.0)
-    return OperatorMatrix(K, grid)
+    return riesz_constant(beta) * axis_kernel_both(grid, beta - 1.0)
 
 
 def second_derivative(grid):
     """Centered second-difference d^2/dx^2 with zero-extension boundaries."""
     n, h = grid.n, grid.h
-    D2 = (np.diag(np.full(n - 1, 1.0), -1) - 2.0 * np.eye(n) + np.diag(np.full(n - 1, 1.0), 1)) / h**2
-    return OperatorMatrix(D2, grid)
+    return (np.diag(np.full(n - 1, 1.0), -1) - 2.0 * np.eye(n) + np.diag(np.full(n - 1, 1.0), 1)) / h**2
 
 
 def first_difference(grid):
     """Backward difference (f_i - f_(i-1))/h with Dirichlet boundary; invertible."""
     n, h = grid.n, grid.h
-    D1 = (np.eye(n) - np.diag(np.full(n - 1, 1.0), -1)) / h
-    return OperatorMatrix(D1, grid)
+    return (np.eye(n) - np.diag(np.full(n - 1, 1.0), -1)) / h
 
 
 def _check_lower_bound(vals, bound, what):
@@ -255,7 +200,7 @@ def elliptic_1d(grid, a11, gamma_a=0.0):
     W[idx, idx] = (mid[:-1] + mid[1:]) / h**2
     W[idx[:-1], idx[:-1] + 1] = -mid[1:n] / h**2
     W[idx[1:], idx[1:] - 1] = -mid[1:n] / h**2
-    return OperatorMatrix(W, grid)
+    return W
 
 
 def fourth_order_weighted(grid, a, gamma_a=0.0):
@@ -267,13 +212,13 @@ def fourth_order_weighted(grid, a, gamma_a=0.0):
     av = sample_coefficient(a, grid)
     bound = gamma_a * (1.0 + np.abs(grid.nodes)) ** 5
     _check_lower_bound(av, bound, "fourth_order coefficient a")
-    D2 = second_derivative(grid).m.real
-    return OperatorMatrix(D2.T @ (av[:, None] * D2), grid)
+    D2 = second_derivative(grid)
+    return D2.T @ (av[:, None] * D2)
 
 
 def multiply(grid, rho):
     """Multiplication operator: diagonal matrix of coefficient samples."""
-    return OperatorMatrix(np.diag(sample_coefficient(rho, grid)), grid)
+    return np.diag(sample_coefficient(rho, grid))
 
 
 def weighted_h2_matrix(grid, lam=5):
@@ -283,5 +228,5 @@ def weighted_h2_matrix(grid, lam=5):
     matrix N with ||f||_+^2 = (N f, f) under the grid inner product.
     """
     w = (1.0 + np.abs(grid.nodes)) ** lam
-    D2 = second_derivative(grid).m.real
-    return OperatorMatrix(np.eye(grid.n) + D2.T @ (w[:, None] * D2), grid)
+    D2 = second_derivative(grid)
+    return np.eye(grid.n) + D2.T @ (w[:, None] * D2)

@@ -20,16 +20,13 @@ from scipy.special import gamma, gammaln, roots_jacobi
 
 from .config import DEFAULT
 from .discretize import (
-    OperatorMatrix,
-    _like,
-    _values,
     axis_kernel_both,
     marchaud_right_derivative,
     riesz_constant,
     second_derivative,
 )
 from .errors import BadAlpha, NotAccretive, QuadratureNotConverged
-from .numcore import asmatrix, min_hermitian_eig
+from .numcore import min_hermitian_eig
 from .semigroup import SemigroupSpec, generator_matrix
 
 
@@ -116,7 +113,7 @@ def _balakrishnan(A, B, cfg, check, negative=False):
     """A^(+-alpha) B for m-accretive A; B = None stands for I.  With
     ``check`` the result of doubled nodes is returned, after checking that
     doubling moved it by at most ``quad_doubling_rel``."""
-    Am = asmatrix(A).astype(complex)
+    Am = np.asarray(A, dtype=complex)
     herm_min = min_hermitian_eig(Am)
     if herm_min < -DEFAULT.accretive_floor_rel * np.linalg.norm(Am):
         raise NotAccretive(f"Hermitian part has eigenvalue {herm_min:.3e}")
@@ -136,17 +133,17 @@ def _balakrishnan(A, B, cfg, check, negative=False):
 
 def balakrishnan_power(A, cfg, check=False):
     """A^alpha via the Balakrishnan integral; A must be m-accretive."""
-    return _like(A, _balakrishnan(A, None, cfg, check))
+    return _balakrishnan(A, None, cfg, check)
 
 
 def balakrishnan_apply(A, f, cfg, check=False):
     """A^alpha f without forming the full power matrix."""
-    return _like(f, _balakrishnan(A, _values(f), cfg, check))
+    return _balakrishnan(A, np.asarray(f, dtype=complex), cfg, check)
 
 
 def negative_power(A, cfg, check=False):
     """A^(-alpha) via the Balakrishnan integral."""
-    return _like(A, _balakrishnan(A, None, cfg, check, negative=True))
+    return _balakrishnan(A, None, cfg, check, negative=True)
 
 
 def lemma_constant(alpha, norm_J_inv):
@@ -229,14 +226,14 @@ def gl_power(spec, alpha, f):
     if spec.kind != "poisson":
         raise ValueError("gl_power applies to the Poisson-difference semigroup")
     m = spec.shift_steps
-    v = _values(f)
+    v = np.asarray(f, dtype=complex)
     n = v.size
     kmax = (n - 1) // m
     c = gl_coefficients(alpha, spec.lam, max(kmax, 1)).c
-    out = c[0] * v.astype(complex)
+    out = c[0] * v
     for k in range(1, kmax + 1):
         out[k * m :] += c[k] * v[: n - k * m]
-    return _like(f, out)
+    return out
 
 
 def gl_power_matrix(spec, alpha):
@@ -247,7 +244,7 @@ def gl_power_matrix(spec, alpha):
     c = gl_coefficients(alpha, spec.lam, max(kmax, 1)).c
     col = np.zeros(n)
     col[: kmax * m + 1 : m] = c[: kmax + 1]
-    return OperatorMatrix(toeplitz(col, np.zeros(n)), spec.grid)
+    return toeplitz(col, np.zeros(n))
 
 
 def riesz_power_constant(alpha):
@@ -265,9 +262,9 @@ def marchaud_power_check(alpha, grid, f):
     """Relative l2 distance of the shift-generator Balakrishnan power from the
     truncated Marchaud right derivative (eps = h, analytic first cell)."""
     A = generator_matrix(SemigroupSpec("shift", grid))
-    v = _values(f)
+    v = np.asarray(f, dtype=complex)
     via_balak = balakrishnan_apply(A, v, BalakrishnanConfig(alpha))
-    via_closed = marchaud_right_derivative(grid, alpha).m @ v
+    via_closed = marchaud_right_derivative(grid, alpha) @ v
     return _rel_l2(via_balak, via_closed)
 
 
@@ -278,10 +275,10 @@ def riesz_power_check(alpha, grid, f):
     if not 0.75 < alpha < 1.0:
         raise BadAlpha(f"riesz power route needs alpha in (3/4, 1), got {alpha}")
     A = generator_matrix(SemigroupSpec("gauss", grid))
-    v = _values(f)
+    v = np.asarray(f, dtype=complex)
     via_balak = balakrishnan_apply(A, v, BalakrishnanConfig(alpha))
     kernel = axis_kernel_both(grid, 1.0 - 2.0 * alpha)
     const = riesz_power_constant(alpha) * riesz_constant(alpha)
-    via_closed = const * (kernel @ (second_derivative(grid).m @ v))
+    via_closed = const * (kernel @ (second_derivative(grid) @ v))
     margin = int(np.ceil(0.1 * grid.n))
     return _rel_l2(via_balak[margin : grid.n - margin], via_closed[margin : grid.n - margin])

@@ -2,8 +2,8 @@
 
 Every model is discretized on a uniform grid, whose quadrature inner product
 is h times the standard one, so adjoints, self-adjointness, singular values
-and operator norms are the standard ones.  Operations take plain ndarrays or
-anything exposing a ``.m`` matrix attribute.
+and operator norms are the standard ones.  Operations take and return plain
+ndarrays; the model's matrices are complex128.
 """
 
 import numpy as np
@@ -13,15 +13,8 @@ from .config import DEFAULT
 from .errors import IllConditioned, NoConvergence, NotHermitian, NotPositiveDefinite
 
 
-def asmatrix(M):
-    """Return the underlying ndarray of a matrix-like object."""
-    m = getattr(M, "m", M)
-    return np.asarray(m)
-
-
 def hermitian_defect(M):
     """Relative departure of M from self-adjointness."""
-    M = asmatrix(M)
     scale = np.linalg.norm(M)
     if scale == 0:
         return 0.0
@@ -30,19 +23,16 @@ def hermitian_defect(M):
 
 def hermitian_part(M):
     """Hermitian part (M + M^H) / 2."""
-    M = asmatrix(M)
     return (M + M.conj().T) / 2
 
 
 def skew_part(M):
     """Skew part (M - M^H) / (2i); self-adjoint."""
-    M = asmatrix(M)
     return (M - M.conj().T) / 2j
 
 
 def _check_hermitian(M):
-    """M as an ndarray, once it is checked to be self-adjoint."""
-    M = asmatrix(M)
+    """M, once it is checked to be self-adjoint."""
     defect = hermitian_defect(M)
     if defect > DEFAULT.hermitian_rel:
         raise NotHermitian(f"adjoint defect {defect:.3e} exceeds {DEFAULT.hermitian_rel:.1e}")
@@ -93,11 +83,12 @@ def general_eigen(M):
     """All eigenvalues, sorted by descending modulus.
 
     Ties are broken by descending real part, then descending imaginary
-    part, so reports are deterministic.
+    part, so reports are deterministic.  A matrix with zero imaginary part
+    goes to the real solver, whose conjugate pairs are exact, so such a pair
+    ties on modulus and lists +imag first.
     """
-    M = asmatrix(M)
     try:
-        lam = np.linalg.eigvals(M)
+        lam = np.linalg.eigvals(M if M.imag.any() else M.real)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
     order = np.lexsort((-lam.imag, -lam.real, -np.abs(lam)))
@@ -106,7 +97,6 @@ def general_eigen(M):
 
 def singular_values(M):
     """s-numbers of M, descending."""
-    M = asmatrix(M)
     try:
         return scipy.linalg.svdvals(M)
     except np.linalg.LinAlgError as exc:
@@ -125,14 +115,7 @@ def _check_cond(M):
         raise IllConditioned(f"condition number {cond:.3e} exceeds cap {DEFAULT.cond_cap:.1e}")
 
 
-def solve(M, b):
-    M = asmatrix(M)
-    _check_cond(M)
-    return np.linalg.solve(M, b)
-
-
 def inverse(M):
-    M = asmatrix(M)
     _check_cond(M)
     return np.linalg.inv(M)
 

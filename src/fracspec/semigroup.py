@@ -20,7 +20,7 @@ from scipy.linalg import toeplitz
 from scipy.stats import poisson as poisson_dist
 
 from .config import DEFAULT
-from .discretize import Grid1D, OperatorMatrix, _like, _values
+from .discretize import Grid1D
 from .errors import (
     IncommensurateShift,
     NegativeParameter,
@@ -70,10 +70,10 @@ def _shift_values(v, steps):
 
 
 def apply(spec, t, f):
-    """Apply T_t to a grid function."""
+    """Apply T_t to the samples f."""
     if t < 0:
         raise NegativeTime(f"semigroup time must be >= 0, got {t}")
-    v = _values(f)
+    v = np.asarray(f, dtype=complex)
     grid = spec.grid
     if t == 0:
         out = v.copy()
@@ -96,21 +96,18 @@ def apply(spec, t, f):
         out = np.zeros_like(v)
         for k, w in enumerate(weights):
             out += w * _shift_values(v, -k * m)
-    return _like(f, out)
+    return out
 
 
 def generator_matrix(spec):
     """The m-accretive generator A (the semigroup's generator is -A)."""
-    grid = spec.grid
-    n, h = grid.n, grid.h
+    n, h = spec.grid.n, spec.grid.h
     if spec.kind == "shift":
-        A = (np.eye(n) - np.diag(np.full(n - 1, 1.0), 1)) / h
-    elif spec.kind == "gauss":
-        A = -(np.diag(np.full(n - 1, 1.0), -1) - 2.0 * np.eye(n) + np.diag(np.full(n - 1, 1.0), 1)) / (2 * h**2)
-    else:
-        m = spec.shift_steps
-        A = spec.lam * (np.eye(n) - np.diag(np.full(n - m, 1.0), -m))
-    return OperatorMatrix(A, grid)
+        return (np.eye(n) - np.diag(np.full(n - 1, 1.0), 1)) / h
+    if spec.kind == "gauss":
+        return -(np.diag(np.full(n - 1, 1.0), -1) - 2.0 * np.eye(n) + np.diag(np.full(n - 1, 1.0), 1)) / (2 * h**2)
+    m = spec.shift_steps
+    return spec.lam * (np.eye(n) - np.diag(np.full(n - m, 1.0), -m))
 
 
 def yosida_resolvent(spec, n_param, f):
@@ -121,11 +118,9 @@ def yosida_resolvent(spec, n_param, f):
     if n_param <= 0:
         raise NegativeParameter(f"Yosida parameter must be > 0, got {n_param}")
     grid = spec.grid
-    v = _values(f)
     d = grid.h * np.arange(grid.n)
     kernel = grid.h * np.sqrt(n_param / 2.0) * np.exp(-np.sqrt(2.0 * n_param) * d)
-    out = toeplitz(kernel) @ v
-    return _like(f, out)
+    return toeplitz(kernel) @ np.asarray(f, dtype=complex)
 
 
 @dataclass(frozen=True)

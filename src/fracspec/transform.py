@@ -5,7 +5,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discretize import (
-    OperatorMatrix,
     elliptic_1d,
     first_difference,
     fourth_order_weighted,
@@ -28,20 +27,29 @@ from .fracpow import (
     lemma_constant,
     riesz_power_constant,
 )
-from .numcore import asmatrix, inverse, min_hermitian_eig, op_norm
+from .numcore import inverse, min_hermitian_eig, op_norm
 from .semigroup import SemigroupSpec, generator_matrix
+
+
+def _complex_fields(obj, *names):
+    """Cast the named matrix fields of a frozen dataclass to complex128."""
+    for name in names:
+        object.__setattr__(obj, name, np.asarray(getattr(obj, name), dtype=complex))
 
 
 @dataclass(frozen=True)
 class TransformSpec:
-    J: OperatorMatrix
-    G: OperatorMatrix
-    F: OperatorMatrix
+    """J, G and F as complex128 matrices, and the order alpha."""
+
+    J: np.ndarray
+    G: np.ndarray
+    F: np.ndarray
     alpha: float
 
     def __post_init__(self):
         if not 0.0 <= self.alpha < 1.0:
             raise BadAlpha(f"transform order must lie in [0, 1), got {self.alpha}")
+        _complex_fields(self, "J", "G", "F")
 
 
 @dataclass(frozen=True)
@@ -56,21 +64,18 @@ class ClassReport:
 
 def assemble(spec):
     """Z = J^H G J + F J^alpha; alpha = 0 uses J^0 = I."""
-    J, G, F = asmatrix(spec.J), asmatrix(spec.G), asmatrix(spec.F)
+    J, G, F = spec.J, spec.G, spec.F
     if spec.alpha == 0.0:
         Ja = np.eye(J.shape[0], dtype=complex)
     else:
-        Ja = asmatrix(balakrishnan_power(J, BalakrishnanConfig(spec.alpha)))
-    Z = J.conj().T @ G @ J + F @ Ja
-    if isinstance(spec.J, OperatorMatrix):
-        return OperatorMatrix(Z, spec.J.grid)
-    return Z
+        Ja = balakrishnan_power(J, BalakrishnanConfig(spec.alpha))
+    return J.conj().T @ G @ J + F @ Ja
 
 
 def check_class(spec):
     """Theorem-style membership test: gamma_G > C_alpha ||J^-1|| ||F||."""
     gamma_G = min_hermitian_eig(spec.G)
-    norm_J_inv = op_norm(inverse(asmatrix(spec.J)))
+    norm_J_inv = op_norm(inverse(spec.J))
     norm_F = op_norm(spec.F)
     C_alpha = lemma_constant(1.0 - spec.alpha, norm_J_inv) if spec.alpha > 0 else 1.0
     threshold = C_alpha * norm_J_inv * norm_F
@@ -84,16 +89,19 @@ class Model:
 
     L is the directly assembled matrix; spec describes the same operator as a
     transform Z^a_(G,F)(J); hplus is the positive definite norm matrix of the
-    embedded space h+ used by the H1/H2 diagnostics.
+    embedded space h+ used by the H1/H2 diagnostics. L and hplus are complex128.
     """
 
-    L: OperatorMatrix
+    L: np.ndarray
     spec: TransformSpec
-    hplus: OperatorMatrix
+    hplus: np.ndarray
     delta: float = 0.0
     sigma_const: float = float("nan")
     gamma_N: float = float("nan")
     norm_Q_inv: float = float("nan")
+
+    def __post_init__(self):
+        _complex_fields(self, "L", "hplus")
 
     @property
     def h2_threshold(self):
@@ -114,12 +122,10 @@ def build_kipriyanov_1d(grid, a11, rho, sigma, alpha, gamma_a=0.0):
         raise BadAlpha(f"alpha must lie in (0, 1), got {alpha}")
     J = generator_matrix(SemigroupSpec("shift", grid))
     G = multiply(grid, a11)
-    frac_in = rl_integral_left(grid, sigma).m if sigma > 0 else np.eye(grid.n)
-    F = OperatorMatrix(frac_in @ multiply(grid, rho).m, grid)
-    L = elliptic_1d(grid, a11, gamma_a).m + F.m @ marchaud_right_derivative(grid, alpha).m
-    hplus = J.m.conj().T @ J.m
-    return Model(OperatorMatrix(L, grid), TransformSpec(J, G, F, alpha),
-                 OperatorMatrix(hplus, grid))
+    frac_in = rl_integral_left(grid, sigma) if sigma > 0 else np.eye(grid.n)
+    F = frac_in @ multiply(grid, rho)
+    L = elliptic_1d(grid, a11, gamma_a) + F @ marchaud_right_derivative(grid, alpha)
+    return Model(L, TransformSpec(J, G, F, alpha), J.conj().T @ J)
 
 
 def build_riesz_model(grid, a, rho, sigma, alpha, delta=1.0, gamma_a=0.0):
@@ -136,18 +142,16 @@ def build_riesz_model(grid, a, rho, sigma, alpha, delta=1.0, gamma_a=0.0):
         raise BadAlpha(f"riesz model needs sigma/2 + 3/4 < alpha < 1, got alpha = {alpha}")
     n = grid.n
     T = fourth_order_weighted(grid, a, gamma_a)
-    frac_in = one_sided_potential(grid, sigma, "plus").m if sigma > 0 else np.eye(n)
-    P = frac_in @ multiply(grid, rho).m
-    L = T.m + P @ riesz_potential(grid, 2.0 * (1.0 - alpha)).m @ second_derivative(grid).m \
+    frac_in = one_sided_potential(grid, sigma, "plus") if sigma > 0 else np.eye(n)
+    P = frac_in @ multiply(grid, rho)
+    L = T + P @ riesz_potential(grid, 2.0 * (1.0 - alpha)) @ second_derivative(grid) \
         + delta * np.eye(n)
     J = generator_matrix(SemigroupSpec("gauss", grid))
     G = multiply(grid, 4.0 * sample_coefficient(a, grid))
     # J^alpha realizes K_a B_a x (|s|^(1-2a) kernel on f''); the model's
     # fractional term uses the I^(2(1-a)) normalization B_(2-2a) instead.
     conv = riesz_constant(2.0 - 2.0 * alpha) / (riesz_power_constant(alpha) * riesz_constant(alpha))
-    F = OperatorMatrix(conv * P, grid)
-    return Model(OperatorMatrix(L, grid), TransformSpec(J, G, F, alpha),
-                 weighted_h2_matrix(grid), delta=delta)
+    return Model(L, TransformSpec(J, G, conv * P, alpha), weighted_h2_matrix(grid), delta=delta)
 
 
 def build_difference_model(grid, a, b, lam, mu, alpha, Q=None, nu=1.0):
@@ -162,15 +166,14 @@ def build_difference_model(grid, a, b, lam, mu, alpha, Q=None, nu=1.0):
     A = generator_matrix(spec_sg)
     av = sample_coefficient(a, grid)
     bv = sample_coefficient(b, grid)
-    Qm = asmatrix(Q) if Q is not None else first_difference(grid).m
+    Qm = Q if Q is not None else first_difference(grid)
     Nm = nu * np.eye(grid.n)
-    glm = gl_power_matrix(spec_sg, alpha)
-    L = A.m.conj().T @ np.diag(av) @ A.m + np.diag(bv) @ glm.m \
+    L = A.conj().T @ np.diag(av) @ A + np.diag(bv) @ gl_power_matrix(spec_sg, alpha) \
         + Qm.conj().T @ Nm @ Qm
     sigma_const = 4.0 * lam * float(np.max(np.abs(av))) \
         + float(np.max(np.abs(bv))) * gl_abs_sum(alpha, lam)
     gamma_N = min_hermitian_eig(Nm)
     norm_Q_inv = op_norm(inverse(Qm))
     tspec = TransformSpec(A, multiply(grid, a), multiply(grid, b), alpha)
-    return Model(OperatorMatrix(L, grid), tspec, OperatorMatrix(Qm.conj().T @ Qm, grid),
+    return Model(L, tspec, Qm.conj().T @ Qm,
                  sigma_const=sigma_const, gamma_N=gamma_N, norm_Q_inv=norm_Q_inv)

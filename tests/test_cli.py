@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from fracspec import numcore
+from fracspec import checks
 from fracspec.cli import _build_model, _config_doc, _json, _load_artifact, _make_parser, main
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
@@ -88,14 +88,13 @@ class TestArtifactFormat:
     def test_build_load_lossless(self, tmp_path, capsys, model):
         argv = ["build", "--model", model, *SMALL_BUILDS[model], "--out", str(tmp_path / "a.json")]
         assert main(argv) == 0
-        built, _, _ = _build_model(_config_doc(_make_parser().parse_args(argv)))
+        built, built_grid, _ = _build_model(_config_doc(_make_parser().parse_args(argv)))
         loaded, grid, config = _load_artifact(str(tmp_path / "a.json"))
-        assert config["model"] == model and grid.n == 24
+        assert config["model"] == model and grid.n == 24 and grid == built_grid
         pairs = [(built.L, loaded.L), (built.spec.J, loaded.spec.J), (built.spec.G, loaded.spec.G),
                  (built.spec.F, loaded.spec.F), (built.hplus, loaded.hplus)]
         for want, got in pairs:
-            assert np.array_equal(numcore.asmatrix(want), numcore.asmatrix(got))
-        assert built.L.grid == loaded.L.grid
+            assert got.dtype == np.complex128 and np.array_equal(want, got)
         assert loaded.spec.alpha == built.spec.alpha
         for key in ("delta", "sigma_const", "gamma_N", "norm_Q_inv"):
             assert np.array_equal(getattr(built, key), getattr(loaded, key), equal_nan=True)
@@ -282,11 +281,24 @@ class TestVerify:
         assert_matches_fixture(tmp_path / "s.json", "verify-custom-singular")
         assert not (tmp_path / "s.json.spectrum.csv").exists()
 
-    def test_unwritable_report_exit_2(self, tmp_path, capsys):
+    def test_unwritable_report_exit_2(self, tmp_path, capsys, monkeypatch):
         out, rep = tmp_path / "art.json", tmp_path / "no" / "such" / "r.json"
         assert main(build_args(out)) == 0
-        assert main(["verify", "--out", str(out), "--suite", "class", "--report", str(rep)]) == 2
+        ran = []
+        monkeypatch.setattr(checks, "run", lambda *a: ran.append(a) or [])
+        assert main(["verify", "--out", str(out), "--suite", "full", "--report", str(rep)]) == 2
         assert f"cannot write {rep}: " in capsys.readouterr().err
+        assert ran == []  # refused before any check ran
+
+    @pytest.mark.parametrize("grid_n", [8, 40])
+    def test_conjugate_pair_lists_positive_imag_first(self, tmp_path, capsys, grid_n):
+        out, rep = tmp_path / "art.json", tmp_path / "rep.json"
+        assert main(["build", "--model", "riesz", "--grid-n", str(grid_n), "--alpha", "0.9",
+                     "--rho", "const:0.1", "--out", str(out)]) == 0
+        assert main(["verify", "--out", str(out), "--suite", "spectrum", "--report", str(rep)]) in (0, 1)
+        rows = (tmp_path / "rep.json.spectrum.csv").read_text().splitlines()[1:3]
+        (_, re0, im0, mod0), (_, re1, im1, mod1) = (r.split(",") for r in rows)
+        assert (re0, mod0) == (re1, mod1) and float(im0) == -float(im1) > 0
 
     def test_unresolved_gauss_time_is_error_entry(self, tmp_path, capsys):
         # on (-20, 20) at n = 24, h^2/4 exceeds the smallest probe time 0.1
@@ -345,6 +357,15 @@ class TestCustomMatrix:
         assert main(["build", "--model", "custom-matrix", "--a11", str(mpath),
                      "--out", str(out)]) == 3
         assert "assembly failed: matrix holds non-finite entries" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_square_matrix_exit_3(self, tmp_path, capsys):
+        mpath = tmp_path / "m.csv"
+        self.write_matrix(mpath, np.ones((5, 6)))
+        out = tmp_path / "art.json"
+        assert main(["build", "--model", "custom-matrix", "--a11", str(mpath),
+                     "--out", str(out)]) == 3
+        assert "assembly failed: matrix shape must match grid size" in capsys.readouterr().err
         assert not out.exists()
 
     def test_singular_matrix_exit_4(self, tmp_path, capsys):

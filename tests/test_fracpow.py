@@ -105,12 +105,12 @@ class TestBandedGenerators:
     def test_power_and_negative_power(self, kind, alpha):
         grid = Grid1D(0.0, 1.0, 96)
         A = generator_matrix(SemigroupSpec(kind, grid, mu=4 * grid.h if kind == "poisson" else 0.0))
-        assert fp._ResolventSolver(A.m).banded
+        assert fp._ResolventSolver(A).banded
         cfg = fp.BalakrishnanConfig(alpha)
-        P = fp.balakrishnan_power(A, cfg, check=True).m
-        want = scipy.linalg.fractional_matrix_power(A.m, alpha)
+        P = fp.balakrishnan_power(A, cfg, check=True)
+        want = scipy.linalg.fractional_matrix_power(A, alpha)
         assert np.linalg.norm(P - want) <= 1e-8 * np.linalg.norm(want)
-        N = fp.negative_power(A, cfg, check=True).m
+        N = fp.negative_power(A, cfg, check=True)
         assert np.linalg.norm(N @ P - np.eye(96)) <= 1e-8 * np.linalg.norm(np.eye(96))
         f = np.sin(np.arange(96.0))
         assert np.allclose(fp.balakrishnan_apply(A, f, cfg), P @ f, rtol=0, atol=1e-8 * np.linalg.norm(P @ f))
@@ -204,12 +204,12 @@ class TestGLPower:
         g, spec = self.make_spec(n=40, m=2, lam=2.0)
         rng = np.random.default_rng(8)
         f = rng.standard_normal(40)
-        M = fp.gl_power_matrix(spec, 0.4).m
+        M = fp.gl_power_matrix(spec, 0.4)
         assert np.allclose(M @ f, fp.gl_power(spec, 0.4, f), atol=1e-12)
 
     def test_matches_balakrishnan(self):
         g, spec = self.make_spec(n=48, m=1, lam=1.5)
-        A = generator_matrix(spec).m
+        A = generator_matrix(spec)
         rng = np.random.default_rng(9)
         f = rng.standard_normal(48)
         gl = fp.gl_power(spec, 0.5, f)
@@ -218,7 +218,7 @@ class TestGLPower:
 
     def test_alpha_near_one_approaches_generator(self):
         g, spec = self.make_spec(n=32)
-        A = generator_matrix(spec).m
+        A = generator_matrix(spec)
         f = np.sin(g.nodes)
         out = fp.gl_power(spec, 0.999, f)
         # A is lam (I - S); gl_power carries no 1/h scaling, compare to h*A

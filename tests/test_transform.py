@@ -28,26 +28,18 @@ class TestSpecAndAssemble:
         J = generator_matrix(SemigroupSpec("shift", g))
         G = multiply(g, "const:2.0")
         F = multiply(g, "const:0.5")
-        Z = tf.assemble(tf.TransformSpec(J, G, F, 0.0)).m
-        expect = J.m.conj().T @ G.m @ J.m + F.m
+        Z = tf.assemble(tf.TransformSpec(J, G, F, 0.0))
+        expect = J.conj().T @ G @ J + F
         assert np.allclose(Z, expect, atol=1e-12)
 
     def test_diagonal_oracle(self):
         # J, G, F all diagonal: Z = g j^2 + f j^alpha entrywise
         n = 6
-        g = unit_grid(n)
         j = np.linspace(1.0, 3.0, n)
         gv = np.linspace(0.5, 2.0, n)
         fv = np.linspace(0.1, 0.4, n)
-        from fracspec.discretize import OperatorMatrix
-
-        spec = tf.TransformSpec(
-            OperatorMatrix(np.diag(j), g),
-            OperatorMatrix(np.diag(gv), g),
-            OperatorMatrix(np.diag(fv), g),
-            0.5,
-        )
-        Z = tf.assemble(spec).m
+        spec = tf.TransformSpec(np.diag(j), np.diag(gv), np.diag(fv), 0.5)
+        Z = tf.assemble(spec)
         expect = np.diag(gv * j**2 + fv * np.sqrt(j))
         assert np.max(np.abs(Z - expect)) <= 1e-9 * np.max(np.abs(expect))
 
@@ -101,7 +93,7 @@ class TestKipriyanovModel:
 
         g = unit_grid(32)
         m = tf.build_kipriyanov_1d(g, "const:1.0", "const:0.0", 0.3, 0.5)
-        assert np.allclose(m.L.m, elliptic_1d(g, "const:1.0").m, atol=1e-12)
+        assert np.allclose(m.L, elliptic_1d(g, "const:1.0"), atol=1e-12)
 
     def test_direct_vs_transform_corner(self):
         # with rho = 0 the two assemblies differ exactly by the a11/h^2
@@ -109,8 +101,8 @@ class TestKipriyanovModel:
         g = unit_grid(24)
         c = 1.5
         m = tf.build_kipriyanov_1d(g, f"const:{c}", "const:0.0", 0.3, 0.5)
-        Z = tf.assemble(m.spec).m
-        diff = m.L.m - Z
+        Z = tf.assemble(m.spec)
+        diff = m.L - Z
         expect = np.zeros((24, 24))
         expect[0, 0] = c / g.h**2
         assert np.max(np.abs(diff - expect)) <= 1e-9 * c / g.h**2
@@ -120,10 +112,10 @@ class TestKipriyanovModel:
         # power of the shift generator agree to the scheme's consistency
         g = unit_grid(256)
         m = tf.build_kipriyanov_1d(g, "const:1.0", "const:0.1", 0.3, 0.6)
-        Z = tf.assemble(m.spec).m
+        Z = tf.assemble(m.spec)
         f = np.sin(np.pi * g.nodes) ** 2
         f[0] = 0.0
-        rel = np.linalg.norm((m.L.m - Z) @ f) / np.linalg.norm(m.L.m @ f)
+        rel = np.linalg.norm((m.L - Z) @ f) / np.linalg.norm(m.L @ f)
         assert rel <= 1e-2
 
     def test_membership_base_config(self):
@@ -145,21 +137,21 @@ class TestRieszModel:
     def test_rho_zero_symmetric_positive(self):
         g = self.grid(64)
         m = tf.build_riesz_model(g, "const:1.0", "const:0.0", 0.0, 0.9, delta=1.0)
-        L = m.L.m.real
+        L = m.L.real
         assert np.allclose(L, L.T, atol=1e-10)
         assert np.linalg.eigvalsh(L)[0] >= 1.0 - 1e-8  # delta I floor
 
     def test_direct_vs_transform(self):
         g = self.grid(256)
         m = tf.build_riesz_model(g, "const:1.0", "const:0.05", 0.1, 0.9, delta=1.0)
-        Z = tf.assemble(m.spec).m + m.delta * np.eye(g.n)
-        rel = np.linalg.norm(m.L.m - Z) / np.linalg.norm(m.L.m)
+        Z = tf.assemble(m.spec) + m.delta * np.eye(g.n)
+        rel = np.linalg.norm(m.L - Z) / np.linalg.norm(m.L)
         assert rel <= 1e-3
 
     def test_h2_matrix_positive(self):
         g = self.grid(48)
         m = tf.build_riesz_model(g, "const:1.0", "const:0.05", 0.1, 0.9)
-        w = np.linalg.eigvalsh(m.hplus.m.real)
+        w = np.linalg.eigvalsh(m.hplus.real)
         assert w[0] >= 1.0 - 1e-10
 
 
@@ -184,12 +176,12 @@ class TestDifferenceModel:
         g, m = self.build(a="const:0.0", b="const:0.0")
         from fracspec.discretize import first_difference
 
-        Q = first_difference(g).m
-        assert np.allclose(m.L.m, Q.conj().T @ Q, atol=1e-12)
+        Q = first_difference(g)
+        assert np.allclose(m.L, Q.conj().T @ Q, atol=1e-12)
 
     def test_accretive_at_base_config(self):
         g, m = self.build()
-        H = (m.L.m + m.L.m.conj().T) / 2
+        H = (m.L + m.L.conj().T) / 2
         assert np.linalg.eigvalsh(H)[0] >= -1e-10
 
     def test_custom_nu_scales_gamma(self):
