@@ -13,10 +13,11 @@ from .numcore import (
     hermitian_eigen,
     hermitian_part,
     inverse,
+    inverse_norm,
     min_hermitian_eig,
-    op_norm,
     skew_part,
     spd_power,
+    top_eigvec,
 )
 
 
@@ -28,11 +29,6 @@ class SectorEstimate:
     vertex: float
     semi_angle: float
     boundary: np.ndarray
-
-
-def _top_eigvec(H):
-    _, V = np.linalg.eigh(H)
-    return V[:, -1]
 
 
 def numerical_range(M, n_angles=256):
@@ -49,7 +45,7 @@ def numerical_range(M, n_angles=256):
     for j, phi in enumerate(np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False)):
         H = np.exp(1j * phi) * M
         H = (H + H.conj().T) / 2
-        v = _top_eigvec(H)
+        v = top_eigvec(H)
         pts[j] = v.conj() @ M @ v
     return _fit_sector(pts, np.min(pts.real))
 
@@ -225,7 +221,7 @@ def maccretive_check(A, t_samples=(0.01, 0.1, 1.0, 10.0, 100.0)):
     herm_min = min_hermitian_eig(A)
     worst = 0.0
     for t in t_samples:
-        nrm = op_norm(inverse(A + t * np.eye(n)))
+        nrm = inverse_norm(A + t * np.eye(n))
         worst = max(worst, nrm * t - 1.0)
     passed = (herm_min >= -DEFAULT.accretive_floor_rel * np.linalg.norm(A)
               and worst <= DEFAULT.maccretive_slack)

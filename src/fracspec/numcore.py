@@ -74,6 +74,16 @@ def spd_power(M, p, what="matrix"):
     return (V * w**p) @ V.conj().T
 
 
+def top_eigvec(H):
+    """Eigenvector of the largest eigenvalue of the Hermitian matrix H."""
+    n = H.shape[0]
+    try:
+        _, V = scipy.linalg.eigh(H, subset_by_index=[n - 1, n - 1], driver="evr")
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(str(exc)) from exc
+    return V[:, 0]
+
+
 def min_hermitian_eig(M):
     """Smallest eigenvalue of the Hermitian part of M."""
     return float(np.linalg.eigvalsh(hermitian_part(M))[0])
@@ -109,15 +119,22 @@ def op_norm(M):
 
 
 def _check_cond(M):
-    s = scipy.linalg.svdvals(M)
+    """Singular values of M, once its condition number is under the cap."""
+    s = singular_values(M)
     if s[-1] == 0 or s[0] / s[-1] > DEFAULT.cond_cap:
         cond = np.inf if s[-1] == 0 else s[0] / s[-1]
         raise IllConditioned(f"condition number {cond:.3e} exceeds cap {DEFAULT.cond_cap:.1e}")
+    return s
 
 
 def inverse(M):
     _check_cond(M)
     return np.linalg.inv(M)
+
+
+def inverse_norm(M):
+    """||M^-1|| = 1 / sigma_min(M), from one SVD, under the condition cap of ``inverse``."""
+    return float(1.0 / _check_cond(M)[-1])
 
 
 def herm_power(M, p):

@@ -27,7 +27,7 @@ from .fracpow import (
     lemma_constant,
     riesz_power_constant,
 )
-from .numcore import inverse, min_hermitian_eig, op_norm
+from .numcore import inverse_norm, min_hermitian_eig, op_norm
 from .semigroup import SemigroupSpec, generator_matrix
 
 
@@ -75,7 +75,7 @@ def assemble(spec):
 def check_class(spec):
     """Theorem-style membership test: gamma_G > C_alpha ||J^-1|| ||F||."""
     gamma_G = min_hermitian_eig(spec.G)
-    norm_J_inv = op_norm(inverse(spec.J))
+    norm_J_inv = inverse_norm(spec.J)
     norm_F = op_norm(spec.F)
     C_alpha = lemma_constant(1.0 - spec.alpha, norm_J_inv) if spec.alpha > 0 else 1.0
     threshold = C_alpha * norm_J_inv * norm_F
@@ -173,7 +173,7 @@ def build_difference_model(grid, a, b, lam, mu, alpha, Q=None, nu=1.0):
     sigma_const = 4.0 * lam * float(np.max(np.abs(av))) \
         + float(np.max(np.abs(bv))) * gl_abs_sum(alpha, lam)
     gamma_N = min_hermitian_eig(Nm)
-    norm_Q_inv = op_norm(inverse(Qm))
+    norm_Q_inv = inverse_norm(Qm)
     tspec = TransformSpec(A, multiply(grid, a), multiply(grid, b), alpha)
     return Model(L, tspec, Qm.conj().T @ Qm,
                  sigma_const=sigma_const, gamma_N=gamma_N, norm_Q_inv=norm_Q_inv)

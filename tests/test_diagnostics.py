@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
 
+from fracspec import checks
 from fracspec import diagnostics as dg
-from fracspec.errors import DegenerateFit, NotPositiveDefinite
+from fracspec import numcore
+from fracspec.discretize import Grid1D
+from fracspec.errors import DegenerateFit, NoConvergence, NotPositiveDefinite
 from fracspec.numcore import herm_power, singular_values
+from fracspec.transform import build_kipriyanov_1d
 
 
 def rand_accretive(n, seed, herm_floor=1.0):
@@ -75,6 +79,49 @@ class TestNumericalRange:
     def test_rejects_few_angles(self):
         with pytest.raises(ValueError):
             dg.numerical_range(np.eye(2), n_angles=4)
+
+    @staticmethod
+    def kipriyanov(n):
+        grid = Grid1D(0.0, 1.0, n)
+        return grid, build_kipriyanov_1d(grid, a11="const:1.0", rho="const:0.1",
+                                         sigma=0.3, alpha=0.6)
+
+    @pytest.mark.parametrize("which", ["random-nonnormal-40", "kipriyanov1d-48"])
+    def test_boundary_points_attain_the_support_function(self, which):
+        # Re(e^(i phi) p) = lambda_max(Re(e^(i phi) M)) at every sampled angle,
+        # whichever eigensolver picked the extreme point
+        if which == "kipriyanov1d-48":
+            M = self.kipriyanov(48)[1].L
+        else:
+            rng = np.random.default_rng(5)
+            M = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
+        est = dg.numerical_range(M, n_angles=256)
+        phis = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
+        for phi, p in zip(phis, est.boundary):
+            top = np.linalg.eigvalsh(numcore.hermitian_part(np.exp(1j * phi) * M))[-1]
+            assert abs((np.exp(1j * phi) * p).real - top) <= 1e-12 * np.linalg.norm(M, 2)
+
+    def test_does_not_run_full_eigh(self, monkeypatch):
+        M = self.kipriyanov(32)[1].L
+        want = dg.numerical_range(M, n_angles=64).boundary
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("full eigendecomposition called")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        assert np.array_equal(dg.numerical_range(M, n_angles=64).boundary, want)
+
+    def test_lapack_failure_is_no_convergence_error_entry(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("eigenvalues did not converge")
+
+        monkeypatch.setattr(numcore.scipy.linalg, "eigh", fail)
+        with pytest.raises(NoConvergence):
+            dg.numerical_range(np.diag([1.0, 2.0]), n_angles=16)
+        grid, model = self.kipriyanov(24)
+        entries = checks.run(checks.Context(model, grid, {"model": "kipriyanov1d"}), ("spectrum",))
+        entry = next(e for e in entries if e["name"] == "numerical-range")
+        assert (entry["status"], entry["numbers"]["exception"]) == ("error", "NoConvergence")
 
 
 class TestH1H2:

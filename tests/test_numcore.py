@@ -113,6 +113,25 @@ class TestAdjointSolveInverse:
         with pytest.raises(IllConditioned):
             nc.inverse(M)
 
+    def test_inverse_norm_is_norm_of_inverse(self):
+        rng = np.random.default_rng(16)
+        for M in (rand_spd(6, 17), rng.standard_normal((30, 30)) + 1j * rng.standard_normal((30, 30))):
+            want = nc.op_norm(np.linalg.inv(M))
+            assert abs(nc.inverse_norm(M) - want) <= 1e-12 * want
+
+    def test_inverse_norm_rejects_singular(self):
+        with pytest.raises(IllConditioned):
+            nc.inverse_norm(np.diag([1.0] * 5 + [0.0]))
+
+
+class TestTopEigvec:
+    def test_eigenvector_of_largest_eigenvalue(self):
+        H = rand_spd(12, 18)
+        v = nc.top_eigvec(H)
+        lam = np.linalg.eigvalsh(H)[-1]
+        assert np.isclose(np.linalg.norm(v), 1.0)
+        assert np.allclose(H @ v, lam * v, atol=1e-10 * lam)
+
 
 class TestSpdCore:
     def test_herm_power_runs_one_eigh(self, monkeypatch):
