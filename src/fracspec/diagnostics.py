@@ -15,6 +15,7 @@ from .numcore import (
     inverse,
     inverse_norm,
     min_hermitian_eig,
+    op_norm,
     skew_part,
     spd_power,
     top_eigvec,
@@ -38,15 +39,24 @@ def numerical_range(M, n_angles=256):
     is the Rayleigh quotient at the top eigenvector of Re(e^(i phi) M).
     The fitted sector's vertex is the minimal real part of the boundary
     (``refit_sector`` takes another).
+
+    A real M has Re(e^(-i phi) M) = conj Re(e^(i phi) M), so its boundary
+    is conjugate-symmetric: only angles 0..pi are solved and the point at
+    2 pi - phi is the conjugate of the point at phi.
     """
     if n_angles < 16:
         raise ValueError("need n_angles >= 16")
+    phis = np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False)
+    real = not M.imag.any()
     pts = np.empty(n_angles, dtype=complex)
-    for j, phi in enumerate(np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False)):
+    for j, phi in enumerate(phis[: n_angles // 2 + 1] if real else phis):
         H = np.exp(1j * phi) * M
         H = (H + H.conj().T) / 2
         v = top_eigvec(H)
         pts[j] = v.conj() @ M @ v
+    if real:
+        j = np.arange(1, (n_angles + 1) // 2)
+        pts[n_angles - j] = pts[j].conj()
     return _fit_sector(pts, np.min(pts.real))
 
 
@@ -80,8 +90,8 @@ def verify_H1_H2(L, hplus):
     """
     S = spd_power(hplus, -0.5, "norm matrix")
     W = S @ L @ S
-    C2 = float(np.linalg.eigvalsh((W + W.conj().T) / 2)[0])
-    C1 = float(np.linalg.svd(W, compute_uv=False)[0])
+    C2 = min_hermitian_eig(W)
+    C1 = op_norm(W)
     return H1H2Report(C1, C2, bool(C2 > 0.0))
 
 

@@ -86,7 +86,10 @@ def top_eigvec(H):
 
 def min_hermitian_eig(M):
     """Smallest eigenvalue of the Hermitian part of M."""
-    return float(np.linalg.eigvalsh(hermitian_part(M))[0])
+    try:
+        return float(np.linalg.eigvalsh(hermitian_part(M))[0])
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(str(exc)) from exc
 
 
 def general_eigen(M):

@@ -4,6 +4,7 @@ import pytest
 from fracspec import checks
 from fracspec import diagnostics as dg
 from fracspec import numcore
+from fracspec.cli import _build_model, _config_doc, _make_parser
 from fracspec.discretize import Grid1D
 from fracspec.errors import DegenerateFit, NoConvergence, NotPositiveDefinite
 from fracspec.numcore import herm_power, singular_values
@@ -86,12 +87,22 @@ class TestNumericalRange:
         return grid, build_kipriyanov_1d(grid, a11="const:1.0", rho="const:0.1",
                                          sigma=0.3, alpha=0.6)
 
-    @pytest.mark.parametrize("which", ["random-nonnormal-40", "kipriyanov1d-48"])
+    @staticmethod
+    def difference(n):
+        argv = ["build", "--model", "difference", "--grid-n", str(n), "--rho", "const:0.1",
+                "--out", "unused.json"]
+        return _build_model(_config_doc(_make_parser().parse_args(argv)))[0]
+
+    @pytest.mark.parametrize("which", ["random-nonnormal-40", "kipriyanov1d-48", "difference-24"])
     def test_boundary_points_attain_the_support_function(self, which):
         # Re(e^(i phi) p) = lambda_max(Re(e^(i phi) M)) at every sampled angle,
-        # whichever eigensolver picked the extreme point
+        # whichever eigensolver picked the extreme point; difference-24 has a
+        # triple top eigenvalue at phi = pi/2 and 3 pi/2 (flat edges of W(L)),
+        # where the mirrored point is another point of the same edge
         if which == "kipriyanov1d-48":
             M = self.kipriyanov(48)[1].L
+        elif which == "difference-24":
+            M = self.difference(24).L
         else:
             rng = np.random.default_rng(5)
             M = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
@@ -100,6 +111,43 @@ class TestNumericalRange:
         for phi, p in zip(phis, est.boundary):
             top = np.linalg.eigvalsh(numcore.hermitian_part(np.exp(1j * phi) * M))[-1]
             assert abs((np.exp(1j * phi) * p).real - top) <= 1e-12 * np.linalg.norm(M, 2)
+
+    @pytest.mark.parametrize("n_angles", [64, 17])
+    def test_real_matrix_boundary_is_conjugate_symmetric(self, n_angles):
+        b = dg.numerical_range(self.kipriyanov(32)[1].L, n_angles=n_angles).boundary
+        j = np.arange(1, (n_angles - 1) // 2 + 1)  # all but phi = 0 and, for even n, pi
+        assert np.array_equal(b[n_angles - j], b[j].conj())
+
+    @staticmethod
+    def count_solves(monkeypatch):
+        calls = []
+
+        def counting(H):
+            calls.append(H)
+            return numcore.top_eigvec(H)
+
+        monkeypatch.setattr(dg, "top_eigvec", counting)
+        return calls
+
+    @pytest.mark.parametrize("n_angles, solves", [(64, 33), (17, 9)])
+    def test_real_matrix_solves_half_the_angles(self, monkeypatch, n_angles, solves):
+        M = self.kipriyanov(32)[1].L
+        calls = self.count_solves(monkeypatch)
+        dg.numerical_range(M, n_angles=n_angles)
+        assert len(calls) == solves
+        calls.clear()
+        dg.numerical_range(M + 1e-3j * np.eye(len(M)), n_angles=n_angles)
+        assert len(calls) == n_angles
+
+    def test_complex_matrix_boundary_is_the_full_loop(self):
+        rng = np.random.default_rng(6)
+        M = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+        want = []
+        for phi in np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False):
+            H = np.exp(1j * phi) * M
+            v = numcore.top_eigvec((H + H.conj().T) / 2)
+            want.append(v.conj() @ M @ v)
+        assert np.array_equal(dg.numerical_range(M, n_angles=64).boundary, want)
 
     def test_does_not_run_full_eigh(self, monkeypatch):
         M = self.kipriyanov(32)[1].L
@@ -125,6 +173,18 @@ class TestNumericalRange:
 
 
 class TestH1H2:
+    def test_lapack_failure_is_no_convergence_error_entry(self, monkeypatch):
+        grid, model = TestNumericalRange.kipriyanov(24)
+
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        entries = checks.run(checks.Context(model, grid, {"model": "kipriyanov1d"}), ("spectrum",))
+        got = {e["name"]: (e["status"], e["numbers"].get("exception")) for e in entries}
+        assert got["generator-m-accretive"] == ("error", "NoConvergence")
+        assert got["h1-h2-bounds"] == ("error", "NoConvergence")
+
     def test_identity_pair(self):
         rep = dg.verify_H1_H2(np.eye(6), np.eye(6))
         assert rep.verdict
