@@ -462,3 +462,13 @@ class TestThreadCap:
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True).stdout
         assert out.split() == ["Threads:", "1"]
+
+
+def test_python_m_fracspec_runs_the_cli():
+    # a plain checkout has the command line without an install
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run([sys.executable, "-m", "fracspec", "--help"], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.startswith("usage: fracspec ")
+    assert "{build,verify}" in out

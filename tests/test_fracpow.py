@@ -85,10 +85,46 @@ class TestBalakrishnan:
             fp.balakrishnan_power(A, fp.BalakrishnanConfig(0.5), check=True)
 
     def test_doubling_guard_trips_on_coarse_rule(self):
-        A = np.diag(np.geomspace(1e-5, 1e5, 9))
-        cfg = fp.BalakrishnanConfig(0.5, nodes_inner=16, nodes_outer=16)
+        # a spectrum over 14 decades: halving the step moves the result by ~2e-5
+        A = np.diag(np.geomspace(1e-7, 1e7, 9))
         with pytest.raises(QuadratureNotConverged):
-            fp.balakrishnan_power(A, cfg, check=True)
+            fp.balakrishnan_power(A, fp.BalakrishnanConfig(0.5), check=True)
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("decades", [4, 8, 12, 14])
+    def test_checked_result_is_right_or_raises(self, decades, alpha):
+        lam = np.geomspace(10.0 ** (-decades / 2), 10.0 ** (decades / 2), 9)
+        try:
+            P = fp.balakrishnan_power(np.diag(lam), fp.BalakrishnanConfig(alpha), check=True)
+        except QuadratureNotConverged:
+            return
+        assert np.max(np.abs(np.diag(P) - lam**alpha) / lam**alpha) <= 1e-8
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.9])
+    def test_singular_matrix(self, alpha):
+        # A^alpha of a singular A is still the integral of (l+A)^(-1) A
+        A = np.diag([0.0, 1.0, 4.0])
+        for check in (False, True):
+            P = fp.balakrishnan_power(A, fp.BalakrishnanConfig(alpha), check=check)
+            assert np.max(np.abs(P - np.diag([0.0, 1.0, 4.0**alpha]))) <= 1e-12
+
+    def test_solve_count(self, monkeypatch):
+        # halving the step reuses every coarse node
+        shifts = []
+        solve = fp._ResolventSolver.solve
+
+        def counting(self, lam, B):
+            shifts.append(lam)
+            return solve(self, lam, B)
+
+        monkeypatch.setattr(fp._ResolventSolver, "solve", counting)
+        A, cfg = spd_matrix(6, 8), fp.BalakrishnanConfig(0.5)
+        for call in (fp.balakrishnan_power, fp.negative_power):
+            for check, limit in ((False, 100), (True, 200)):
+                shifts.clear()
+                call(A, cfg, check=check)
+                assert 0 < len(shifts) <= limit
+                assert len(set(shifts)) == len(shifts)
 
     def test_config_validation(self):
         with pytest.raises(BadAlpha):
@@ -101,9 +137,12 @@ class TestBandedGenerators:
     """The paper's non-normal generators above n = 64, where the resolvent
     solves take the banded path, against Schur-Pade powers."""
 
-    @pytest.mark.parametrize("kind, alpha", [("shift", 0.6), ("poisson", 0.5)])
+    @pytest.mark.parametrize("kind, alpha", [("shift", 0.6), ("poisson", 0.5),
+                                             ("shift", 0.02), ("shift", 0.98),
+                                             ("gauss", 0.02), ("gauss", 0.98),
+                                             ("poisson", 0.02), ("poisson", 0.98)])
     def test_power_and_negative_power(self, kind, alpha):
-        grid = Grid1D(0.0, 1.0, 96)
+        grid = Grid1D(-20.0, 20.0, 96) if kind == "gauss" else Grid1D(0.0, 1.0, 96)
         A = generator_matrix(SemigroupSpec(kind, grid, mu=4 * grid.h if kind == "poisson" else 0.0))
         assert fp._ResolventSolver(A).banded
         cfg = fp.BalakrishnanConfig(alpha)
@@ -111,9 +150,20 @@ class TestBandedGenerators:
         want = scipy.linalg.fractional_matrix_power(A, alpha)
         assert np.linalg.norm(P - want) <= 1e-8 * np.linalg.norm(want)
         N = fp.negative_power(A, cfg, check=True)
+        want = scipy.linalg.fractional_matrix_power(A, -alpha)
+        assert np.linalg.norm(N - want) <= 1e-8 * np.linalg.norm(want)
         assert np.linalg.norm(N @ P - np.eye(96)) <= 1e-8 * np.linalg.norm(np.eye(96))
         f = np.sin(np.arange(96.0))
         assert np.allclose(fp.balakrishnan_apply(A, f, cfg), P @ f, rtol=0, atol=1e-8 * np.linalg.norm(P @ f))
+
+    def test_smooth_vector_on_riesz_generator(self):
+        # the riesz model's J on the smooth vector its transform check needs
+        grid = Grid1D(-20.0, 20.0, 256)
+        J = generator_matrix(SemigroupSpec("gauss", grid))
+        f = np.sin(np.pi * (grid.nodes + 20.0) / 40.0) ** 2
+        got = fp.balakrishnan_apply(J, f, fp.BalakrishnanConfig(0.9), check=True)
+        want = scipy.linalg.fractional_matrix_power(J, 0.9) @ f
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
 class TestLemmaConstant:
