@@ -11,7 +11,7 @@ if os.environ.get("FRACSPEC_THREADS"):
 
 from .config import DEFAULT, Tolerances
 from .discretize import Grid1D
-from .fracpow import BalakrishnanConfig, GLCoefficients
+from .fracpow import BalakrishnanConfig
 from .semigroup import SemigroupSpec
 from .transform import ClassReport, Model, TransformSpec
 
@@ -20,7 +20,6 @@ __all__ = [
     "Tolerances",
     "Grid1D",
     "BalakrishnanConfig",
-    "GLCoefficients",
     "SemigroupSpec",
     "ClassReport",
     "Model",

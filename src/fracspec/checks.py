@@ -1,19 +1,21 @@
 """The checks ``fracspec verify`` runs: one table, in report order.
 
 Each entry is ``(suite, name, paper_anchor, fn, gate)``. ``fn(ctx)`` returns
-``(status, numbers)``, status pass | fail | info, with its threshold written
-inside it; or None when the check does not apply to the model, which writes no
-entry. ``run`` turns an exception into an ``error`` entry. A gate stores on
-``ctx`` what later entries read; when it writes an entry, the rest of its suite
-is skipped.
+``(status, numbers)``, status pass | fail | info, with its verdict and
+threshold written inside it; or None when the check does not apply to the
+model, which writes no entry. ``run`` turns an exception into an ``error``
+entry. A gate stores on ``ctx`` what later entries read; when it writes an
+entry, the rest of its suite is skipped.
 """
 
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import diagnostics, fracpow, numcore, semigroup, transform
+from .config import DEFAULT
 from .fracpow import BalakrishnanConfig
 
 SUITES = ("semigroup", "fracpow", "spectrum", "class")
@@ -22,7 +24,9 @@ Entry = namedtuple("Entry", "suite name paper_anchor fn gate", defaults=(False,)
 
 @dataclass
 class Context:
-    """The model, its grid, config and seed, and what earlier entries stored."""
+    """The model, its grid, config and seed, what earlier entries stored, and
+    the factorizations of L that several entries read, each made on first use
+    (an exception is not kept: the next reader raises it again)."""
 
     model: transform.Model
     grid: object
@@ -34,6 +38,16 @@ class Context:
     evals: object = None           # resolvent eigenvalues, by resolvent-spectrum
     mu: float = None               # by order-estimate
     sector: object = None          # numerical range about 0, by numerical-range
+
+    @cached_property
+    def resolvent(self):
+        """L^-1."""
+        return numcore.inverse(self.model.L)
+
+    @cached_property
+    def factors(self):
+        """H^(1/2), H^(-1/2) and B of L = H^(1/2)(I + iB)H^(1/2), H = Re L."""
+        return diagnostics.sectorial_factorize(self.model.L)
 
 
 def semigroup_spec_for(config, grid):
@@ -93,7 +107,7 @@ def _alpha_lambda(ctx):
 def _gl_identity(ctx):
     alpha, lam = _alpha_lambda(ctx)
     K = 40
-    c = fracpow.gl_coefficients(alpha, lam, K).c
+    c = fracpow.gl_coefficients(alpha, lam, K)
     cp = fracpow.gl_coefficients_alt(alpha, lam, K)
     defect = np.abs(np.diff(cp) - c[1:]) / np.abs(c[1:])
     ok = np.max(defect) <= 1e-8 and abs(cp[0] - c[0]) <= 1e-10 * abs(c[0])
@@ -127,13 +141,15 @@ def _balakrishnan_oracle(ctx):
 
 
 def _maccretive(ctx):
-    rep = diagnostics.maccretive_check(ctx.model.spec.J)
-    return _verdict(rep.passed), {"min_herm_eig": rep.min_herm_eig,
-                                  "worst_resolvent_slack": rep.worst_resolvent_slack}
+    J = ctx.model.spec.J
+    herm_min, slack = diagnostics.maccretive_check(J)
+    ok = (herm_min >= -DEFAULT.accretive_floor_rel * np.linalg.norm(J)
+          and slack <= DEFAULT.maccretive_slack)
+    return _verdict(ok), {"min_herm_eig": herm_min, "worst_resolvent_slack": slack}
 
 
 def _resolvent_spectrum(ctx):
-    R = numcore.inverse(ctx.model.L)
+    R = ctx.resolvent
     ctx.svals, ctx.evals = numcore.singular_values(R), numcore.general_eigen(R)
 
 
@@ -160,37 +176,38 @@ def _numerical_range(ctx):
 
 
 def _h1_h2(ctx):
-    rep = diagnostics.verify_H1_H2(ctx.model.L, ctx.model.hplus)
-    return _verdict(rep.verdict), {"C1": rep.C1, "C2": rep.C2}
+    C1, C2 = diagnostics.verify_H1_H2(ctx.model.L, ctx.model.hplus)
+    return _verdict(C2 > 0.0), {"C1": C1, "C2": C2}
 
 
 def _factorization(ctx):
     L = ctx.model.L
-    H, B = diagnostics.sectorial_factorize(L)
-    Hh = numcore.herm_power(H, 0.5)
-    rel = float(np.linalg.norm(Hh @ (np.eye(len(L)) + 1j * B) @ Hh - L) / np.linalg.norm(L))
+    root, _, B = ctx.factors
+    rel = float(np.linalg.norm(root @ (np.eye(len(L)) + 1j * B) @ root - L) / np.linalg.norm(L))
     return _verdict(rel <= 1e-10), {"reconstruction_rel": rel}
 
 
 def _realpart(ctx):
-    rep = diagnostics.realpart_resolvent_check(ctx.model.L)
-    return _verdict(rep.defect_factor1 <= 1e-8), {"defect_factor1": rep.defect_factor1,
-                                                  "defect_factor_half": rep.defect_factor_half}
+    R = ctx.resolvent
+    _, inv_root, B = ctx.factors
+    defect1, defect_half = diagnostics.realpart_resolvent_check(R, inv_root, B)
+    return _verdict(defect1 <= 1e-8), {"defect_factor1": defect1,
+                                       "defect_factor_half": defect_half}
 
 
 def _completeness(ctx):
     est, mu = ctx.sector, ctx.mu  # the criterion's sector has vertex 0
     if est is None or mu is None:
         return "info", {"message": "sector or order unavailable"}
-    return (_verdict(diagnostics.completeness_criterion(est, mu)),
-            {"theta": est.semi_angle, "mu": mu, "bound": float(np.pi * mu / 2)})
+    bound = float(np.pi * mu / 2)
+    return _verdict(est.semi_angle < bound), {"theta": est.semi_angle, "mu": mu, "bound": bound}
 
 
 def _asymptotics(ctx):
     if ctx.mu is None:
         return "info", {"message": "order unavailable"}
-    rep = diagnostics.asymptotics_check(ctx.evals, ctx.mu, 0.1)
-    return _verdict(rep.passed), {"max_value": rep.max_value, "trend_slope": rep.trend_slope}
+    max_value, slope = diagnostics.asymptotics_check(ctx.evals, ctx.mu, 0.1)
+    return _verdict(slope < 0.0), {"max_value": max_value, "trend_slope": slope}
 
 
 def _class_membership(ctx):

@@ -1,5 +1,8 @@
-"""Spectral diagnostics: numerical range, sectorial factorization, order,
-Schatten classification, eigenvalue inequality, asymptotics, completeness.
+"""Spectral diagnostics: numerical range, form bounds, sectorial
+factorization, resolvent identity, order, Schatten classification, eigenvalue
+inequality, asymptotics, m-accretivity.
+
+Every routine returns numbers; the verdicts on them are made in ``checks``.
 """
 
 from dataclasses import dataclass
@@ -17,7 +20,7 @@ from .numcore import (
     min_hermitian_eig,
     op_norm,
     skew_part,
-    spd_power,
+    spd_powers,
     top_eigvec,
 )
 
@@ -75,60 +78,34 @@ def _fit_sector(pts, vertex):
     return SectorEstimate(float(vertex), theta, pts)
 
 
-@dataclass(frozen=True)
-class H1H2Report:
-    C1: float
-    C2: float
-    verdict: bool
-
-
 def verify_H1_H2(L, hplus):
-    """Form bounds of L relative to the h+ norm matrix N.
+    """Form bounds (C1, C2) of L relative to the h+ norm matrix N.
 
     With W = N^(-1/2) L N^(-1/2): C2 = min eigenvalue of the Hermitian part
     of W (exact, not sampled); C1 = largest singular value of W.
     """
-    S = spd_power(hplus, -0.5, "norm matrix")
+    S = spd_powers(hplus, (-0.5,), "norm matrix")[0]
     W = S @ L @ S
     C2 = min_hermitian_eig(W)
-    C1 = op_norm(W)
-    return H1H2Report(C1, C2, bool(C2 > 0.0))
-
-
-def _factor(W):
-    """H = Re W, S = H^(-1/2) and B = S (Im W) S of W = H^(1/2)(I + iB)H^(1/2)."""
-    H = hermitian_part(W)
-    S = spd_power(H, -0.5, "Hermitian part")
-    return H, S, S @ skew_part(W) @ S
+    return op_norm(W), C2
 
 
 def sectorial_factorize(W):
-    """W = H^(1/2)(I + iB)H^(1/2) with H the Hermitian part and B
-    self-adjoint; requires H positive definite."""
-    H, _, B = _factor(W)
-    return H, B
+    """H^(1/2), H^(-1/2) and B of W = H^(1/2)(I + iB)H^(1/2), with H the
+    Hermitian part of W and B self-adjoint, from one eigendecomposition of H;
+    H must be positive definite."""
+    root, inv_root = spd_powers(W, (0.5, -0.5), "Hermitian part")
+    return root, inv_root, inv_root @ skew_part(W) @ inv_root
 
 
-@dataclass(frozen=True)
-class ResolventIdentityReport:
-    defect_factor1: float
-    defect_factor_half: float
-
-
-def realpart_resolvent_check(W):
-    """Compare Re(W^-1) with H^(-1/2)(I + B^2)^(-1)H^(-1/2).
-
-    Reports the relative defect of the factor-1 identity (which matrix
-    algebra gives) and of the printed factor-1/2 variant.
-    """
-    X = hermitian_part(inverse(W))
-    _, S, B = _factor(W)
-    Y = S @ inverse(np.eye(W.shape[0]) + B @ B) @ S
+def realpart_resolvent_check(R, S, B):
+    """Relative defects of Re(R) = S(I + B^2)^(-1)S, for R = W^-1 and S, B
+    the H^(-1/2) and B of ``sectorial_factorize(W)``: the factor-1 identity
+    (which matrix algebra gives) and the printed factor-1/2 variant."""
+    X = hermitian_part(R)
+    Y = S @ inverse(np.eye(R.shape[0]) + B @ B) @ S
     scale = np.linalg.norm(X)
-    return ResolventIdentityReport(
-        float(np.linalg.norm(X - Y) / scale),
-        float(np.linalg.norm(X - Y / 2) / scale),
-    )
+    return float(np.linalg.norm(X - Y) / scale), float(np.linalg.norm(X - Y / 2) / scale)
 
 
 def order_estimate(svals, fraction=None):
@@ -172,13 +149,13 @@ def refinement_converged(sum_coarse, sum_fine):
     return bool(abs(sum_fine - sum_coarse) <= DEFAULT.schatten_refine_rel * abs(sum_fine))
 
 
-def schatten_classify(svals, mu, extra_ps=()):
+def schatten_classify(svals, mu):
     """Predicted minimal Schatten exponent per the classification theorem:
-    p = 1 for mu > 1, else any p > 2/mu."""
+    p = 1 for mu > 1, else any p > 2/mu; with the sums at p = 1 and p."""
     if mu <= 0:
         raise ValueError("mu must be positive")
     predicted = 1.0 if mu > 1.0 else 2.0 / mu
-    ps = sorted({predicted, 1.0, *extra_ps})
+    ps = sorted({predicted, 1.0})
     sums = {p: schatten_sum(svals, p) for p in ps}
     return SchattenClassification(float(mu), float(predicted), bool(mu > 1.0), sums)
 
@@ -192,47 +169,25 @@ def eigenvalue_inequality(R_W, R_H, p=1.0):
     return ratios, float(np.max(ratios))
 
 
-@dataclass(frozen=True)
-class AsymptoticsReport:
-    passed: bool
-    max_value: float
-    trend_slope: float
-
-
 def asymptotics_check(eigenvalues, mu, eps, fraction=None):
-    """Check |l_i| = o(i^(-mu+eps)): the sequence i^(mu-eps)|l_i| must be
-    decreasing-trending over the trusted leading range."""
+    """Largest value and log-log trend slope of i^(mu-eps)|l_i| over the
+    trusted leading range; |l_i| = o(i^(-mu+eps)) wants a negative slope."""
     lam = np.abs(np.asarray(eigenvalues, dtype=complex))
     m = max(8, int(lam.size * (fraction if fraction is not None else DEFAULT.fit_fraction)))
     i = np.arange(1, m + 1, dtype=float)
     seq = i ** (mu - eps) * lam[:m]
     x = np.log(i)
     y = np.log(np.maximum(seq, 1e-300))
-    slope = float(np.polyfit(x, y, 1)[0])
-    return AsymptoticsReport(bool(slope < 0.0), float(np.max(seq)), slope)
-
-
-def completeness_criterion(sector, mu):
-    """Root-vector completeness criterion theta < pi mu / 2."""
-    return bool(sector.semi_angle < np.pi * mu / 2.0)
-
-
-@dataclass(frozen=True)
-class MAccretiveReport:
-    min_herm_eig: float
-    worst_resolvent_slack: float
-    passed: bool
+    return float(np.max(seq)), float(np.polyfit(x, y, 1)[0])
 
 
 def maccretive_check(A, t_samples=(0.01, 0.1, 1.0, 10.0, 100.0)):
-    """Dual m-accretivity test: Hermitian part nonnegative and
-    ||(A + t)^-1|| <= 1/t at each sampled t."""
+    """The two sides of the dual m-accretivity test: the smallest eigenvalue
+    of the Hermitian part, and the worst slack t ||(A + t)^-1|| - 1 over the
+    sampled t."""
     n = A.shape[0]
     herm_min = min_hermitian_eig(A)
     worst = 0.0
     for t in t_samples:
-        nrm = inverse_norm(A + t * np.eye(n))
-        worst = max(worst, nrm * t - 1.0)
-    passed = (herm_min >= -DEFAULT.accretive_floor_rel * np.linalg.norm(A)
-              and worst <= DEFAULT.maccretive_slack)
-    return MAccretiveReport(herm_min, float(worst), bool(passed))
+        worst = max(worst, inverse_norm(A + t * np.eye(n)) * t - 1.0)
+    return herm_min, float(worst)

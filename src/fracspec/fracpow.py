@@ -41,7 +41,7 @@ class BalakrishnanConfig:
 
 
 # Trapezoid rule in t for l = exp(sinh t), |t| <= _NODES * _STEP (|log l| <= 60.75);
-# the doubling check adds the odd nodes of step _STEP / 2.
+# the doubling check adds the odd nodes of step _STEP / 2, and if need be of _STEP / 4.
 _STEP = 0.1
 _NODES = 48
 
@@ -94,10 +94,17 @@ def _weights(e, m):
     return l, c
 
 
+def _moved(fine, coarse):
+    """Relative distance of ``coarse`` from ``fine``."""
+    scale = np.linalg.norm(fine)
+    return np.linalg.norm(fine - coarse) / scale if scale > 0 else 0.0
+
+
 def _balakrishnan(A, B, cfg, check, negative=False):
     """A^(+-alpha) B for m-accretive A; B = None stands for I.  With
-    ``check`` the result of doubled nodes is returned, after checking that
-    doubling moved it by at most ``quad_doubling_rel``."""
+    ``check`` the result of step _STEP / 2 is returned if halving the step
+    moved it by at most ``quad_doubling_rel``; else the step is halved once
+    more, and that result is returned if it moved by at most as much."""
     Am = np.asarray(A, dtype=complex)
     herm_min = min_hermitian_eig(Am)
     if herm_min < -DEFAULT.accretive_floor_rel * np.linalg.norm(Am):
@@ -113,17 +120,27 @@ def _balakrishnan(A, B, cfg, check, negative=False):
     # the coarse nodes are the even fine nodes
     for k in range(0, lam.size, 1 if check else 2):
         Y = solver.solve(lam[k], X)
+        if k == 0:
+            first = Y
         if k % 2 == 0:
             coarse += coarse_w[k // 2] * Y
         if check:
             fine += fine_w[k] * Y
     if not check:
         return coarse
-    scale = np.linalg.norm(fine)
-    moved = np.linalg.norm(fine - coarse) / scale if scale > 0 else 0.0
+    if _moved(fine, coarse) <= DEFAULT.quad_doubling_rel:
+        return fine
+    # the fine nodes are the even finest nodes, where the finest weights are
+    # half the fine ones but for the end corrections
+    lam, finest_w = _weights(e, 4)
+    finest = fine / 2 + (finest_w[0] - fine_w[0] / 2) * first \
+        + (finest_w[-1] - fine_w[-1] / 2) * Y
+    for k in range(1, lam.size, 2):
+        finest += finest_w[k] * solver.solve(lam[k], X)
+    moved = _moved(finest, fine)
     if moved > DEFAULT.quad_doubling_rel:
         raise QuadratureNotConverged(f"node doubling moved the result by {moved:.3e}")
-    return fine
+    return finest
 
 
 def balakrishnan_power(A, cfg, check=False):
@@ -148,16 +165,6 @@ def lemma_constant(alpha, norm_J_inv):
     return 2.0 * norm_J_inv / (1.0 - alpha) + 1.0 / alpha
 
 
-@dataclass(frozen=True)
-class GLCoefficients:
-    alpha: float
-    lam: float
-    c: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "c", np.asarray(self.c, dtype=float))
-
-
 def gl_coefficients(alpha, lam, K):
     """Grunwald-type coefficients C_0..C_K by the stable recurrence
     C_0 = lam^a, C_(k+1) = C_k (k - a) / (k + 1)."""
@@ -169,7 +176,7 @@ def gl_coefficients(alpha, lam, K):
     c[0] = lam**alpha
     for k in range(K):
         c[k + 1] = c[k] * (k - alpha) / (k + 1)
-    return GLCoefficients(alpha, lam, c)
+    return c
 
 
 def gl_coefficients_alt(alpha, lam, K):
@@ -211,7 +218,7 @@ def gl_abs_sum(alpha, lam, K=100_000):
     Since C_k < 0 for k >= 1 and the full series sums to zero, the exact
     remainder past K is S_K itself, so the truncation tail is zero.
     """
-    c = gl_coefficients(alpha, lam, K).c
+    c = gl_coefficients(alpha, lam, K)
     return float(c[0] - np.sum(c[1:]) + gl_partial_sum(alpha, lam, K))
 
 
@@ -224,7 +231,7 @@ def gl_power(spec, alpha, f):
     v = np.asarray(f, dtype=complex)
     n = v.size
     kmax = (n - 1) // m
-    c = gl_coefficients(alpha, spec.lam, max(kmax, 1)).c
+    c = gl_coefficients(alpha, spec.lam, max(kmax, 1))
     out = c[0] * v
     for k in range(1, kmax + 1):
         out[k * m :] += c[k] * v[: n - k * m]
@@ -236,7 +243,7 @@ def gl_power_matrix(spec, alpha):
     m = spec.shift_steps
     n = spec.grid.n
     kmax = (n - 1) // m
-    c = gl_coefficients(alpha, spec.lam, max(kmax, 1)).c
+    c = gl_coefficients(alpha, spec.lam, max(kmax, 1))
     col = np.zeros(n)
     col[: kmax * m + 1 : m] = c[: kmax + 1]
     return toeplitz(col, np.zeros(n))

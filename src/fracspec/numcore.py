@@ -60,8 +60,9 @@ def hermitian_eigen(M):
     return _eigh(_check_hermitian(M))
 
 
-def spd_power(M, p, what="matrix"):
-    """H^p for the Hermitian part H of M.
+def spd_powers(M, ps, what="matrix"):
+    """H^p for each p in ``ps``, from one eigendecomposition of the Hermitian
+    part H of M.
 
     H must be positive definite: its smallest eigenvalue has to exceed
     ``pd_floor_rel * ||H||_F``, else :class:`NotPositiveDefinite` names
@@ -71,7 +72,7 @@ def spd_power(M, p, what="matrix"):
     floor = DEFAULT.pd_floor_rel * np.linalg.norm(w)  # ||H||_F = ||eigenvalues||_2
     if w[0] <= floor:
         raise NotPositiveDefinite(f"{what} min eigenvalue {w[0]:.3e} not above floor {floor:.3e}")
-    return (V * w**p) @ V.conj().T
+    return [(V * w**p) @ V.conj().T for p in ps]
 
 
 def top_eigvec(H):
@@ -142,4 +143,4 @@ def inverse_norm(M):
 
 def herm_power(M, p):
     """M^p for self-adjoint positive definite M, via eigendecomposition."""
-    return spd_power(_check_hermitian(M), p)
+    return spd_powers(_check_hermitian(M), (p,))[0]

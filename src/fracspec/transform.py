@@ -108,7 +108,7 @@ class Model:
         return self.sigma_const * self.norm_Q_inv**2
 
 
-def build_kipriyanov_1d(grid, a11, rho, sigma, alpha, gamma_a=0.0):
+def build_kipriyanov_1d(grid, a11, rho, sigma, alpha):
     """1-D Kipriyanov-type model L = -T + J^sigma_(0+) rho D^alpha_(d-).
 
     The direct assembly uses the Dirichlet divergence-form stencil for -T;
@@ -124,11 +124,11 @@ def build_kipriyanov_1d(grid, a11, rho, sigma, alpha, gamma_a=0.0):
     G = multiply(grid, a11)
     frac_in = rl_integral_left(grid, sigma) if sigma > 0 else np.eye(grid.n)
     F = frac_in @ multiply(grid, rho)
-    L = elliptic_1d(grid, a11, gamma_a) + F @ marchaud_right_derivative(grid, alpha)
+    L = elliptic_1d(grid, a11) + F @ marchaud_right_derivative(grid, alpha)
     return Model(L, TransformSpec(J, G, F, alpha), J.conj().T @ J)
 
 
-def build_riesz_model(grid, a, rho, sigma, alpha, delta=1.0, gamma_a=0.0):
+def build_riesz_model(grid, a, rho, sigma, alpha, delta=1.0):
     """Riesz-potential model L = T + I^sigma_+ rho I^(2(1-a)) f'' + delta I
     on a symmetric truncation of the axis, T = (d^2/dx^2)(a d^2/dx^2).
 
@@ -141,7 +141,7 @@ def build_riesz_model(grid, a, rho, sigma, alpha, delta=1.0, gamma_a=0.0):
     if not sigma / 2.0 + 0.75 < alpha < 1.0:
         raise BadAlpha(f"riesz model needs sigma/2 + 3/4 < alpha < 1, got alpha = {alpha}")
     n = grid.n
-    T = fourth_order_weighted(grid, a, gamma_a)
+    T = fourth_order_weighted(grid, a)
     frac_in = one_sided_potential(grid, sigma, "plus") if sigma > 0 else np.eye(n)
     P = frac_in @ multiply(grid, rho)
     L = T + P @ riesz_potential(grid, 2.0 * (1.0 - alpha)) @ second_derivative(grid) \
@@ -154,10 +154,9 @@ def build_riesz_model(grid, a, rho, sigma, alpha, delta=1.0, gamma_a=0.0):
     return Model(L, TransformSpec(J, G, conv * P, alpha), weighted_h2_matrix(grid), delta=delta)
 
 
-def build_difference_model(grid, a, b, lam, mu, alpha, Q=None, nu=1.0):
+def build_difference_model(grid, a, b, lam, mu, alpha, nu=1.0):
     """Perturbed difference model L = Z^a_(aI,bI)(A) + Q*NQ with the
-    Poisson-difference generator A; N = nu I by default, Q = backward
-    difference by default.
+    Poisson-difference generator A, N = nu I and Q the backward difference.
 
     sigma_const is the paper's perturbation bound 4 lam ||a|| + ||b|| sum|C_k|;
     the H2 hypothesis requires gamma_N > sigma_const ||Q^-1||^2.
@@ -166,14 +165,14 @@ def build_difference_model(grid, a, b, lam, mu, alpha, Q=None, nu=1.0):
     A = generator_matrix(spec_sg)
     av = sample_coefficient(a, grid)
     bv = sample_coefficient(b, grid)
-    Qm = Q if Q is not None else first_difference(grid)
+    Q = first_difference(grid)
     Nm = nu * np.eye(grid.n)
     L = A.conj().T @ np.diag(av) @ A + np.diag(bv) @ gl_power_matrix(spec_sg, alpha) \
-        + Qm.conj().T @ Nm @ Qm
+        + Q.conj().T @ Nm @ Q
     sigma_const = 4.0 * lam * float(np.max(np.abs(av))) \
         + float(np.max(np.abs(bv))) * gl_abs_sum(alpha, lam)
     gamma_N = min_hermitian_eig(Nm)
-    norm_Q_inv = inverse_norm(Qm)
+    norm_Q_inv = inverse_norm(Q)
     tspec = TransformSpec(A, multiply(grid, a), multiply(grid, b), alpha)
-    return Model(L, tspec, Qm.conj().T @ Qm,
+    return Model(L, tspec, Q.conj().T @ Q,
                  sigma_const=sigma_const, gamma_N=gamma_N, norm_Q_inv=norm_Q_inv)

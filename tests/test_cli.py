@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -367,6 +368,24 @@ class TestCustomMatrix:
                      "--out", str(out)]) == 3
         assert "assembly failed: matrix shape must match grid size" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_indefinite_hermitian_part_is_error_entry(self, tmp_path, capsys):
+        # both readers of the factorization of L report its failure
+        mpath = tmp_path / "m.csv"
+        self.write_matrix(mpath, np.diag(np.linspace(-2.0, 5.0, 20)))
+        out = tmp_path / "art.json"
+        assert main(["build", "--model", "custom-matrix", "--a11", str(mpath),
+                     "--out", str(out)]) == 0
+        code = main(["verify", "--out", str(out),
+                     "--suite", "spectrum", "--report", str(tmp_path / "rep.json")])
+        assert code == 4
+        doc = json.loads((tmp_path / "rep.json").read_text())
+        by_name = {c["name"]: c for c in doc["checks"]}
+        for name in ("sectorial-factorization", "realpart-resolvent-identity"):
+            assert by_name[name]["status"] == "error"
+            assert by_name[name]["numbers"]["exception"] == "NotPositiveDefinite"
+            assert re.fullmatch(r"Hermitian part min eigenvalue -2\.000e\+00 not above floor \S+",
+                                by_name[name]["numbers"]["message"])
 
     def test_singular_matrix_exit_4(self, tmp_path, capsys):
         mpath = tmp_path / "m.csv"

@@ -7,8 +7,8 @@ from fracspec import numcore
 from fracspec.cli import _build_model, _config_doc, _make_parser
 from fracspec.discretize import Grid1D
 from fracspec.errors import DegenerateFit, NoConvergence, NotPositiveDefinite
-from fracspec.numcore import herm_power, singular_values
-from fracspec.transform import build_kipriyanov_1d
+from fracspec.numcore import inverse, singular_values
+from fracspec.transform import Model, TransformSpec, build_kipriyanov_1d
 
 
 def rand_accretive(n, seed, herm_floor=1.0):
@@ -19,6 +19,19 @@ def rand_accretive(n, seed, herm_floor=1.0):
     K = rng.standard_normal((n, n))
     K = (K - K.T) / 2
     return H + K  # standard-Hermitian part H, skew part K
+
+
+def run_check(name, ctx):
+    """(status, numbers) of the verify check ``name`` on ``ctx``."""
+    return next(e.fn(ctx) for e in checks.ENTRIES if e.name == name)
+
+
+def matrix_context(L, hplus=None):
+    """The check context verify builds for a custom matrix L, with the norm
+    matrix ``hplus`` (default L) and no grid, which the spectrum checks do not
+    read."""
+    model = Model(L, TransformSpec(L, L, L, 0.0), L if hplus is None else hplus)
+    return checks.Context(model, None, {"model": "custom-matrix"})
 
 
 class TestNumericalRange:
@@ -186,20 +199,21 @@ class TestH1H2:
         assert got["h1-h2-bounds"] == ("error", "NoConvergence")
 
     def test_identity_pair(self):
-        rep = dg.verify_H1_H2(np.eye(6), np.eye(6))
-        assert rep.verdict
-        assert np.isclose(rep.C1, 1.0) and np.isclose(rep.C2, 1.0)
+        status, numbers = run_check("h1-h2-bounds", matrix_context(np.eye(6)))
+        assert status == "pass"
+        assert np.isclose(numbers["C1"], 1.0) and np.isclose(numbers["C2"], 1.0)
 
     def test_diagonal_oracle(self):
         L = np.diag([2.0, 5.0, 3.0])
         N = np.diag([1.0, 2.0, 1.0])
-        rep = dg.verify_H1_H2(L, N)
+        C1, C2 = dg.verify_H1_H2(L, N)
         # N^-1/2 L N^-1/2 = diag(2, 2.5, 3)
-        assert np.isclose(rep.C2, 2.0) and np.isclose(rep.C1, 3.0)
+        assert np.isclose(C2, 2.0) and np.isclose(C1, 3.0)
 
     def test_indefinite_form_fails(self):
-        rep = dg.verify_H1_H2(np.diag([1.0, -1.0]), np.eye(2))
-        assert not rep.verdict
+        ctx = matrix_context(np.diag([1.0, -1.0]), hplus=np.eye(2))
+        status, numbers = run_check("h1-h2-bounds", ctx)
+        assert status == "fail" and np.isclose(numbers["C2"], -1.0)
 
     def test_rejects_degenerate_norm(self):
         with pytest.raises(NotPositiveDefinite):
@@ -212,28 +226,49 @@ class TestH1H2:
         assert str(err.value) == "norm matrix min eigenvalue -1.000e+00 not above floor 2.236e-12"
 
 
+class TestFactorizationCache:
+    def test_spectrum_suite_factors_L_once(self, monkeypatch):
+        # one eigh of Re L (and one of the h+ norm matrix), one inverse of L
+        # and one of I + B^2
+        grid, model = TestNumericalRange.kipriyanov(32)
+        calls = {"eigh": 0, "inv": 0}
+        eigh, inv = numcore._eigh, np.linalg.inv
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(numcore, "_eigh", counted("eigh", eigh))
+        monkeypatch.setattr(np.linalg, "inv", counted("inv", inv))
+        entries = checks.run(checks.Context(model, grid, {"model": "kipriyanov1d"}), ("spectrum",))
+        assert "error" not in {e["status"] for e in entries}
+        assert calls == {"eigh": 2, "inv": 2}
+
+
 class TestSectorialFactorization:
     def test_hermitian_gives_zero_B(self):
         W = rand_accretive(5, 3) .real
         W = (W + W.T) / 2 + 5 * np.eye(5)
-        H, B = dg.sectorial_factorize(W)
-        assert np.allclose(H, W, atol=1e-10)
+        root, inv_root, B = dg.sectorial_factorize(W)
+        assert np.allclose(root @ root, W, atol=1e-10)
+        assert np.allclose(root @ inv_root, np.eye(5), atol=1e-10)
         assert np.max(np.abs(B)) <= 1e-10
 
     def test_reconstruction(self):
         for seed in (0, 1, 2):
             n = 30
             W = rand_accretive(n, seed)
-            H, B = dg.sectorial_factorize(W)
+            root, _, B = dg.sectorial_factorize(W)
             # W = H^1/2 (I + iB) H^1/2
-            root = herm_power(H, 0.5)
             recon = root @ (np.eye(n) + 1j * B) @ root
             assert np.linalg.norm(recon - W) <= 1e-10 * np.linalg.norm(W)
 
     def test_B_selfadjoint(self):
         n = 12
         W = rand_accretive(n, 7)
-        _, B = dg.sectorial_factorize(W)
+        _, _, B = dg.sectorial_factorize(W)
         assert np.linalg.norm(B.conj().T - B) <= 1e-10 * np.linalg.norm(B)
 
     def test_rejects_nonpositive_real_part(self):
@@ -242,18 +277,22 @@ class TestSectorialFactorization:
 
 
 class TestResolventIdentity:
+    @staticmethod
+    def defects(W):
+        _, inv_root, B = dg.sectorial_factorize(W)
+        return dg.realpart_resolvent_check(inverse(W), inv_root, B)
+
     def test_factor_one_holds(self):
         for seed in (0, 1):
             n = 20
-            W = rand_accretive(n, seed)
-            rep = dg.realpart_resolvent_check(W)
-            assert rep.defect_factor1 <= 1e-10
-            assert abs(rep.defect_factor_half - 0.5) <= 0.1
+            defect1, defect_half = self.defects(rand_accretive(n, seed))
+            assert defect1 <= 1e-10
+            assert abs(defect_half - 0.5) <= 0.1
 
     def test_hermitian_case(self):
-        rep = dg.realpart_resolvent_check(np.diag([1.0, 2.0, 4.0]))
-        assert rep.defect_factor1 <= 1e-12
-        assert np.isclose(rep.defect_factor_half, 0.5)
+        defect1, defect_half = self.defects(np.diag([1.0, 2.0, 4.0]))
+        assert defect1 <= 1e-12
+        assert np.isclose(defect_half, 0.5)
 
 
 class TestOrderAndSchatten:
@@ -282,9 +321,9 @@ class TestOrderAndSchatten:
 
     def test_schatten_classification(self):
         s = np.arange(1, 65, dtype=float) ** -2.0
-        rep = dg.schatten_classify(s, 2.0, extra_ps=(2.0,))
+        rep = dg.schatten_classify(s, 2.0)
         assert rep.trace_class and rep.predicted_p == 1.0
-        assert np.isclose(rep.sums[1.0], np.sum(s))
+        assert list(rep.sums) == [1.0] and np.isclose(rep.sums[1.0], np.sum(s))
         rep2 = dg.schatten_classify(s, 0.5)
         assert not rep2.trace_class and np.isclose(rep2.predicted_p, 4.0)
         with pytest.raises(ValueError):
@@ -311,31 +350,36 @@ class TestEigenvalueInequalityAndAsymptotics:
         assert sup <= 1.0
 
     def test_asymptotics_pass_and_fail(self):
+        # the check takes eps = 0.1
         i = np.arange(1, 201, dtype=float)
-        good = dg.asymptotics_check(i**-2.0, mu=2.0, eps=0.1)
-        assert good.passed and good.trend_slope < 0
-        bad = dg.asymptotics_check(i**-1.0, mu=2.0, eps=0.1)
-        assert not bad.passed
+        status, good = run_check("eigenvalue-asymptotics",
+                                 checks.Context(None, None, {}, evals=i**-2.0, mu=2.0))
+        assert status == "pass" and good["trend_slope"] < 0
+        status, bad = run_check("eigenvalue-asymptotics",
+                                checks.Context(None, None, {}, evals=i**-1.0, mu=2.0))
+        assert status == "fail" and bad["trend_slope"] > 0
 
 
 class TestCompletenessAndMAccretive:
     def test_completeness_criterion(self):
-        sector = dg.SectorEstimate(0.0, 0.1, np.array([1.0 + 0.0j]))
-        assert dg.completeness_criterion(sector, 2.0)
-        wide = dg.SectorEstimate(0.0, np.pi / 3, np.array([1.0 + 0.0j]))
-        assert not dg.completeness_criterion(wide, 0.5)
+        def status(theta, mu):
+            sector = dg.SectorEstimate(0.0, theta, np.array([1.0 + 0.0j]))
+            ctx = checks.Context(None, None, {}, sector=sector, mu=mu)
+            return run_check("completeness-criterion", ctx)[0]
+
+        assert status(0.1, 2.0) == "pass"
+        assert status(np.pi / 3, 0.5) == "fail"
         # boundary is strict
-        edge = dg.SectorEstimate(0.0, np.pi / 4, np.array([1.0 + 0.0j]))
-        assert not dg.completeness_criterion(edge, 0.5)
+        assert status(np.pi / 4, 0.5) == "fail"
 
     def test_maccretive_pass(self):
         A = rand_accretive(8, 5)
-        rep = dg.maccretive_check(A)
-        assert rep.passed and rep.min_herm_eig > 0
+        status, numbers = run_check("generator-m-accretive", matrix_context(A))
+        assert status == "pass" and numbers["min_herm_eig"] > 0
 
     def test_maccretive_fail(self):
-        rep = dg.maccretive_check(-np.eye(3) * 0.001 + np.diag([1.0, 1.0, 0.0]) * 0)
-        assert not rep.passed
+        status, numbers = run_check("generator-m-accretive", matrix_context(-np.eye(3) * 0.001))
+        assert status == "fail" and np.isclose(numbers["min_herm_eig"], -0.001)
 
     def test_generator_is_maccretive(self):
         from fracspec.discretize import Grid1D
@@ -344,5 +388,4 @@ class TestCompletenessAndMAccretive:
         g = Grid1D(0.0, 1.0, 31)
         for kind, kw in (("shift", {}), ("gauss", {}), ("poisson", {"lam": 2.0, "mu": 2 * g.h})):
             A = generator_matrix(SemigroupSpec(kind, g, **kw))
-            rep = dg.maccretive_check(A)
-            assert rep.passed
+            assert run_check("generator-m-accretive", matrix_context(A))[0] == "pass"

@@ -85,10 +85,25 @@ class TestBalakrishnan:
             fp.balakrishnan_power(A, fp.BalakrishnanConfig(0.5), check=True)
 
     def test_doubling_guard_trips_on_coarse_rule(self):
-        # a spectrum over 14 decades: halving the step moves the result by ~2e-5
-        A = np.diag(np.geomspace(1e-7, 1e7, 9))
+        # a spectrum over 24 decades: halving the step twice still moves the
+        # result by ~2e-6
+        A = np.diag(np.geomspace(1e-12, 1e12, 9))
         with pytest.raises(QuadratureNotConverged):
             fp.balakrishnan_power(A, fp.BalakrishnanConfig(0.5), check=True)
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.9])
+    @pytest.mark.parametrize("decades", [12, 14])
+    def test_wide_spectrum_takes_a_third_level(self, decades, alpha, monkeypatch):
+        # halving the step once moves the result by 6e-7..2e-5 here, though the
+        # halved rule is right to 2e-10; the third level confirms it
+        shifts = []
+        solve = fp._ResolventSolver.solve
+        monkeypatch.setattr(fp._ResolventSolver, "solve",
+                            lambda self, lam, B: shifts.append(lam) or solve(self, lam, B))
+        lam = np.geomspace(10.0 ** (-decades / 2), 10.0 ** (decades / 2), 9)
+        P = fp.balakrishnan_power(np.diag(lam), fp.BalakrishnanConfig(alpha), check=True)
+        assert np.max(np.abs(np.diag(P) - lam**alpha) / lam**alpha) <= 1e-9
+        assert len(shifts) == 193 + 192 and len(set(shifts)) == len(shifts)
 
     @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
     @pytest.mark.parametrize("decades", [4, 8, 12, 14])
@@ -183,29 +198,29 @@ class TestLemmaConstant:
 
 class TestGLCoefficients:
     def test_first_values(self):
-        c = fp.gl_coefficients(0.5, 1.0, 3).c
+        c = fp.gl_coefficients(0.5, 1.0, 3)
         assert np.allclose(c, [1.0, -0.5, -0.125, -0.0625])
 
     def test_lambda_scaling(self):
-        c1 = fp.gl_coefficients(0.4, 1.0, 10).c
-        c2 = fp.gl_coefficients(0.4, 3.0, 10).c
+        c1 = fp.gl_coefficients(0.4, 1.0, 10)
+        c2 = fp.gl_coefficients(0.4, 3.0, 10)
         assert np.allclose(c2, 3.0**0.4 * c1)
 
     def test_signs_and_sum_to_zero(self):
-        c = fp.gl_coefficients(0.3, 1.0, 200_000).c
+        c = fp.gl_coefficients(0.3, 1.0, 200_000)
         assert c[0] > 0 and np.all(c[1:] < 0)
         # full series sums to (1-1)^a = 0; tail is O(K^-a)
         assert abs(np.sum(c)) <= 2.0 * 200_000**-0.3
 
     def test_partial_sum_closed_form(self):
         alpha, lam = 0.6, 2.0
-        c = fp.gl_coefficients(alpha, lam, 50).c
+        c = fp.gl_coefficients(alpha, lam, 50)
         for K in (1, 10, 50):
             assert np.isclose(np.sum(c[: K + 1]), fp.gl_partial_sum(alpha, lam, K), rtol=1e-12)
 
     def test_quadrature_route_matches_recurrence(self):
         for alpha in (0.25, 0.5, 0.75):
-            c = fp.gl_coefficients(alpha, 1.0, 40).c
+            c = fp.gl_coefficients(alpha, 1.0, 40)
             cp = fp.gl_coefficients_alt(alpha, 1.0, 40)
             # identities: C'_0 = C_0 and C'_(k+1) - C'_k = C_(k+1)
             assert abs(cp[0] - c[0]) <= 1e-12
@@ -247,7 +262,7 @@ class TestGLPower:
         f = np.zeros(63)
         f[0] = 1.0
         out = fp.gl_power(spec, 0.5, f)
-        c = fp.gl_coefficients(0.5, 1.0, 62).c
+        c = fp.gl_coefficients(0.5, 1.0, 62)
         assert np.allclose(out.real, c, atol=1e-14)
 
     def test_matrix_matches_apply(self):
