@@ -6,7 +6,11 @@ Routes implemented:
    by the trapezoid rule in t for l = exp(sinh t) (Takahasi & Mori 1974; Hale,
    Higham & Trefethen, SIAM J. Numer. Anal. 46, 2008), with the slow decay at
    both ends subtracted in closed form. Halving the step keeps every node, so
-   the convergence check solves only the new ones.
+   the convergence check solves only the new ones. A lower-triangular
+   Toeplitz A (the shift and Poisson-difference generators, the first through
+   its transpose) has lower-triangular Toeplitz resolvents and powers, so
+   A^(+-a) is integrated on its first column (A e_1, or e_1 for the negative
+   power) and then expanded.
 2. Spectral calculus for Hermitian positive matrices (numcore.herm_power).
 3. Grunwald-type series for the Poisson-difference generator.
 4. Closed-form singular-integral matrices (Marchaud derivative for the shift
@@ -50,7 +54,8 @@ class _ResolventSolver:
     """Solves (l I + A) X = B, exploiting small bandwidth when present."""
 
     def __init__(self, A):
-        self.A = np.asarray(A, dtype=complex)
+        # checked once here, so the banded solves need not check each shift
+        self.A = np.asarray_chkfinite(A, dtype=complex)
         n = self.A.shape[0]
         r, c = np.nonzero(self.A)
         lo, up = int(np.max(r - c, initial=0)), int(np.max(c - r, initial=0))
@@ -69,7 +74,7 @@ class _ResolventSolver:
             M[np.diag_indices_from(M)] += lam
             return np.linalg.solve(M, B)
         self.ab[self.up] = self.diag + lam
-        return solve_banded((self.lo, self.up), self.ab, B)
+        return solve_banded((self.lo, self.up), self.ab, B, check_finite=False)
 
 
 def _weights(e, m):
@@ -94,26 +99,54 @@ def _weights(e, m):
     return l, c
 
 
-def _moved(fine, coarse):
-    """Relative distance of ``coarse`` from ``fine``."""
-    scale = np.linalg.norm(fine)
-    return np.linalg.norm(fine - coarse) / scale if scale > 0 else 0.0
+def _moved(fine, coarse, weight=1.0):
+    """Relative distance of ``coarse`` from ``fine``, each entry weighed by ``weight``."""
+    scale = np.linalg.norm(weight * fine)
+    return np.linalg.norm(weight * (fine - coarse)) / scale if scale > 0 else 0.0
+
+
+def _triangular_toeplitz(A):
+    """"lower" if A is lower-triangular Toeplitz, "upper" if its transpose is, else None."""
+    if not np.array_equal(A[1:, 1:], A[:-1, :-1]):
+        return None
+    if not np.any(np.triu(A, 1)):
+        return "lower"
+    if not np.any(np.tril(A, -1)):
+        return "upper"
+    return None
 
 
 def _balakrishnan(A, B, cfg, check, negative=False):
-    """A^(+-alpha) B for m-accretive A; B = None stands for I.  With
-    ``check`` the result of step _STEP / 2 is returned if halving the step
-    moved it by at most ``quad_doubling_rel``; else the step is halved once
-    more, and that result is returned if it moved by at most as much."""
+    """A^(+-alpha) B for m-accretive A; B = None stands for I, and then a
+    triangular-Toeplitz A has the integral run on one column."""
+    herm_min = min_hermitian_eig(np.asarray(A))
     Am = np.asarray(A, dtype=complex)
-    herm_min = min_hermitian_eig(Am)
     if herm_min < -DEFAULT.accretive_floor_rel * np.linalg.norm(Am):
         raise NotAccretive(f"Hermitian part has eigenvalue {herm_min:.3e}")
-    if negative:
-        e, X = 1.0 - cfg.alpha, np.eye(Am.shape[0], dtype=complex) if B is None else B
-    else:
-        e, X = cfg.alpha, Am if B is None else Am @ B
-    solver = _ResolventSolver(Am)
+    e = 1.0 - cfg.alpha if negative else cfg.alpha
+    if B is not None:
+        B = np.asarray_chkfinite(B)
+        return _integral(Am, B if negative else Am @ B, e, check)
+    n = Am.shape[0]
+    side = _triangular_toeplitz(Am)
+    if side is None:
+        return _integral(Am, np.eye(n, dtype=complex) if negative else Am, e, check)
+    low = Am if side == "lower" else Am.T
+    x = np.eye(n, 1, dtype=complex)[:, 0] if negative else low[:, 0]
+    # entry j of the column recurs n - j times in the matrix, so the
+    # doubling gate weighs it by sqrt(n - j) to measure the matrix's move
+    col = _integral(low, x, e, check, weight=np.sqrt(np.arange(n, 0, -1)))
+    P = toeplitz(col, np.zeros(n))
+    return P if side == "lower" else P.T
+
+
+def _integral(A, X, e, check, weight=1.0):
+    """(sin e pi / pi) int_0^inf l^(e-1) (l+A)^(-1) X dl.  With ``check`` the
+    result of step _STEP / 2 is returned if halving the step moved it by at
+    most ``quad_doubling_rel``; else the step is halved once more, and that
+    result is returned if it moved by at most as much.  ``weight`` weighs the
+    entries of the result in the measure of that move."""
+    solver = _ResolventSolver(A)
     coarse_w = _weights(e, 1)[1]
     lam, fine_w = _weights(e, 2)
     coarse, fine = np.zeros_like(X), np.zeros_like(X) if check else None
@@ -128,7 +161,7 @@ def _balakrishnan(A, B, cfg, check, negative=False):
             fine += fine_w[k] * Y
     if not check:
         return coarse
-    if _moved(fine, coarse) <= DEFAULT.quad_doubling_rel:
+    if _moved(fine, coarse, weight) <= DEFAULT.quad_doubling_rel:
         return fine
     # the fine nodes are the even finest nodes, where the finest weights are
     # half the fine ones but for the end corrections
@@ -137,7 +170,7 @@ def _balakrishnan(A, B, cfg, check, negative=False):
         + (finest_w[-1] - fine_w[-1] / 2) * Y
     for k in range(1, lam.size, 2):
         finest += finest_w[k] * solver.solve(lam[k], X)
-    moved = _moved(finest, fine)
+    moved = _moved(finest, fine, weight)
     if moved > DEFAULT.quad_doubling_rel:
         raise QuadratureNotConverged(f"node doubling moved the result by {moved:.3e}")
     return finest

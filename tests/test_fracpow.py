@@ -16,6 +16,24 @@ def spd_matrix(n, seed, shift=None):
     return B @ B.T + (shift if shift is not None else n) * np.eye(n)
 
 
+def generator(kind, n):
+    grid = Grid1D(-20.0, 20.0, n) if kind == "gauss" else Grid1D(0.0, 1.0, n)
+    return generator_matrix(SemigroupSpec(kind, grid, mu=4 * grid.h if kind == "poisson" else 0.0))
+
+
+def count_solves(monkeypatch):
+    """Record (shift, right-hand-side ndim) of every resolvent solve."""
+    calls = []
+    solve = fp._ResolventSolver.solve
+
+    def counting(self, lam, B):
+        calls.append((lam, np.ndim(B)))
+        return solve(self, lam, B)
+
+    monkeypatch.setattr(fp._ResolventSolver, "solve", counting)
+    return calls
+
+
 class TestBalakrishnan:
     def test_diagonal(self):
         A = np.diag([1.0, 4.0, 9.0])
@@ -96,10 +114,7 @@ class TestBalakrishnan:
     def test_wide_spectrum_takes_a_third_level(self, decades, alpha, monkeypatch):
         # halving the step once moves the result by 6e-7..2e-5 here, though the
         # halved rule is right to 2e-10; the third level confirms it
-        shifts = []
-        solve = fp._ResolventSolver.solve
-        monkeypatch.setattr(fp._ResolventSolver, "solve",
-                            lambda self, lam, B: shifts.append(lam) or solve(self, lam, B))
+        shifts = count_solves(monkeypatch)
         lam = np.geomspace(10.0 ** (-decades / 2), 10.0 ** (decades / 2), 9)
         P = fp.balakrishnan_power(np.diag(lam), fp.BalakrishnanConfig(alpha), check=True)
         assert np.max(np.abs(np.diag(P) - lam**alpha) / lam**alpha) <= 1e-9
@@ -125,14 +140,7 @@ class TestBalakrishnan:
 
     def test_solve_count(self, monkeypatch):
         # halving the step reuses every coarse node
-        shifts = []
-        solve = fp._ResolventSolver.solve
-
-        def counting(self, lam, B):
-            shifts.append(lam)
-            return solve(self, lam, B)
-
-        monkeypatch.setattr(fp._ResolventSolver, "solve", counting)
+        shifts = count_solves(monkeypatch)
         A, cfg = spd_matrix(6, 8), fp.BalakrishnanConfig(0.5)
         for call in (fp.balakrishnan_power, fp.negative_power):
             for check, limit in ((False, 100), (True, 200)):
@@ -157,8 +165,7 @@ class TestBandedGenerators:
                                              ("gauss", 0.02), ("gauss", 0.98),
                                              ("poisson", 0.02), ("poisson", 0.98)])
     def test_power_and_negative_power(self, kind, alpha):
-        grid = Grid1D(-20.0, 20.0, 96) if kind == "gauss" else Grid1D(0.0, 1.0, 96)
-        A = generator_matrix(SemigroupSpec(kind, grid, mu=4 * grid.h if kind == "poisson" else 0.0))
+        A = generator(kind, 96)
         assert fp._ResolventSolver(A).banded
         cfg = fp.BalakrishnanConfig(alpha)
         P = fp.balakrishnan_power(A, cfg, check=True)
@@ -179,6 +186,89 @@ class TestBandedGenerators:
         got = fp.balakrishnan_apply(J, f, fp.BalakrishnanConfig(0.9), check=True)
         want = scipy.linalg.fractional_matrix_power(J, 0.9) @ f
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+class TestToeplitzColumnRoute:
+    """Powers of triangular-Toeplitz generators integrate one column."""
+
+    @pytest.mark.parametrize("kind", ["shift", "poisson"])
+    @pytest.mark.parametrize("n", [32, 96])
+    @pytest.mark.parametrize("alpha", [0.02, 0.5, 0.98])
+    def test_column_route_equals_matrix_route(self, kind, n, alpha, monkeypatch):
+        A, cfg = generator(kind, n), fp.BalakrishnanConfig(alpha)
+        assert fp._triangular_toeplitz(A) == ("upper" if kind == "shift" else "lower")
+        for call in (fp.balakrishnan_power, fp.negative_power):
+            for check in (False, True):
+                got = call(A, cfg, check=check)
+                with monkeypatch.context() as m:
+                    m.setattr(fp, "_triangular_toeplitz", lambda A: None)
+                    want = call(A, cfg, check=check)
+                assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("kind", ["shift", "poisson"])
+    def test_gate_measures_the_matrix_move(self, kind, monkeypatch):
+        A, cfg = generator(kind, 96), fp.BalakrishnanConfig(0.5)
+        moves = []
+        moved = fp._moved
+        monkeypatch.setattr(fp, "_moved", lambda *args: moves.append(moved(*args)) or moves[-1])
+        for route in ("column", "matrix"):
+            if route == "matrix":
+                monkeypatch.setattr(fp, "_triangular_toeplitz", lambda A: None)
+            for call in (fp.balakrishnan_power, fp.negative_power):
+                call(A, cfg, check=True)
+        column, matrix = moves[: len(moves) // 2], moves[len(moves) // 2 :]
+        assert len(column) == len(matrix) == 2
+        assert np.allclose(column, matrix, rtol=1e-3, atol=0)
+
+    @pytest.mark.parametrize("kind, entry", [("shift", (3, 7)), ("poisson", (9, 2)),
+                                             ("poisson", (0, 0))])
+    def test_perturbed_copy_takes_matrix_route(self, kind, entry, monkeypatch):
+        A = generator(kind, 96).copy()
+        A[entry] += 1e-9
+        assert fp._triangular_toeplitz(A) is None
+        calls = count_solves(monkeypatch)
+        P = fp.balakrishnan_power(A, fp.BalakrishnanConfig(0.5), check=True)
+        assert calls and all(ndim == 2 for _, ndim in calls)
+        want = scipy.linalg.fractional_matrix_power(A, 0.5)
+        assert np.linalg.norm(P - want) <= 1e-8 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("kind", ["shift", "poisson"])
+    def test_checked_power_solves_vectors(self, kind, monkeypatch):
+        A, cfg = generator(kind, 256), fp.BalakrishnanConfig(0.5)
+        calls = count_solves(monkeypatch)
+        for call in (fp.balakrishnan_power, fp.negative_power):
+            calls.clear()
+            call(A, cfg, check=True)
+            assert all(ndim == 1 for _, ndim in calls)
+            assert 0 < len(calls) == len({lam for lam, _ in calls}) <= 193
+
+    @pytest.mark.parametrize("alpha", [0.02, 0.5, 0.98])
+    def test_poisson_power_matches_grunwald_at_bench_size(self, alpha):
+        grid = Grid1D(0.0, 1.0, 256)
+        spec = SemigroupSpec("poisson", grid, mu=4 * grid.h)
+        P = fp.balakrishnan_power(generator_matrix(spec), fp.BalakrishnanConfig(alpha), check=True)
+        want = fp.gl_power_matrix(spec, alpha)
+        assert np.linalg.norm(P - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("alpha", [0.02, 0.6, 0.98])
+    def test_shift_power_matches_schur_pade_at_bench_size(self, alpha):
+        A, cfg = generator("shift", 256), fp.BalakrishnanConfig(alpha)
+        P = fp.balakrishnan_power(A, cfg, check=True)
+        want = scipy.linalg.fractional_matrix_power(A, alpha)
+        assert np.linalg.norm(P - want) <= 1e-8 * np.linalg.norm(want)
+        N = fp.negative_power(A, cfg, check=True)
+        assert np.linalg.norm(N @ P - np.eye(256)) <= 1e-8 * np.linalg.norm(np.eye(256))
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("n", [32, 128])
+    def test_nan_vector_raises_on_both_paths(self, n):
+        A = generator("shift", n)
+        assert fp._ResolventSolver(A).banded == (n > 64)
+        f = np.ones(n)
+        f[n // 2] = np.nan
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            fp.balakrishnan_apply(A, f, fp.BalakrishnanConfig(0.5))
 
 
 class TestLemmaConstant:
