@@ -10,7 +10,13 @@ Routes implemented:
    Toeplitz A (the shift and Poisson-difference generators, the first through
    its transpose) has lower-triangular Toeplitz resolvents and powers, so
    A^(+-a) is integrated on its first column (A e_1, or e_1 for the negative
-   power) and then expanded.
+   power) and then expanded. A banded A (n > 64, at most 8 diagonals; all
+   three generators) keeps a real band real, solving a complex right-hand
+   side as its real and imaginary columns, and calls one LAPACK driver per
+   shift: tbtrs for a triangular band, ptsv for a Hermitian tridiagonal (gtsv
+   at a shift where it is not positive definite in rounding), gtsv for any
+   other tridiagonal, gbsv for any other band. The accretivity gate takes the
+   smallest eigenvalue of the Hermitian part from its band.
 2. Spectral calculus for Hermitian positive matrices (numcore.herm_power).
 3. Grunwald-type series for the Poisson-difference generator.
 4. Closed-form singular-integral matrices (Marchaud derivative for the shift
@@ -20,7 +26,7 @@ Routes implemented:
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded, toeplitz
+from scipy.linalg import eigvals_banded, get_lapack_funcs, toeplitz
 from scipy.special import gamma, gammaln, roots_jacobi
 
 from .config import DEFAULT
@@ -30,7 +36,7 @@ from .discretize import (
     riesz_constant,
     second_derivative,
 )
-from .errors import BadAlpha, NotAccretive, QuadratureNotConverged
+from .errors import BadAlpha, NoConvergence, NotAccretive, QuadratureNotConverged
 from .numcore import min_hermitian_eig
 from .semigroup import SemigroupSpec, generator_matrix
 
@@ -51,30 +57,99 @@ _NODES = 48
 
 
 class _ResolventSolver:
-    """Solves (l I + A) X = B, exploiting small bandwidth when present."""
+    """Solves (l I + A) X = B for shifts l > 0, exploiting small bandwidth when
+    present; ``herm_min`` is the smallest eigenvalue of the Hermitian part of A.
+
+    A banded A keeps its band real when A is, and is solved by one LAPACK
+    driver chosen here and called directly for each shift: ``tbtrs`` for a
+    triangular band, ``ptsv`` for a Hermitian tridiagonal (``gtsv`` at a shift
+    where rounding leaves l I + A not positive definite), ``gtsv`` for any
+    other tridiagonal and ``gbsv`` for any other band.
+    """
 
     def __init__(self, A):
         # checked once here, so the banded solves need not check each shift
-        self.A = np.asarray_chkfinite(A, dtype=complex)
-        n = self.A.shape[0]
-        r, c = np.nonzero(self.A)
+        A = np.asarray_chkfinite(A)
+        n = A.shape[0]
+        r, c = np.nonzero(A)
         lo, up = int(np.max(r - c, initial=0)), int(np.max(c - r, initial=0))
         self.banded = n > 64 and (lo + up + 1) <= 8
-        if self.banded:
-            # LAPACK band storage, built once; each shift rewrites the diagonal row
-            self.lo, self.up = lo, up
-            self.ab = np.zeros((lo + up + 1, n), dtype=complex)
+        if not self.banded:
+            self.herm_min = min_hermitian_eig(A)
+            self.A = A.astype(complex)
+            return
+        if np.iscomplexobj(A) and not np.any(A.imag):
+            A = A.real
+        A = A.astype(np.result_type(A, float), copy=False)
+        self.real = not np.iscomplexobj(A)
+        self.herm_min = _banded_herm_min(A, max(lo, up))
+        self.lo, self.up = lo, up
+        self.diag = np.diagonal(A).copy()
+        if lo == 0 or up == 0:
+            self.driver = "tbtrs"
+        elif lo == up == 1:
+            self.dl, self.du = np.diagonal(A, -1).copy(), np.diagonal(A, 1).copy()
+            hermitian = not np.any(self.diag.imag) and np.array_equal(self.dl, self.du.conj())
+            self.driver = "ptsv" if hermitian else "gtsv"
+            if hermitian:
+                self.diag = self.diag.real.copy()
+                self.gtsv = get_lapack_funcs("gtsv", (A,))
+        else:
+            self.driver = "gbsv"
+        if self.driver in ("tbtrs", "gbsv"):
+            # LAPACK band storage, built once; each shift rewrites the diagonal
+            # row. gbsv needs lo more rows on top for the fill-in of its LU.
+            top = lo if self.driver == "gbsv" else 0
+            self.ab = np.zeros((top + lo + up + 1, n), dtype=A.dtype)
             for d in range(-lo, up + 1):
-                self.ab[up - d, max(d, 0) : n + min(d, 0)] = np.diagonal(self.A, d)
-            self.diag = self.ab[up].copy()
+                self.ab[top + up - d, max(d, 0) : n + min(d, 0)] = np.diagonal(A, d)
+            self.diag_row = top + up
+        self.lapack = get_lapack_funcs(self.driver, (A,))
 
     def solve(self, lam, B):
         if not self.banded:
             M = self.A.copy()
             M[np.diag_indices_from(M)] += lam
             return np.linalg.solve(M, B)
-        self.ab[self.up] = self.diag + lam
-        return solve_banded((self.lo, self.up), self.ab, B, check_finite=False)
+        n = B.shape[0]
+        if self.real and np.iscomplexobj(B):
+            # a real band solves Re B and Im B as real columns of one call
+            X = self._band_solve(lam, np.stack([B.real, B.imag], -1).reshape(n, -1))
+            X = X.reshape(B.shape + (2,))
+            return X[..., 0] + 1j * X[..., 1]
+        return self._band_solve(lam, B.reshape(n, -1)).reshape(B.shape)
+
+    def _band_solve(self, lam, B):
+        d = self.diag + lam
+        if self.driver == "ptsv":
+            *_, x, info = self.lapack(d, self.dl, B)
+            if info > 0:  # l I + A is not positive definite in rounding
+                *_, x, info = self.gtsv(self.dl, d, self.du, B)
+        elif self.driver == "gtsv":
+            *_, x, info = self.lapack(self.dl, d, self.du, B)
+        elif self.driver == "tbtrs":
+            self.ab[self.diag_row] = d
+            x, info = self.lapack(self.ab, B, uplo="L" if self.up == 0 else "U")
+        else:
+            self.ab[self.diag_row] = d
+            *_, x, info = self.lapack(self.lo, self.up, self.ab, B)
+        if info > 0:
+            raise np.linalg.LinAlgError("singular matrix")
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of {self.driver}")
+        return x
+
+
+def _banded_herm_min(A, k):
+    """Smallest eigenvalue of the Hermitian part of A, whose band lies within
+    k diagonals of the main one."""
+    hb = np.zeros((k + 1, A.shape[0]), dtype=A.dtype)
+    for d in range(k + 1):
+        hb[k - d, d:] = (np.diagonal(A, d) + np.diagonal(A, -d).conj()) / 2
+    try:
+        return float(eigvals_banded(hb, select="i", select_range=(0, 0), check_finite=False)[0])
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(str(exc)) from exc
 
 
 def _weights(e, m):
@@ -117,44 +192,50 @@ def _triangular_toeplitz(A):
 
 
 def _balakrishnan(A, B, cfg, check, negative=False):
-    """A^(+-alpha) B for m-accretive A; B = None stands for I, and then a
-    triangular-Toeplitz A has the integral run on one column."""
-    herm_min = min_hermitian_eig(np.asarray(A))
-    Am = np.asarray(A, dtype=complex)
-    if herm_min < -DEFAULT.accretive_floor_rel * np.linalg.norm(Am):
-        raise NotAccretive(f"Hermitian part has eigenvalue {herm_min:.3e}")
+    """A^(+-alpha) B for m-accretive A, as complex128; B = None stands for I,
+    and then a triangular-Toeplitz A has the integral run on one column."""
+    A = np.asarray(A)
+    side = None if B is not None else _triangular_toeplitz(A)
+    # the Hermitian part of A^T has the eigenvalues of that of A
+    low = A.T if side == "upper" else A
+    solver = _ResolventSolver(low)
+    if solver.herm_min < -DEFAULT.accretive_floor_rel * np.linalg.norm(A):
+        raise NotAccretive(f"Hermitian part has eigenvalue {solver.herm_min:.3e}")
     e = 1.0 - cfg.alpha if negative else cfg.alpha
+    n = A.shape[0]
     if B is not None:
         B = np.asarray_chkfinite(B)
-        return _integral(Am, B if negative else Am @ B, e, check)
-    n = Am.shape[0]
-    side = _triangular_toeplitz(Am)
-    if side is None:
-        return _integral(Am, np.eye(n, dtype=complex) if negative else Am, e, check)
-    low = Am if side == "lower" else Am.T
-    x = np.eye(n, 1, dtype=complex)[:, 0] if negative else low[:, 0]
-    # entry j of the column recurs n - j times in the matrix, so the
-    # doubling gate weighs it by sqrt(n - j) to measure the matrix's move
-    col = _integral(low, x, e, check, weight=np.sqrt(np.arange(n, 0, -1)))
-    P = toeplitz(col, np.zeros(n))
-    return P if side == "lower" else P.T
+        out = _integral(solver, B if negative else A @ B, e, check)
+    elif side is None:
+        out = _integral(solver, np.eye(n) if negative else A, e, check)
+    else:
+        x = np.eye(n, 1)[:, 0] if negative else low[:, 0]
+        # entry j of the column recurs n - j times in the matrix, so the
+        # doubling gate weighs it by sqrt(n - j) to measure the matrix's move
+        col = _integral(solver, x, e, check, weight=np.sqrt(np.arange(n, 0, -1)))
+        out = toeplitz(col, np.zeros(n))
+        out = out if side == "lower" else out.T
+    return out.astype(complex, copy=False)
 
 
-def _integral(A, X, e, check, weight=1.0):
-    """(sin e pi / pi) int_0^inf l^(e-1) (l+A)^(-1) X dl.  With ``check`` the
-    result of step _STEP / 2 is returned if halving the step moved it by at
-    most ``quad_doubling_rel``; else the step is halved once more, and that
-    result is returned if it moved by at most as much.  ``weight`` weighs the
-    entries of the result in the measure of that move."""
-    solver = _ResolventSolver(A)
+def _integral(solver, X, e, check, weight=1.0):
+    """(sin e pi / pi) int_0^inf l^(e-1) (l+A)^(-1) X dl, with the resolvent
+    solves of ``solver``.  With ``check`` the result of step _STEP / 2 is
+    returned if halving the step moved it by at most ``quad_doubling_rel``;
+    else the step is halved once more, and that result is returned if it
+    moved by at most as much.  ``weight`` weighs the entries of the result in
+    the measure of that move."""
     coarse_w = _weights(e, 1)[1]
     lam, fine_w = _weights(e, 2)
-    coarse, fine = np.zeros_like(X), np.zeros_like(X) if check else None
+    # the banded drivers take Fortran-ordered right-hand sides
+    X = np.asfortranarray(X)
+    first = Y = solver.solve(lam[0], X)
+    coarse = coarse_w[0] * first
+    fine = fine_w[0] * first if check else None
     # the coarse nodes are the even fine nodes
-    for k in range(0, lam.size, 1 if check else 2):
+    step = 1 if check else 2
+    for k in range(step, lam.size, step):
         Y = solver.solve(lam[k], X)
-        if k == 0:
-            first = Y
         if k % 2 == 0:
             coarse += coarse_w[k // 2] * Y
         if check:
@@ -200,16 +281,14 @@ def lemma_constant(alpha, norm_J_inv):
 
 def gl_coefficients(alpha, lam, K):
     """Grunwald-type coefficients C_0..C_K by the stable recurrence
-    C_0 = lam^a, C_(k+1) = C_k (k - a) / (k + 1)."""
+    C_0 = lam^a, C_(k+1) = C_k (k - a) / (k + 1), as a running product."""
     if not 0.0 < alpha < 1.0:
         raise BadAlpha(f"alpha must lie in (0, 1), got {alpha}")
     if lam <= 0 or K < 1:
         raise ValueError("need lam > 0 and K >= 1")
-    c = np.empty(K + 1)
-    c[0] = lam**alpha
-    for k in range(K):
-        c[k + 1] = c[k] * (k - alpha) / (k + 1)
-    return c
+    k = np.arange(K)
+    c0 = lam**alpha
+    return np.concatenate(([c0], c0 * np.cumprod((k - alpha) / (k + 1))))
 
 
 def gl_coefficients_alt(alpha, lam, K):

@@ -188,6 +188,83 @@ class TestBandedGenerators:
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
+def banded_matrix(lo, up, complex_, hermitian=False, n=96, seed=4):
+    """A diagonally dominant n x n matrix with lo sub- and up superdiagonals."""
+    rng = np.random.default_rng(seed)
+
+    def draw(size):
+        x = rng.standard_normal(size)
+        return x + 1j * rng.standard_normal(size) if complex_ else x
+
+    A = np.diag(2.0 * (lo + up) + rng.random(n))
+    for d in range(1, lo + 1):
+        A = A + np.diag(draw(n - d), -d)
+    for d in range(1, up + 1):
+        A = A + (np.diag(np.diagonal(A, -d).conj(), d) if hermitian else np.diag(draw(n - d), d))
+    return A
+
+
+class TestBandedDrivers:
+    """Each LAPACK driver of the banded path against a dense solve, for real
+    and complex A and right-hand sides."""
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("lo, up, hermitian, driver", [
+        (1, 0, False, "tbtrs"), (0, 1, False, "tbtrs"), (4, 0, False, "tbtrs"),
+        (1, 1, True, "ptsv"), (1, 1, False, "gtsv"), (2, 1, False, "gbsv")])
+    def test_solve_matches_dense(self, lo, up, hermitian, driver, complex_):
+        A = banded_matrix(lo, up, complex_, hermitian)
+        n = A.shape[0]
+        solver = fp._ResolventSolver(A)
+        assert solver.banded and solver.driver == driver
+        rng = np.random.default_rng(5)
+        real = rng.standard_normal((n, n))
+        cplx = real + 1j * rng.standard_normal((n, n))
+        for lam in (1e-3, 1.0, 1e3):
+            for B in (real[:, 0], cplx[:, 0], real, cplx):
+                got = solver.solve(lam, B)
+                want = np.linalg.solve(A + lam * np.eye(n), B)
+                assert got.shape == B.shape
+                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+                if not complex_ and not np.iscomplexobj(B):
+                    assert got.dtype == np.float64
+        assert solver.real == (not complex_)
+        if not complex_:
+            assert solver.diag.dtype == np.float64
+            if driver in ("tbtrs", "gbsv"):
+                assert solver.ab.dtype == np.float64
+        herm_min = np.linalg.eigvalsh((A + A.conj().T) / 2)[0]
+        assert abs(solver.herm_min - herm_min) <= 1e-12 * np.linalg.norm(A)
+
+    def test_complex_matrix_with_zero_imaginary_part_solves_real(self):
+        A = generator("gauss", 96)
+        solver = fp._ResolventSolver(A.astype(complex))
+        assert solver.real and solver.diag.dtype == np.float64
+        assert solver.solve(1.0, np.ones(96)).dtype == np.float64
+
+    @pytest.mark.parametrize("kind", ["shift", "gauss", "poisson"])
+    def test_gate_rejects_nonaccretive_band(self, kind):
+        A = -generator(kind, 96)
+        assert fp._ResolventSolver(A).banded
+        with pytest.raises(NotAccretive, match="Hermitian part has eigenvalue"):
+            fp.balakrishnan_power(A, fp.BalakrishnanConfig(0.5), check=True)
+
+    def test_semidefinite_tridiagonal_below_zero_by_rounding(self):
+        # the Neumann Laplacian shifted 1e-15 below zero passes the gate, and
+        # its shifted matrices at the smallest nodes are not positive definite
+        n = 128
+        A = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+        A[0, 0] = A[-1, -1] = 1.0
+        A -= 1e-15 * np.eye(n)
+        w, V = np.linalg.eigh(A)
+        assert w[0] < 0
+        want = (V * np.sqrt(np.clip(w, 0.0, None))) @ V.T
+        for check in (False, True):
+            P = fp.balakrishnan_power(A, fp.BalakrishnanConfig(0.5), check=check)
+            assert P.dtype == np.complex128
+            assert np.linalg.norm(P - want) <= 1e-8 * np.linalg.norm(want)
+
+
 class TestToeplitzColumnRoute:
     """Powers of triangular-Toeplitz generators integrate one column."""
 
@@ -301,6 +378,19 @@ class TestGLCoefficients:
         assert c[0] > 0 and np.all(c[1:] < 0)
         # full series sums to (1-1)^a = 0; tail is O(K^-a)
         assert abs(np.sum(c)) <= 2.0 * 200_000**-0.3
+
+    @pytest.mark.parametrize("alpha, lam", [(0.02, 3.0), (0.5, 1.0), (0.98, 0.5)])
+    def test_running_product_matches_recurrence_loop(self, alpha, lam):
+        K = 100_000
+        loop = np.empty(K + 1)
+        loop[0] = lam**alpha
+        for k in range(K):
+            loop[k + 1] = loop[k] * (k - alpha) / (k + 1)
+        # the loop rounds twice per factor and the running product three
+        # times, so to first order they differ by at most 5 k eps
+        k = np.maximum(np.arange(K + 1), 1)
+        c = fp.gl_coefficients(alpha, lam, K)
+        assert np.all(np.abs(c - loop) <= 5 * k * np.finfo(float).eps * np.abs(loop))
 
     def test_partial_sum_closed_form(self):
         alpha, lam = 0.6, 2.0
