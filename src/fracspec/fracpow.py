@@ -12,11 +12,11 @@ Routes implemented:
    A^(+-a) is integrated on its first column (A e_1, or e_1 for the negative
    power) and then expanded. A banded A (n > 64, at most 8 diagonals; all
    three generators) keeps a real band real, solving a complex right-hand
-   side as its real and imaginary columns, and calls one LAPACK driver per
-   shift: tbtrs for a triangular band, ptsv for a Hermitian tridiagonal (gtsv
-   at a shift where it is not positive definite in rounding), gtsv for any
-   other tridiagonal, gbsv for any other band. The accretivity gate takes the
-   smallest eigenvalue of the Hermitian part from its band.
+   side as its real and imaginary columns, and calls LAPACK directly for each
+   shift: ptsv for a Hermitian tridiagonal, gbsv for any other band and at a
+   shift where ptsv finds l I + A not positive definite in rounding. The
+   accretivity gate takes the smallest eigenvalue of the Hermitian part from
+   its band.
 2. Spectral calculus for Hermitian positive matrices (numcore.herm_power).
 3. Grunwald-type series for the Poisson-difference generator.
 4. Closed-form singular-integral matrices (Marchaud derivative for the shift
@@ -60,11 +60,10 @@ class _ResolventSolver:
     """Solves (l I + A) X = B for shifts l > 0, exploiting small bandwidth when
     present; ``herm_min`` is the smallest eigenvalue of the Hermitian part of A.
 
-    A banded A keeps its band real when A is, and is solved by one LAPACK
-    driver chosen here and called directly for each shift: ``tbtrs`` for a
-    triangular band, ``ptsv`` for a Hermitian tridiagonal (``gtsv`` at a shift
-    where rounding leaves l I + A not positive definite), ``gtsv`` for any
-    other tridiagonal and ``gbsv`` for any other band.
+    A banded A keeps its band real when A is, and is solved by LAPACK drivers
+    fetched here and called directly for each shift: ``ptsv`` for a Hermitian
+    tridiagonal, ``gbsv`` for any other band and at a shift where rounding
+    leaves l I + A not positive definite for ``ptsv``.
     """
 
     def __init__(self, A):
@@ -78,33 +77,23 @@ class _ResolventSolver:
             self.herm_min = min_hermitian_eig(A)
             self.A = A.astype(complex)
             return
-        if np.iscomplexobj(A) and not np.any(A.imag):
-            A = A.real
         A = A.astype(np.result_type(A, float), copy=False)
         self.real = not np.iscomplexobj(A)
         self.herm_min = _banded_herm_min(A, max(lo, up))
         self.lo, self.up = lo, up
         self.diag = np.diagonal(A).copy()
-        if lo == 0 or up == 0:
-            self.driver = "tbtrs"
-        elif lo == up == 1:
-            self.dl, self.du = np.diagonal(A, -1).copy(), np.diagonal(A, 1).copy()
-            hermitian = not np.any(self.diag.imag) and np.array_equal(self.dl, self.du.conj())
-            self.driver = "ptsv" if hermitian else "gtsv"
-            if hermitian:
-                self.diag = self.diag.real.copy()
-                self.gtsv = get_lapack_funcs("gtsv", (A,))
-        else:
-            self.driver = "gbsv"
-        if self.driver in ("tbtrs", "gbsv"):
-            # LAPACK band storage, built once; each shift rewrites the diagonal
-            # row. gbsv needs lo more rows on top for the fill-in of its LU.
-            top = lo if self.driver == "gbsv" else 0
-            self.ab = np.zeros((top + lo + up + 1, n), dtype=A.dtype)
-            for d in range(-lo, up + 1):
-                self.ab[top + up - d, max(d, 0) : n + min(d, 0)] = np.diagonal(A, d)
-            self.diag_row = top + up
-        self.lapack = get_lapack_funcs(self.driver, (A,))
+        # LAPACK band storage with lo more rows on top for the fill-in of the
+        # LU, built once; each shift rewrites the diagonal row
+        self.ab = np.zeros((2 * lo + up + 1, n), dtype=A.dtype)
+        for d in range(-lo, up + 1):
+            self.ab[lo + up - d, max(d, 0) : n + min(d, 0)] = np.diagonal(A, d)
+        self.gbsv = get_lapack_funcs("gbsv", (A,))
+        self.ptsv = None
+        self.sub = np.diagonal(A, -1).copy()
+        if lo == up == 1 and not np.any(self.diag.imag) \
+                and np.array_equal(self.sub, np.diagonal(A, 1).conj()):
+            self.diag = self.diag.real.copy()
+            self.ptsv = get_lapack_funcs("ptsv", (A,))
 
     def solve(self, lam, B):
         if not self.banded:
@@ -121,22 +110,17 @@ class _ResolventSolver:
 
     def _band_solve(self, lam, B):
         d = self.diag + lam
-        if self.driver == "ptsv":
-            *_, x, info = self.lapack(d, self.dl, B)
-            if info > 0:  # l I + A is not positive definite in rounding
-                *_, x, info = self.gtsv(self.dl, d, self.du, B)
-        elif self.driver == "gtsv":
-            *_, x, info = self.lapack(self.dl, d, self.du, B)
-        elif self.driver == "tbtrs":
-            self.ab[self.diag_row] = d
-            x, info = self.lapack(self.ab, B, uplo="L" if self.up == 0 else "U")
-        else:
-            self.ab[self.diag_row] = d
-            *_, x, info = self.lapack(self.lo, self.up, self.ab, B)
+        if self.ptsv is not None:
+            *_, x, info = self.ptsv(d, self.sub, B)
+            if info == 0:
+                return x
+            # else l I + A is not positive definite in rounding
+        self.ab[self.lo + self.up] = d
+        *_, x, info = self.gbsv(self.lo, self.up, self.ab, B)
         if info > 0:
             raise np.linalg.LinAlgError("singular matrix")
         if info < 0:
-            raise ValueError(f"illegal value in argument {-info} of {self.driver}")
+            raise ValueError(f"illegal value in argument {-info} of gbsv")
         return x
 
 
