@@ -12,6 +12,7 @@ import numpy as np
 from .config import DEFAULT
 from .errors import DegenerateFit
 from .numcore import (
+    extreme_eigvecs,
     general_eigen,
     hermitian_eigen,
     hermitian_part,
@@ -21,7 +22,6 @@ from .numcore import (
     op_norm,
     skew_part,
     spd_powers,
-    top_eigvec,
 )
 
 
@@ -39,26 +39,34 @@ def numerical_range(M, n_angles=256):
     """Boundary of the numerical range by the support-function method.
 
     For each angle phi the extreme point of Theta(M) in direction e^(i phi)
-    is the Rayleigh quotient at the top eigenvector of Re(e^(i phi) M).
+    is the Rayleigh quotient at the top eigenvector of H = Re(e^(i phi) M).
     The fitted sector's vertex is the minimal real part of the boundary
     (``refit_sector`` takes another).
 
-    A real M has Re(e^(-i phi) M) = conj Re(e^(i phi) M), so its boundary
-    is conjugate-symmetric: only angles 0..pi are solved and the point at
-    2 pi - phi is the conjugate of the point at phi.
+    Re(e^(i (phi + pi)) M) = -H, so the bottom eigenvector of H, from the
+    same reduction, gives the point at phi + pi: only angles 0..pi are
+    reduced, and ``n_angles`` must be even.  A real M also has
+    Re(e^(i (pi - phi)) M) = -conj(H), so the point at pi - phi is the
+    conjugate of the bottom one and the point at 2 pi - phi the conjugate of
+    the one at phi: only angles 0..pi/2 are reduced.
     """
-    if n_angles < 16:
-        raise ValueError("need n_angles >= 16")
+    if n_angles < 16 or n_angles % 2:
+        raise ValueError("need an even n_angles >= 16")
     phis = np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False)
+    half = n_angles // 2
     real = not M.imag.any()
     pts = np.empty(n_angles, dtype=complex)
-    for j, phi in enumerate(phis[: n_angles // 2 + 1] if real else phis):
-        H = np.exp(1j * phi) * M
+    for j in range(half // 2 + 1 if real else half):
+        H = np.exp(1j * phis[j]) * M
         H = (H + H.conj().T) / 2
-        v = top_eigvec(H)
-        pts[j] = v.conj() @ M @ v
+        bottom, top = extreme_eigvecs(H)
+        pts[j] = top.conj() @ M @ top
+        if not real:
+            pts[j + half] = bottom.conj() @ M @ bottom
+        elif 2 * j != half:
+            pts[half - j] = (bottom.conj() @ M @ bottom).conj()
     if real:
-        j = np.arange(1, (n_angles + 1) // 2)
+        j = np.arange(1, half)
         pts[n_angles - j] = pts[j].conj()
     return _fit_sector(pts, np.min(pts.real))
 

@@ -75,14 +75,38 @@ def spd_powers(M, ps, what="matrix"):
     return [(V * w**p) @ V.conj().T for p in ps]
 
 
-def top_eigvec(H):
-    """Eigenvector of the largest eigenvalue of the Hermitian matrix H."""
+def extreme_eigvecs(H):
+    """Eigenvectors ``(bottom, top)`` of the smallest and the largest
+    eigenvalue of the Hermitian matrix H, from one Householder reduction.
+
+    H = Q T Q^H with T real tridiagonal (``zhetrd``, lower); the two
+    eigenvectors of T come from bisection and inverse iteration (stebz +
+    stein, as ``zheevr`` does for an index range), and Q is applied to both
+    at once (``zunmqr`` on the reflectors below the subdiagonal, which is
+    ``zunmtr`` for the lower triangle).
+    """
     n = H.shape[0]
+    if n == 1:
+        return np.ones(1, complex), np.ones(1, complex)
+    lapack = scipy.linalg.lapack
+    work, info = lapack.zhetrd_lwork(n, lower=1)
+    if info == 0:
+        c, d, e, tau, info = lapack.zhetrd(H, lower=1, lwork=int(work.real))
+    if info != 0:
+        raise NoConvergence(f"zhetrd info={info}")
+    Z = np.empty((n, 2), complex, order="F")
     try:
-        _, V = scipy.linalg.eigh(H, subset_by_index=[n - 1, n - 1], driver="evr")
+        for k, i in enumerate((0, n - 1)):
+            Z[:, k] = scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(i, i))[1][:, 0]
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
-    return V[:, 0]
+    reflectors = c[1:, : n - 1]
+    _, work, info = lapack.zunmqr("L", "N", reflectors, tau, Z[1:], -1)
+    if info == 0:
+        Z[1:], _, info = lapack.zunmqr("L", "N", reflectors, tau, Z[1:], int(work[0].real))
+    if info != 0:
+        raise NoConvergence(f"zunmqr info={info}")
+    return Z[:, 0], Z[:, 1]
 
 
 def min_hermitian_eig(M):
@@ -110,9 +134,10 @@ def general_eigen(M):
 
 
 def singular_values(M):
-    """s-numbers of M, descending."""
+    """s-numbers of M, descending; a matrix with zero imaginary part goes to
+    the real solver."""
     try:
-        return scipy.linalg.svdvals(M)
+        return scipy.linalg.svdvals(M if M.imag.any() else M.real)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
 

@@ -125,42 +125,67 @@ class TestNumericalRange:
             top = np.linalg.eigvalsh(numcore.hermitian_part(np.exp(1j * phi) * M))[-1]
             assert abs((np.exp(1j * phi) * p).real - top) <= 1e-12 * np.linalg.norm(M, 2)
 
-    @pytest.mark.parametrize("n_angles", [64, 17])
+    @pytest.mark.parametrize("n_angles", [64, 18])
     def test_real_matrix_boundary_is_conjugate_symmetric(self, n_angles):
         b = dg.numerical_range(self.kipriyanov(32)[1].L, n_angles=n_angles).boundary
-        j = np.arange(1, (n_angles - 1) // 2 + 1)  # all but phi = 0 and, for even n, pi
+        j = np.arange(1, n_angles // 2)  # all but phi = 0 and pi
         assert np.array_equal(b[n_angles - j], b[j].conj())
 
     @staticmethod
-    def count_solves(monkeypatch):
+    def count_reductions(monkeypatch):
         calls = []
 
         def counting(H):
             calls.append(H)
-            return numcore.top_eigvec(H)
+            return numcore.extreme_eigvecs(H)
 
-        monkeypatch.setattr(dg, "top_eigvec", counting)
+        monkeypatch.setattr(dg, "extreme_eigvecs", counting)
         return calls
 
-    @pytest.mark.parametrize("n_angles, solves", [(64, 33), (17, 9)])
-    def test_real_matrix_solves_half_the_angles(self, monkeypatch, n_angles, solves):
+    @pytest.mark.parametrize("n_angles, reductions", [(64, 17), (18, 5)])
+    def test_real_matrix_solves_half_the_angles(self, monkeypatch, n_angles, reductions):
         M = self.kipriyanov(32)[1].L
-        calls = self.count_solves(monkeypatch)
+        calls = self.count_reductions(monkeypatch)
         dg.numerical_range(M, n_angles=n_angles)
-        assert len(calls) == solves
+        assert len(calls) == reductions
         calls.clear()
         dg.numerical_range(M + 1e-3j * np.eye(len(M)), n_angles=n_angles)
-        assert len(calls) == n_angles
+        assert len(calls) == n_angles // 2
+
+    @staticmethod
+    def dense_support_points(M, n_angles):
+        """Support point at each angle from a full ``np.linalg.eigh`` of
+        Re(e^(i phi) M): the Rayleigh quotient at its top eigenvector."""
+        want = []
+        for phi in np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False):
+            v = np.linalg.eigh(numcore.hermitian_part(np.exp(1j * phi) * M))[1][:, -1]
+            want.append(v.conj() @ M @ v)
+        return np.array(want)
 
     def test_complex_matrix_boundary_is_the_full_loop(self):
         rng = np.random.default_rng(6)
         M = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
-        want = []
-        for phi in np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False):
-            H = np.exp(1j * phi) * M
-            v = numcore.top_eigvec((H + H.conj().T) / 2)
-            want.append(v.conj() @ M @ v)
-        assert np.array_equal(dg.numerical_range(M, n_angles=64).boundary, want)
+        want = self.dense_support_points(M, 64)
+        got = dg.numerical_range(M, n_angles=64).boundary
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.linalg.norm(M, 2)
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("n_angles", [64, 18])
+    def test_paired_points_match_dense_eigh_at_every_angle(self, kind, n_angles):
+        # each reduction fills two rows (phi + pi, or pi - phi for a real M);
+        # a pairing index off by one puts a point at the wrong angle.
+        # N = 18 is 2 mod 4, where no angle pairs with itself
+        rng = np.random.default_rng(7)
+        M = np.triu(rng.standard_normal((10, 10)), -1)  # non-normal
+        if kind == "complex":
+            M = M + 1j * np.triu(rng.standard_normal((10, 10)))
+        want = self.dense_support_points(M, n_angles)
+        got = dg.numerical_range(M, n_angles=n_angles).boundary
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.linalg.norm(M, 2)
+
+    def test_rejects_odd_angle_count(self):
+        with pytest.raises(ValueError):
+            dg.numerical_range(np.diag([1.0, 2.0]), n_angles=17)
 
     def test_does_not_run_full_eigh(self, monkeypatch):
         M = self.kipriyanov(32)[1].L
@@ -176,7 +201,7 @@ class TestNumericalRange:
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("eigenvalues did not converge")
 
-        monkeypatch.setattr(numcore.scipy.linalg, "eigh", fail)
+        monkeypatch.setattr(numcore.scipy.linalg, "eigh_tridiagonal", fail)
         with pytest.raises(NoConvergence):
             dg.numerical_range(np.diag([1.0, 2.0]), n_angles=16)
         grid, model = self.kipriyanov(24)

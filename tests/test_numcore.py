@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fracspec import numcore as nc
-from fracspec.errors import IllConditioned, NotHermitian, NotPositiveDefinite
+from fracspec.errors import IllConditioned, NoConvergence, NotHermitian, NotPositiveDefinite
 
 
 def rand_hermitian(n, seed):
@@ -124,13 +124,28 @@ class TestAdjointSolveInverse:
             nc.inverse_norm(np.diag([1.0] * 5 + [0.0]))
 
 
-class TestTopEigvec:
+class TestExtremeEigvecs:
     def test_eigenvector_of_largest_eigenvalue(self):
         H = rand_spd(12, 18)
-        v = nc.top_eigvec(H)
+        v = nc.extreme_eigvecs(H)[1]
         lam = np.linalg.eigvalsh(H)[-1]
         assert np.isclose(np.linalg.norm(v), 1.0)
         assert np.allclose(H @ v, lam * v, atol=1e-10 * lam)
+
+    @pytest.mark.parametrize("n", [1, 2, 40])
+    def test_both_ends_of_a_complex_hermitian_matrix(self, n):
+        H = rand_hermitian(n, n)
+        w = np.linalg.eigvalsh(H)
+        scale = np.linalg.norm(H, 2)
+        for v, lam in zip(nc.extreme_eigvecs(H), (w[0], w[-1])):
+            assert abs(np.linalg.norm(v) - 1.0) <= 1e-13
+            assert abs((v.conj() @ H @ v).real - lam) <= 1e-13 * scale
+            assert np.linalg.norm(H @ v - lam * v) <= 1e-13 * scale
+
+    def test_reduction_failure_is_no_convergence(self, monkeypatch):
+        monkeypatch.setattr(nc.scipy.linalg.lapack, "zhetrd", lambda H, **kw: (H, None, None, None, 1))
+        with pytest.raises(NoConvergence):
+            nc.extreme_eigvecs(rand_spd(5, 3))
 
 
 class TestSpdCore:
