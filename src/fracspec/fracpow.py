@@ -10,13 +10,11 @@ Routes implemented:
    Toeplitz A (the shift and Poisson-difference generators, the first through
    its transpose) has lower-triangular Toeplitz resolvents and powers, so
    A^(+-a) is integrated on its first column (A e_1, or e_1 for the negative
-   power) and then expanded. A banded A (n > 64, at most 8 diagonals; all
-   three generators) keeps a real band real, solving a complex right-hand
-   side as its real and imaginary columns, and calls LAPACK directly for each
-   shift: ptsv for a Hermitian tridiagonal, gbsv for any other band and at a
-   shift where ptsv finds l I + A not positive definite in rounding. The
-   accretivity gate takes the smallest eigenvalue of the Hermitian part from
-   its band.
+   power) and then expanded. Every A is solved in LAPACK band storage, its
+   band read from its nonzeros and a real A kept real, by ptsv for a Hermitian
+   tridiagonal and gbsv otherwise or at a shift where ptsv finds l I + A not
+   positive definite in rounding. The accretivity gate reads the smallest
+   eigenvalue of the Hermitian part from the same band.
 2. Spectral calculus for Hermitian positive matrices (numcore.herm_power).
 3. Grunwald-type series for the Poisson-difference generator.
 4. Closed-form singular-integral matrices (Marchaud derivative for the shift
@@ -37,7 +35,6 @@ from .discretize import (
     second_derivative,
 )
 from .errors import BadAlpha, NoConvergence, NotAccretive, QuadratureNotConverged
-from .numcore import min_hermitian_eig
 from .semigroup import SemigroupSpec, generator_matrix
 
 
@@ -57,27 +54,19 @@ _NODES = 48
 
 
 class _ResolventSolver:
-    """Solves (l I + A) X = B for shifts l > 0, exploiting small bandwidth when
-    present; ``herm_min`` is the smallest eigenvalue of the Hermitian part of A.
-
-    A banded A keeps its band real when A is, and is solved by LAPACK drivers
-    fetched here and called directly for each shift: ``ptsv`` for a Hermitian
-    tridiagonal, ``gbsv`` for any other band and at a shift where rounding
-    leaves l I + A not positive definite for ``ptsv``.
-    """
+    """Solves (l I + A) X = B for shifts l > 0 in LAPACK band storage, the band
+    widths read from A's nonzeros, by ``ptsv`` for a Hermitian tridiagonal and
+    ``gbsv`` otherwise or where rounding leaves l I + A not positive definite;
+    a real A stays real.  ``herm_min`` is the smallest eigenvalue of A's
+    Hermitian part."""
 
     def __init__(self, A):
-        # checked once here, so the banded solves need not check each shift
+        # checked once here, so the solves need not check each shift
         A = np.asarray_chkfinite(A)
+        A = A.astype(np.result_type(A, float), copy=False)
         n = A.shape[0]
         r, c = np.nonzero(A)
         lo, up = int(np.max(r - c, initial=0)), int(np.max(c - r, initial=0))
-        self.banded = n > 64 and (lo + up + 1) <= 8
-        if not self.banded:
-            self.herm_min = min_hermitian_eig(A)
-            self.A = A.astype(complex)
-            return
-        A = A.astype(np.result_type(A, float), copy=False)
         self.real = not np.iscomplexobj(A)
         self.herm_min = _banded_herm_min(A, max(lo, up))
         self.lo, self.up = lo, up
@@ -96,10 +85,6 @@ class _ResolventSolver:
             self.ptsv = get_lapack_funcs("ptsv", (A,))
 
     def solve(self, lam, B):
-        if not self.banded:
-            M = self.A.copy()
-            M[np.diag_indices_from(M)] += lam
-            return np.linalg.solve(M, B)
         n = B.shape[0]
         if self.real and np.iscomplexobj(B):
             # a real band solves Re B and Im B as real columns of one call
@@ -179,6 +164,9 @@ def _balakrishnan(A, B, cfg, check, negative=False):
     """A^(+-alpha) B for m-accretive A, as complex128; B = None stands for I,
     and then a triangular-Toeplitz A has the integral run on one column."""
     A = np.asarray(A)
+    # numcore's rule: a matrix with zero imaginary part is solved in real
+    # arithmetic, and so are its products with the right-hand side
+    A = A.real if np.iscomplexobj(A) and not A.imag.any() else A
     side = None if B is not None else _triangular_toeplitz(A)
     # the Hermitian part of A^T has the eigenvalues of that of A
     low = A.T if side == "upper" else A
@@ -197,48 +185,45 @@ def _balakrishnan(A, B, cfg, check, negative=False):
         # entry j of the column recurs n - j times in the matrix, so the
         # doubling gate weighs it by sqrt(n - j) to measure the matrix's move
         col = _integral(solver, x, e, check, weight=np.sqrt(np.arange(n, 0, -1)))
-        out = toeplitz(col, np.zeros(n))
+        # expanded in complex at once: no real n x n copy to cast
+        out = toeplitz(col.astype(complex), np.zeros(n))
         out = out if side == "lower" else out.T
     return out.astype(complex, copy=False)
 
 
 def _integral(solver, X, e, check, weight=1.0):
-    """(sin e pi / pi) int_0^inf l^(e-1) (l+A)^(-1) X dl, with the resolvent
-    solves of ``solver``.  With ``check`` the result of step _STEP / 2 is
-    returned if halving the step moved it by at most ``quad_doubling_rel``;
-    else the step is halved once more, and that result is returned if it
-    moved by at most as much.  ``weight`` weighs the entries of the result in
-    the measure of that move."""
-    coarse_w = _weights(e, 1)[1]
-    lam, fine_w = _weights(e, 2)
+    """(sin e pi / pi) int_0^inf l^(e-1) (l+A)^(-1) X dl by the rule of step
+    _STEP, solving with ``solver``.  With ``check`` the step is halved, at most
+    twice, until a halving moves the result by at most ``quad_doubling_rel``;
+    ``weight`` weighs the entries of the result in the measure of that move."""
+    lam, w = _weights(e, 1)
     # the banded drivers take Fortran-ordered right-hand sides
     X = np.asfortranarray(X)
-    first = Y = solver.solve(lam[0], X)
-    coarse = coarse_w[0] * first
-    fine = fine_w[0] * first if check else None
-    # the coarse nodes are the even fine nodes
-    step = 1 if check else 2
-    for k in range(step, lam.size, step):
-        Y = solver.solve(lam[k], X)
-        if k % 2 == 0:
-            coarse += coarse_w[k // 2] * Y
-        if check:
-            fine += fine_w[k] * Y
+    first = last = solver.solve(lam[0], X)
+    out = w[0] * first
+    for k in range(1, lam.size):
+        last = solver.solve(lam[k], X)
+        out += w[k] * last
     if not check:
-        return coarse
-    if _moved(fine, coarse, weight) <= DEFAULT.quad_doubling_rel:
-        return fine
-    # the fine nodes are the even finest nodes, where the finest weights are
-    # half the fine ones but for the end corrections
-    lam, finest_w = _weights(e, 4)
-    finest = fine / 2 + (finest_w[0] - fine_w[0] / 2) * first \
-        + (finest_w[-1] - fine_w[-1] / 2) * Y
-    for k in range(1, lam.size, 2):
-        finest += finest_w[k] * solver.solve(lam[k], X)
-    moved = _moved(finest, fine, weight)
-    if moved > DEFAULT.quad_doubling_rel:
-        raise QuadratureNotConverged(f"node doubling moved the result by {moved:.3e}")
-    return finest
+        return out
+    for m in (2, 4):
+        # the old nodes are the even new ones, where the new weights are half
+        # the old but for the end corrections
+        lam, w_new = _weights(e, m)
+        new = out / 2
+        new += (w_new[0] - w[0] / 2) * first
+        new += (w_new[-1] - w[-1] / 2) * last
+        for k in range(1, lam.size, 2):
+            # scaled in place and released before the next solve allocates
+            Y = solver.solve(lam[k], X)
+            Y *= w_new[k]
+            new += Y
+            del Y
+        moved = _moved(new, out, weight)
+        if moved <= DEFAULT.quad_doubling_rel:
+            return new
+        out, w = new, w_new
+    raise QuadratureNotConverged(f"node doubling moved the result by {moved:.3e}")
 
 
 def balakrishnan_power(A, cfg, check=False):

@@ -157,8 +157,7 @@ class TestBalakrishnan:
 
 
 class TestBandedGenerators:
-    """The paper's non-normal generators above n = 64, where the resolvent
-    solves take the banded path, against Schur-Pade powers."""
+    """The paper's non-normal generators against Schur-Pade powers."""
 
     @pytest.mark.parametrize("kind, alpha", [("shift", 0.6), ("poisson", 0.5),
                                              ("shift", 0.02), ("shift", 0.98),
@@ -166,7 +165,6 @@ class TestBandedGenerators:
                                              ("poisson", 0.02), ("poisson", 0.98)])
     def test_power_and_negative_power(self, kind, alpha):
         A = generator(kind, 96)
-        assert fp._ResolventSolver(A).banded
         cfg = fp.BalakrishnanConfig(alpha)
         P = fp.balakrishnan_power(A, cfg, check=True)
         want = scipy.linalg.fractional_matrix_power(A, alpha)
@@ -205,7 +203,7 @@ def banded_matrix(lo, up, complex_, hermitian=False, n=96, seed=4):
 
 
 class TestBandedDrivers:
-    """The banded path against a dense solve, for real and complex A and
+    """The band solver against a dense solve, for real and complex A and
     right-hand sides."""
 
     @pytest.mark.parametrize("complex_", [False, True])
@@ -215,7 +213,7 @@ class TestBandedDrivers:
         A = banded_matrix(lo, up, complex_, hermitian)
         n = A.shape[0]
         solver = fp._ResolventSolver(A)
-        assert solver.banded and (solver.ptsv is not None) == hermitian
+        assert (solver.ptsv is not None) == hermitian
         rng = np.random.default_rng(5)
         real = rng.standard_normal((n, n))
         cplx = real + 1j * rng.standard_normal((n, n))
@@ -236,7 +234,6 @@ class TestBandedDrivers:
     @pytest.mark.parametrize("kind", ["shift", "gauss", "poisson"])
     def test_gate_rejects_nonaccretive_band(self, kind):
         A = -generator(kind, 96)
-        assert fp._ResolventSolver(A).banded
         with pytest.raises(NotAccretive, match="Hermitian part has eigenvalue"):
             fp.balakrishnan_power(A, fp.BalakrishnanConfig(0.5), check=True)
 
@@ -275,6 +272,72 @@ class TestBandedDrivers:
         fp.balakrishnan_power(self.neumann_below_zero(), fp.BalakrishnanConfig(0.5), check=True)
         assert calls["ptsv"] == 193
         assert 0 < calls["gbsv"] < calls["ptsv"]
+
+
+class TestDenseMatrices:
+    """A dense A is the widest band of the one solver."""
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_dense_nonnormal_against_schur_pade(self, complex_):
+        n, alpha = 96, 0.4
+        rng = np.random.default_rng(11)
+        G = rng.standard_normal((n, n))
+        if complex_:
+            G = (G + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
+        A = 3.0 * np.eye(n) + G / np.sqrt(n)
+        assert np.linalg.eigvalsh((A + A.conj().T) / 2)[0] > 0
+        assert np.linalg.norm(A @ A.conj().T - A.conj().T @ A) > 1.0
+        cfg = fp.BalakrishnanConfig(alpha)
+        P = fp.balakrishnan_power(A, cfg, check=True)
+        want = scipy.linalg.fractional_matrix_power(A, alpha)
+        assert np.linalg.norm(P - want) <= 1e-8 * np.linalg.norm(want)
+        N = fp.negative_power(A, cfg, check=True)
+        want_neg = scipy.linalg.fractional_matrix_power(A, -alpha)
+        assert np.linalg.norm(N - want_neg) <= 1e-8 * np.linalg.norm(want_neg)
+        f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        got = fp.balakrishnan_apply(A, f, cfg, check=True)
+        assert np.linalg.norm(got - want @ f) <= 1e-8 * np.linalg.norm(want @ f)
+
+    @pytest.mark.parametrize("kind", ["shift", "gauss", "poisson"])
+    def test_complex_typed_real_matrix_is_solved_as_real(self, kind):
+        # numcore's rule: a zero imaginary part is dropped before the solves
+        A, cfg = generator(kind, 96), fp.BalakrishnanConfig(0.6)
+        assert A.dtype == np.float64
+        for call in (fp.balakrishnan_power, fp.negative_power):
+            for check in (False, True):
+                assert np.array_equal(call(A.astype(complex), cfg, check=check),
+                                      call(A, cfg, check=check))
+
+
+class TestHalvingRecurrence:
+    """The checked result is the rule of the halved step, built from the
+    coarser sum by the end-corrected recurrence."""
+
+    @staticmethod
+    def direct_rule(A, e, m):
+        lam, w = fp._weights(e, m)
+        n = A.shape[0]
+        return sum(wk * np.linalg.solve(lk * np.eye(n) + A, A) for lk, wk in zip(lam, w))
+
+    # a small alpha leans on the first node's end correction, a large one on
+    # the last node's
+    @pytest.mark.parametrize("alpha", [0.02, 0.5, 0.98])
+    def test_one_halving_is_the_step_005_rule(self, alpha, monkeypatch):
+        A = spd_matrix(20, 1)
+        shifts = count_solves(monkeypatch)
+        P = fp.balakrishnan_power(A, fp.BalakrishnanConfig(alpha), check=True)
+        assert len(shifts) == 193
+        want = self.direct_rule(A, alpha, 2)
+        assert np.linalg.norm(P - want) <= 1e-14 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("alpha", [0.02, 0.5, 0.98])
+    def test_two_halvings_are_the_step_0025_rule(self, alpha, monkeypatch):
+        A = np.diag(np.geomspace(1e-6, 1e6, 9))
+        shifts = count_solves(monkeypatch)
+        P = fp.balakrishnan_power(A, fp.BalakrishnanConfig(alpha), check=True)
+        assert len(shifts) == 385
+        want = self.direct_rule(A, alpha, 4)
+        assert np.linalg.norm(P - want) <= 1e-14 * np.linalg.norm(want)
 
 
 class TestToeplitzColumnRoute:
@@ -353,7 +416,6 @@ class TestNonFiniteInput:
     @pytest.mark.parametrize("n", [32, 128])
     def test_nan_vector_raises_on_both_paths(self, n):
         A = generator("shift", n)
-        assert fp._ResolventSolver(A).banded == (n > 64)
         f = np.ones(n)
         f[n // 2] = np.nan
         with pytest.raises(ValueError, match="infs or NaNs"):
