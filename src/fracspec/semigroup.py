@@ -11,13 +11,18 @@ gauss
 poisson
     T_t f(x) = e^(-lam t) sum_k (lam t)^k / k! f(x - k mu);
     generator A = lam (f(x) - f(x - mu)).
+    The sum stops at k = min((n - 1) // (mu/h), K + 1), where K is the
+    smallest k with P(N > k) <= DEFAULT.poisson_tail for N ~ Poisson(lam t).
+    The weights and K come from scipy.special by the expressions
+    scipy.stats.poisson evaluates (its _logpmf and _ppf), so they equal
+    poisson.pmf and poisson.isf bit for bit without importing scipy.stats.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import toeplitz
-from scipy.stats import poisson as poisson_dist
+from scipy.special import gammaln, pdtr, pdtrik, xlogy
 
 from .config import DEFAULT
 from .discretize import Grid1D
@@ -69,6 +74,14 @@ def _shift_values(v, steps):
     return out
 
 
+def _poisson_isf(q, rate):
+    """Smallest k with P(N > k) <= q for N ~ Poisson(rate), 0 < q < 1."""
+    p = 1.0 - q
+    k = np.ceil(pdtrik(p, rate))
+    below = np.maximum(k - 1, 0)
+    return int(below if pdtr(below, rate) >= p else k)
+
+
 def apply(spec, t, f):
     """Apply T_t to the samples f."""
     if t < 0:
@@ -91,8 +104,9 @@ def apply(spec, t, f):
     else:
         m = spec.shift_steps
         rate = spec.lam * t
-        kmax = min((grid.n - 1) // m, int(poisson_dist.isf(DEFAULT.poisson_tail, rate)) + 1)
-        weights = poisson_dist.pmf(np.arange(kmax + 1), rate)
+        kmax = min((grid.n - 1) // m, _poisson_isf(DEFAULT.poisson_tail, rate) + 1)
+        ks = np.arange(kmax + 1)
+        weights = np.exp(xlogy(ks, rate) - gammaln(ks + 1) - rate)
         out = np.zeros_like(v)
         for k, w in enumerate(weights):
             out += w * _shift_values(v, -k * m)

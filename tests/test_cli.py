@@ -491,3 +491,11 @@ def test_python_m_fracspec_runs_the_cli():
                          capture_output=True, text=True, check=True).stdout
     assert out.startswith("usage: fracspec ")
     assert "{build,verify}" in out
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs most of a start-up; the Poisson weights use scipy.special
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    code = "import fracspec.cli, sys; sys.exit('scipy.stats' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fracspec import semigroup as sg
+from fracspec.config import DEFAULT
 from fracspec.discretize import Grid1D
 from fracspec.errors import (
     IncommensurateShift,
@@ -83,7 +84,55 @@ class TestApply:
         from scipy.stats import poisson as pd
         # mass moves rightward: f(x - k mu)
         for k in range(5):
-            assert np.isclose(out[10 + k].real, pd.pmf(k, 2.0 * t), atol=1e-12)
+            assert out[10 + k] == pd.pmf(k, 2.0 * t)
+
+
+def poisson_impulse_response(n, m, rate):
+    """T_t of a unit impulse at node 0 on a poisson grid with mu = m h, lam t = rate."""
+    g = unit_grid(n)
+    spec = sg.SemigroupSpec("poisson", g, lam=1.0, mu=m * g.h)
+    f = np.zeros(n)
+    f[0] = 1.0
+    return sg.apply(spec, rate, f)
+
+
+def scipy_poisson_series(n, m, rate):
+    """The impulse response from scipy.stats: weight k at node k m for
+    k <= min((n - 1) // m, isf(poisson_tail) + 1), zero elsewhere."""
+    from scipy.stats import poisson
+
+    kmax = min((n - 1) // m, int(poisson.isf(DEFAULT.poisson_tail, rate)) + 1)
+    out = np.zeros(n, dtype=complex)
+    out[: m * kmax + 1 : m] = poisson.pmf(np.arange(kmax + 1), rate)
+    return out
+
+
+class TestPoissonWeights:
+    """The weights and tail cutoff are scipy.special expressions; they must
+    give scipy.stats.poisson's pmf and isf bit for bit."""
+
+    # every lam t that verify_axioms reaches at lam = 1: times, their pair
+    # sums and the continuity time min(times) / 8
+    AXIOM_RATES = (0.0125, 0.1, 0.2, 0.5, 0.6, 1.0, 1.1, 1.5, 2.0)
+
+    @pytest.mark.parametrize("rate", AXIOM_RATES)
+    def test_axiom_rates(self, rate):
+        assert np.array_equal(poisson_impulse_response(200, 1, rate),
+                              scipy_poisson_series(200, 1, rate))
+
+    def test_rate_sweep(self):
+        # at lam t = 50 the series ends at k = 114, inside 200 nodes, so the
+        # tail rule binds
+        for rate in np.linspace(50.0, 0.0, 1201, endpoint=False):
+            rate = float(rate)
+            assert np.array_equal(poisson_impulse_response(200, 1, rate),
+                                  scipy_poisson_series(200, 1, rate)), rate
+
+    def test_grid_cap_binds(self):
+        # the tail rule keeps k <= 98 at lam t = 40; 9 nodes with mu = 2h hold k <= 4
+        out = poisson_impulse_response(9, 2, 40.0)
+        assert np.array_equal(out, scipy_poisson_series(9, 2, 40.0))
+        assert np.count_nonzero(out) == 5
 
 
 class TestGenerator:
