@@ -21,7 +21,6 @@ class Tolerances:
     poisson_tail: float = 1e-14
     # diagnostics
     fit_fraction: float = 0.5          # fraction of spectrum trusted in fits
-    schatten_refine_rel: float = 0.05  # two-point refinement agreement
     sector_guard_rel: float = 1e-12    # Re(z - vertex) floor for angle fit
     maccretive_slack: float = 1e-8
 

@@ -152,11 +152,6 @@ def schatten_sum(svals, p):
     return float(np.sum(np.asarray(svals, dtype=float) ** p))
 
 
-def refinement_converged(sum_coarse, sum_fine):
-    """Two-point refinement surrogate for convergence of a Schatten sum."""
-    return bool(abs(sum_fine - sum_coarse) <= DEFAULT.schatten_refine_rel * abs(sum_fine))
-
-
 def schatten_classify(svals, mu):
     """Predicted minimal Schatten exponent per the classification theorem:
     p = 1 for mu > 1, else any p > 2/mu; with the sums at p = 1 and p."""

@@ -10,11 +10,12 @@ Routes implemented:
    Toeplitz A (the shift and Poisson-difference generators, the first through
    its transpose) has lower-triangular Toeplitz resolvents and powers, so
    A^(+-a) is integrated on its first column (A e_1, or e_1 for the negative
-   power) and then expanded. Every A is solved in LAPACK band storage, its
-   band read from its nonzeros and a real A kept real, by ptsv for a Hermitian
-   tridiagonal and gbsv otherwise or at a shift where ptsv finds l I + A not
-   positive definite in rounding. The accretivity gate reads the smallest
-   eigenvalue of the Hermitian part from the same band.
+   power) and then expanded. A real symmetric tridiagonal A = V diag(w) V^T
+   (the Gauss generator) is diagonalized once; every resolvent is then
+   1/(l + w) in that basis, so the rule runs on a vector of ones. Every other
+   A is solved by gbsv in LAPACK band storage, its band read from its nonzeros
+   and a real A kept real. The accretivity gate reads the smallest eigenvalue
+   of the Hermitian part from w or from the same band.
 2. Spectral calculus for Hermitian positive matrices (numcore.herm_power).
 3. Grunwald-type series for the Poisson-difference generator.
 4. Closed-form singular-integral matrices (Marchaud derivative for the shift
@@ -24,7 +25,7 @@ Routes implemented:
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvals_banded, get_lapack_funcs, toeplitz
+from scipy.linalg import eigh_tridiagonal, eigvals_banded, get_lapack_funcs, toeplitz
 from scipy.special import gamma, gammaln, roots_jacobi
 
 from .config import DEFAULT
@@ -54,11 +55,12 @@ _NODES = 48
 
 
 class _ResolventSolver:
-    """Solves (l I + A) X = B for shifts l > 0 in LAPACK band storage, the band
-    widths read from A's nonzeros, by ``ptsv`` for a Hermitian tridiagonal and
-    ``gbsv`` otherwise or where rounding leaves l I + A not positive definite;
-    a real A stays real.  ``herm_min`` is the smallest eigenvalue of A's
-    Hermitian part."""
+    """Solves (l I + A) X = B for shifts l > 0; a real A stays real.  A real
+    symmetric tridiagonal A = V diag(w) V^T is diagonalized once, and then
+    ``solve`` works in that basis: it divides B by l + w, and the caller
+    transforms with ``V``.  Any other A is solved by ``gbsv`` in LAPACK band
+    storage, the band widths read from A's nonzeros, and ``V`` is None.
+    ``herm_min`` is the smallest eigenvalue of A's Hermitian part."""
 
     def __init__(self, A):
         # checked once here, so the solves need not check each shift
@@ -68,57 +70,43 @@ class _ResolventSolver:
         r, c = np.nonzero(A)
         lo, up = int(np.max(r - c, initial=0)), int(np.max(c - r, initial=0))
         self.real = not np.iscomplexobj(A)
-        self.herm_min = _banded_herm_min(A, max(lo, up))
+        self.diag, self.V = np.diagonal(A).copy(), None
+        try:
+            if self.real and lo == up == 1 and np.array_equal(np.diagonal(A, -1), np.diagonal(A, 1)):
+                self.w, self.V = eigh_tridiagonal(self.diag, np.diagonal(A, 1), check_finite=False)
+                self.herm_min = float(self.w[0])
+                return
+            # else the smallest eigenvalue of the Hermitian part, from its band
+            k = max(lo, up)
+            hb = np.zeros((k + 1, n), dtype=A.dtype)
+            for d in range(k + 1):
+                hb[k - d, d:] = (np.diagonal(A, d) + np.diagonal(A, -d).conj()) / 2
+            w = eigvals_banded(hb, select="i", select_range=(0, 0), check_finite=False)
+            self.herm_min = float(w[0])
+        except np.linalg.LinAlgError as exc:
+            raise NoConvergence(str(exc)) from exc
         self.lo, self.up = lo, up
-        self.diag = np.diagonal(A).copy()
         # LAPACK band storage with lo more rows on top for the fill-in of the
         # LU, built once; each shift rewrites the diagonal row
         self.ab = np.zeros((2 * lo + up + 1, n), dtype=A.dtype)
         for d in range(-lo, up + 1):
             self.ab[lo + up - d, max(d, 0) : n + min(d, 0)] = np.diagonal(A, d)
         self.gbsv = get_lapack_funcs("gbsv", (A,))
-        self.ptsv = None
-        self.sub = np.diagonal(A, -1).copy()
-        if lo == up == 1 and not np.any(self.diag.imag) \
-                and np.array_equal(self.sub, np.diagonal(A, 1).conj()):
-            self.diag = self.diag.real.copy()
-            self.ptsv = get_lapack_funcs("ptsv", (A,))
 
     def solve(self, lam, B):
-        n = B.shape[0]
-        if self.real and np.iscomplexobj(B):
-            # a real band solves Re B and Im B as real columns of one call
-            X = self._band_solve(lam, np.stack([B.real, B.imag], -1).reshape(n, -1))
-            X = X.reshape(B.shape + (2,))
-            return X[..., 0] + 1j * X[..., 1]
-        return self._band_solve(lam, B.reshape(n, -1)).reshape(B.shape)
-
-    def _band_solve(self, lam, B):
-        d = self.diag + lam
-        if self.ptsv is not None:
-            *_, x, info = self.ptsv(d, self.sub, B)
-            if info == 0:
-                return x
-            # else l I + A is not positive definite in rounding
-        self.ab[self.lo + self.up] = d
-        *_, x, info = self.gbsv(self.lo, self.up, self.ab, B)
+        if self.V is not None:
+            return (B.T / (lam + self.w)).T
+        # a real band solves a complex B as the real columns [Re B, Im B] of one call
+        split = self.real and np.iscomplexobj(B)
+        rhs = np.stack([B.real, B.imag], -1) if split else B
+        self.ab[self.lo + self.up] = self.diag + lam
+        *_, x, info = self.gbsv(self.lo, self.up, self.ab, rhs.reshape(B.shape[0], -1))
         if info > 0:
             raise np.linalg.LinAlgError("singular matrix")
         if info < 0:
             raise ValueError(f"illegal value in argument {-info} of gbsv")
-        return x
-
-
-def _banded_herm_min(A, k):
-    """Smallest eigenvalue of the Hermitian part of A, whose band lies within
-    k diagonals of the main one."""
-    hb = np.zeros((k + 1, A.shape[0]), dtype=A.dtype)
-    for d in range(k + 1):
-        hb[k - d, d:] = (np.diagonal(A, d) + np.diagonal(A, -d).conj()) / 2
-    try:
-        return float(eigvals_banded(hb, select="i", select_range=(0, 0), check_finite=False)[0])
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(str(exc)) from exc
+        x = x.reshape(rhs.shape)
+        return x[..., 0] + 1j * x[..., 1] if split else x
 
 
 def _weights(e, m):
@@ -153,16 +141,18 @@ def _triangular_toeplitz(A):
     """"lower" if A is lower-triangular Toeplitz, "upper" if its transpose is, else None."""
     if not np.array_equal(A[1:, 1:], A[:-1, :-1]):
         return None
-    if not np.any(np.triu(A, 1)):
+    # diagonal d of a Toeplitz A holds A[0, d] (d > 0) or A[-d, 0] throughout
+    if not np.any(A[0, 1:]):
         return "lower"
-    if not np.any(np.tril(A, -1)):
+    if not np.any(A[1:, 0]):
         return "upper"
     return None
 
 
 def _balakrishnan(A, B, cfg, check, negative=False):
-    """A^(+-alpha) B for m-accretive A, as complex128; B = None stands for I,
-    and then a triangular-Toeplitz A has the integral run on one column."""
+    """A^(+-alpha) B for m-accretive A, as complex128; B = None stands for I.
+    The integral runs on one column for a triangular-Toeplitz A and B = None,
+    and on ones in the eigenbasis of a real symmetric tridiagonal A."""
     A = np.asarray(A)
     # numcore's rule: a matrix with zero imaginary part is solved in real
     # arithmetic, and so are its products with the right-hand side
@@ -175,20 +165,29 @@ def _balakrishnan(A, B, cfg, check, negative=False):
         raise NotAccretive(f"Hermitian part has eigenvalue {solver.herm_min:.3e}")
     e = 1.0 - cfg.alpha if negative else cfg.alpha
     n = A.shape[0]
-    if B is not None:
-        B = np.asarray_chkfinite(B)
-        out = _integral(solver, B if negative else A @ B, e, check)
-    elif side is None:
-        out = _integral(solver, np.eye(n) if negative else A, e, check)
-    else:
+    if side is not None:
         x = np.eye(n, 1)[:, 0] if negative else low[:, 0]
         # entry j of the column recurs n - j times in the matrix, so the
         # doubling gate weighs it by sqrt(n - j) to measure the matrix's move
         col = _integral(solver, x, e, check, weight=np.sqrt(np.arange(n, 0, -1)))
         # expanded in complex at once: no real n x n copy to cast
         out = toeplitz(col.astype(complex), np.zeros(n))
-        out = out if side == "lower" else out.T
-    return out.astype(complex, copy=False)
+        return out if side == "lower" else out.T
+    if B is None:
+        X = np.eye(n) if negative else A
+    else:
+        X = B if negative else A @ B
+    if solver.V is None:
+        return _integral(solver, X, e, check).astype(complex, copy=False)
+    # the rule runs on ones, entry i weighed by the norm of row i of Y = V^T X
+    # (V is orthogonal: the gate measures V diag(col) Y). A complex X enters as
+    # its real view, Re and Im side by side, so every product is real
+    cplx = np.iscomplexobj(X)
+    Y = solver.V.T @ (np.ascontiguousarray(X).view(float) if cplx else X).reshape(n, -1)
+    col = _integral(solver, np.ones(n), e, check, weight=np.sqrt(np.einsum("ij,ij->i", Y, Y)))
+    Y *= col[:, None]
+    Y = solver.V @ Y
+    return Y.view(complex).reshape(X.shape) if cplx else Y.reshape(X.shape).astype(complex)
 
 
 def _integral(solver, X, e, check, weight=1.0):
@@ -233,7 +232,7 @@ def balakrishnan_power(A, cfg, check=False):
 
 def balakrishnan_apply(A, f, cfg, check=False):
     """A^alpha f without forming the full power matrix."""
-    return _balakrishnan(A, np.asarray(f, dtype=complex), cfg, check)
+    return _balakrishnan(A, np.asarray_chkfinite(f, dtype=complex), cfg, check)
 
 
 def negative_power(A, cfg, check=False):

@@ -132,7 +132,7 @@ def test_06_order_and_schatten():
     assert cls.predicted_p == 1.0 and cls.trace_class
     coarse = dg.schatten_sum(_kipriyanov_resolvent_svals(256), 1.0)
     fine = dg.schatten_sum(svals, 1.0)
-    assert dg.refinement_converged(coarse, fine)
+    assert abs(fine - coarse) <= 0.05 * abs(fine)  # two-point refinement
     _report(6, f"mu {mu:.4f}, r2 {r2:.5f}, p=1, trace sums {coarse:.6f} -> {fine:.6f}")
 
 

@@ -354,10 +354,6 @@ class TestOrderAndSchatten:
         with pytest.raises(ValueError):
             dg.schatten_classify(s, 0.0)
 
-    def test_refinement_surrogate(self):
-        assert dg.refinement_converged(1.000, 1.001)
-        assert not dg.refinement_converged(1.0, 2.0)
-
 
 class TestEigenvalueInequalityAndAsymptotics:
     def test_equal_operators_ratio_one(self):

@@ -1,8 +1,11 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 import scipy.linalg
 from scipy.special import gammaln
 
+from fracspec import checks
 from fracspec import fracpow as fp
 from fracspec.discretize import Grid1D
 from fracspec.errors import BadAlpha, NotAccretive, QuadratureNotConverged
@@ -213,20 +216,22 @@ class TestBandedDrivers:
         A = banded_matrix(lo, up, complex_, hermitian)
         n = A.shape[0]
         solver = fp._ResolventSolver(A)
-        assert (solver.ptsv is not None) == hermitian
+        # a real symmetric tridiagonal A = V diag(w) V^T is solved in its eigenbasis
+        eigen = hermitian and not complex_
+        assert (solver.V is not None) == eigen
         rng = np.random.default_rng(5)
         real = rng.standard_normal((n, n))
         cplx = real + 1j * rng.standard_normal((n, n))
         for lam in (1e-3, 1.0, 1e3):
             for B in (real[:, 0], cplx[:, 0], real, cplx):
-                got = solver.solve(lam, B)
+                got = solver.V @ solver.solve(lam, solver.V.T @ B) if eigen else solver.solve(lam, B)
                 want = np.linalg.solve(A + lam * np.eye(n), B)
                 assert got.shape == B.shape
                 assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
                 if not complex_ and not np.iscomplexobj(B):
                     assert got.dtype == np.float64
         assert solver.real == (not complex_)
-        if not complex_:
+        if not complex_ and not eigen:
             assert solver.diag.dtype == solver.ab.dtype == np.float64
         herm_min = np.linalg.eigvalsh((A + A.conj().T) / 2)[0]
         assert abs(solver.herm_min - herm_min) <= 1e-12 * np.linalg.norm(A)
@@ -255,23 +260,6 @@ class TestBandedDrivers:
             P = fp.balakrishnan_power(A, fp.BalakrishnanConfig(0.5), check=check)
             assert P.dtype == np.complex128
             assert np.linalg.norm(P - want) <= 1e-8 * np.linalg.norm(want)
-
-    def test_indefinite_shifts_fall_back_to_gbsv(self, monkeypatch):
-        calls = {"ptsv": 0, "gbsv": 0}
-        fetch = fp.get_lapack_funcs
-
-        def counted(name, arrays):
-            driver = fetch(name, arrays)
-
-            def call(*args):
-                calls[name] += 1
-                return driver(*args)
-            return call
-
-        monkeypatch.setattr(fp, "get_lapack_funcs", counted)
-        fp.balakrishnan_power(self.neumann_below_zero(), fp.BalakrishnanConfig(0.5), check=True)
-        assert calls["ptsv"] == 193
-        assert 0 < calls["gbsv"] < calls["ptsv"]
 
 
 class TestDenseMatrices:
@@ -314,10 +302,12 @@ class TestHalvingRecurrence:
     coarser sum by the end-corrected recurrence."""
 
     @staticmethod
-    def direct_rule(A, e, m):
+    def direct_rule(A, e, m, X=None):
+        """The rule of step 0.1 / m for X = A (default), by a dense solve per node."""
         lam, w = fp._weights(e, m)
         n = A.shape[0]
-        return sum(wk * np.linalg.solve(lk * np.eye(n) + A, A) for lk, wk in zip(lam, w))
+        X = A if X is None else X
+        return sum(wk * np.linalg.solve(lk * np.eye(n) + A, X) for lk, wk in zip(lam, w))
 
     # a small alpha leans on the first node's end correction, a large one on
     # the last node's
@@ -338,6 +328,105 @@ class TestHalvingRecurrence:
         assert len(shifts) == 385
         want = self.direct_rule(A, alpha, 4)
         assert np.linalg.norm(P - want) <= 1e-14 * np.linalg.norm(want)
+
+
+class TestEigenbasisRoute:
+    """A real symmetric tridiagonal A (the Gauss generator) is diagonalized
+    once, and the same rule runs on a vector of ones in its eigenbasis."""
+
+    @pytest.mark.parametrize("alpha", [0.02, 0.5, 0.98])
+    def test_same_rule_as_dense_solves(self, alpha):
+        A, cfg = generator("gauss", 64), fp.BalakrishnanConfig(alpha)
+        rule = TestHalvingRecurrence.direct_rule
+        eye = np.eye(64)
+        for check, m in ((False, 1), (True, 2)):
+            P = fp.balakrishnan_power(A, cfg, check=check)
+            want = rule(A, alpha, m)
+            assert np.linalg.norm(P - want) <= 1e-12 * np.linalg.norm(want)
+            N = fp.negative_power(A, cfg, check=check)
+            want = rule(A, 1.0 - alpha, m, X=eye)
+            assert np.linalg.norm(N - want) <= 1e-12 * np.linalg.norm(want)
+            # a complex vector and matrix go through their real views
+            F = np.exp(1j * np.outer(np.arange(64.0), [1.0, 0.3, 2.0]))
+            for f in (F[:, 0], F):
+                want = rule(A, alpha, m, X=A @ f)
+                got = fp.balakrishnan_apply(A, f, cfg, check=check)
+                assert got.shape == f.shape
+                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("alpha", [0.02, 0.5, 0.98])
+    def test_wide_tridiagonal_returns_the_rule_not_the_exact_power(self, alpha, monkeypatch):
+        # eigenvalues from 1e-6 to 1e6: the step-0.1 rule is off the exact
+        # power by 2e-8..3e-6, so only the rule itself matches to 1e-12
+        d = np.geomspace(1e-6, 1e6, 24)
+        off = 0.1 * np.sqrt(d[1:] * d[:-1])
+        A = np.diag(d) + np.diag(off, 1) + np.diag(off, -1)
+        w, V = np.linalg.eigh(A)
+        exact = (V * w**alpha) @ V.T
+        cfg, rule = fp.BalakrishnanConfig(alpha), TestHalvingRecurrence.direct_rule
+        P = fp.balakrishnan_power(A, cfg)
+        want = rule(A, alpha, 1)
+        assert np.linalg.norm(P - want) <= 1e-12 * np.linalg.norm(want)
+        assert np.linalg.norm(P - exact) > 1e-9 * np.linalg.norm(exact)
+        shifts, moves, moved = count_solves(monkeypatch), [], fp._moved
+        monkeypatch.setattr(fp, "_moved", lambda *args: moves.append(moved(*args)) or moves[-1])
+        P = fp.balakrishnan_power(A, cfg, check=True)
+        assert len(shifts) == 385
+        want = rule(A, alpha, 4)
+        assert np.linalg.norm(P - want) <= 1e-12 * np.linalg.norm(want)
+        # the gate measures the move of the matrix, as on the dense solves
+        r1, r2 = rule(A, alpha, 1), rule(A, alpha, 2)
+        dense = [np.linalg.norm(r2 - r1) / np.linalg.norm(r2), np.linalg.norm(want - r2) / np.linalg.norm(want)]
+        assert np.allclose(moves, dense, rtol=1e-2, atol=1e-14)
+
+    def test_eigenvectors_are_orthogonal(self):
+        A = generator("gauss", 256)
+        solver = fp._ResolventSolver(A)
+        V, w = solver.V, solver.w
+        assert np.linalg.norm(V.T @ V - np.eye(256)) <= 256 * np.finfo(float).eps
+        assert np.linalg.norm(A @ V - V * w) <= 256 * np.finfo(float).eps * np.linalg.norm(A)
+        assert solver.herm_min == w[0] > 0
+
+    @staticmethod
+    def count_routes(monkeypatch):
+        """Count eigh_tridiagonal calls and calls of each band driver."""
+        calls = Counter()
+        eigh, fetch = fp.eigh_tridiagonal, fp.get_lapack_funcs
+
+        def counted_eigh(*args, **kwargs):
+            calls["eigh_tridiagonal"] += 1
+            return eigh(*args, **kwargs)
+
+        def counted_fetch(name, arrays):
+            driver = fetch(name, arrays)
+
+            def call(*args):
+                calls[name] += 1
+                return driver(*args)
+            return call
+
+        monkeypatch.setattr(fp, "eigh_tridiagonal", counted_eigh)
+        monkeypatch.setattr(fp, "get_lapack_funcs", counted_fetch)
+        return calls
+
+    @pytest.mark.parametrize("kind", ["shift", "gauss", "poisson"])
+    def test_route_and_cost(self, kind, monkeypatch):
+        calls = self.count_routes(monkeypatch)
+        A, cfg = generator(kind, 256), fp.BalakrishnanConfig(0.5)
+        for call in (fp.balakrishnan_power, fp.negative_power):
+            calls.clear()
+            call(A, cfg, check=True)
+            if kind == "gauss":
+                assert calls == {"eigh_tridiagonal": 1}
+            else:
+                assert calls == {"gbsv": 193}
+
+    def test_oracle_matrix_stays_on_band_solver(self, monkeypatch):
+        calls = self.count_routes(monkeypatch)
+        ctx = checks.Context(None, None, {"model": "riesz", "alpha": 0.9}, seed=7)
+        status, numbers = checks._balakrishnan_oracle(ctx)
+        assert status == "pass" and numbers["rel_frobenius"] <= 1e-8
+        assert calls["eigh_tridiagonal"] == 0 and calls["gbsv"] == 193
 
 
 class TestToeplitzColumnRoute:
