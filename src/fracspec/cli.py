@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import checks, transform
-from .discretize import Grid1D, sample_coefficient
+from .discretize import Grid1D, real_or_complex, sample_coefficient
 from .errors import FracspecError
 from .transform import Model, TransformSpec
 
@@ -59,7 +59,8 @@ def _complex_doc(v):
 
 
 def _complex_from_doc(doc):
-    return np.asarray(doc["re"], dtype=float) + 1j * np.asarray(doc["im"], dtype=float)
+    re, im = (np.asarray(doc[k], dtype=float) for k in ("re", "im"))
+    return real_or_complex(re + 1j * im)
 
 
 # --- configuration ----------------------------------------------------------
@@ -136,7 +137,7 @@ def _build_model(config, doc=None):
     a, b = _GRID_ENDPOINTS[config["model"]]
     if config["model"] == "custom-matrix":
         m = (_complex_from_doc(doc["matrix"]) if "matrix" in doc
-             else np.loadtxt(config["a11"], delimiter=",", dtype=complex, ndmin=2))
+             else real_or_complex(np.loadtxt(config["a11"], delimiter=",", dtype=complex, ndmin=2)))
         grid = Grid1D(a, b, m.shape[0])
         if m.shape != (grid.n, grid.n):
             raise ValueError("matrix shape must match grid size")

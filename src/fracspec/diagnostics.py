@@ -54,7 +54,7 @@ def numerical_range(M, n_angles=256):
         raise ValueError("need an even n_angles >= 16")
     phis = np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False)
     half = n_angles // 2
-    real = not M.imag.any()
+    real = np.isrealobj(M)
     pts = np.empty(n_angles, dtype=complex)
     for j in range(half // 2 + 1 if real else half):
         H = np.exp(1j * phis[j]) * M

@@ -39,24 +39,30 @@ class Grid1D:
         return self.a + self.h * np.arange(1, self.n + 1)
 
 
+def real_or_complex(values):
+    """``values`` as float64 when every imaginary part is exactly zero, else as
+    complex128: the dtype every matrix built from them then keeps."""
+    v = np.array(values, dtype=complex)
+    return v if v.imag.any() else v.real.copy()
+
+
 def sample_coefficient(spec, grid):
     """Sample a coefficient given as "const:c", "sin", "poly:c0,c1,...",
     or a path to a CSV file (one value per node, last column used)."""
-    if not isinstance(spec, str):
-        return np.broadcast_to(np.asarray(spec, dtype=complex), (grid.n,)).copy()
     x = grid.nodes
-    if spec.startswith("const:"):
-        return np.full(grid.n, complex(spec[6:]))
-    if spec == "sin":
-        return np.sin(x).astype(complex)
-    if spec.startswith("poly:"):
-        coeffs = [complex(c) for c in spec[5:].split(",")]
-        return sum(c * x**k for k, c in enumerate(coeffs)).astype(complex)
-    data = np.atleast_2d(np.loadtxt(spec, delimiter=",", dtype=complex, ndmin=2))
-    vals = data[:, -1]
-    if vals.size != grid.n:
-        raise ValueError(f"coefficient file has {vals.size} rows, grid has {grid.n} nodes")
-    return vals
+    if not isinstance(spec, str):
+        vals = np.broadcast_to(spec, (grid.n,))
+    elif spec.startswith("const:"):
+        vals = np.full(grid.n, complex(spec[6:]))
+    elif spec == "sin":
+        vals = np.sin(x)
+    elif spec.startswith("poly:"):
+        vals = sum(complex(c) * x**k for k, c in enumerate(spec[5:].split(",")))
+    else:
+        vals = np.loadtxt(spec, delimiter=",", dtype=complex, ndmin=2)[:, -1]
+        if vals.size != grid.n:
+            raise ValueError(f"coefficient file has {vals.size} rows, grid has {grid.n} nodes")
+    return real_or_complex(vals)
 
 
 def _cell_moments(p, q, expo):
@@ -192,10 +198,10 @@ def elliptic_1d(grid, a11, gamma_a=0.0):
     a = sample_coefficient(a11, grid)
     _check_lower_bound(a, gamma_a, "elliptic_1d coefficient a11")
     n, h = grid.n, grid.h
-    mid = np.empty(n + 1, dtype=complex)  # a at half-nodes, zero-order hold at ends
+    mid = np.empty(n + 1, dtype=a.dtype)  # a at half-nodes, zero-order hold at ends
     mid[1:n] = (a[:-1] + a[1:]) / 2.0
     mid[0], mid[n] = a[0], a[-1]
-    W = np.zeros((n, n), dtype=complex)
+    W = np.zeros((n, n), dtype=a.dtype)
     idx = np.arange(n)
     W[idx, idx] = (mid[:-1] + mid[1:]) / h**2
     W[idx[:-1], idx[:-1] + 1] = -mid[1:n] / h**2

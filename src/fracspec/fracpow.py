@@ -154,9 +154,6 @@ def _balakrishnan(A, B, cfg, check, negative=False):
     The integral runs on one column for a triangular-Toeplitz A and B = None,
     and on ones in the eigenbasis of a real symmetric tridiagonal A."""
     A = np.asarray(A)
-    # numcore's rule: a matrix with zero imaginary part is solved in real
-    # arithmetic, and so are its products with the right-hand side
-    A = A.real if np.iscomplexobj(A) and not A.imag.any() else A
     side = None if B is not None else _triangular_toeplitz(A)
     # the Hermitian part of A^T has the eigenvalues of that of A
     low = A.T if side == "upper" else A
@@ -183,7 +180,9 @@ def _balakrishnan(A, B, cfg, check, negative=False):
     # (V is orthogonal: the gate measures V diag(col) Y). A complex X enters as
     # its real view, Re and Im side by side, so every product is real
     cplx = np.iscomplexobj(X)
-    Y = solver.V.T @ (np.ascontiguousarray(X).view(float) if cplx else X).reshape(n, -1)
+    X2 = (np.ascontiguousarray(X).view(float) if cplx else X).reshape(n, -1)
+    # V^T I is V^T: the negative power of I needs no product
+    Y = solver.V.T.copy() if B is None and negative else solver.V.T @ X2
     col = _integral(solver, np.ones(n), e, check, weight=np.sqrt(np.einsum("ij,ij->i", Y, Y)))
     Y *= col[:, None]
     Y = solver.V @ Y

@@ -1,9 +1,9 @@
-"""Dense complex linear algebra in the standard inner product.
+"""Dense real or complex linear algebra in the standard inner product.
 
 Every model is discretized on a uniform grid, whose quadrature inner product
 is h times the standard one, so adjoints, self-adjointness, singular values
 and operator norms are the standard ones.  Operations take and return plain
-ndarrays; the model's matrices are complex128.
+ndarrays, float64 or complex128.
 """
 
 import numpy as np

@@ -31,15 +31,9 @@ from .numcore import inverse_norm, min_hermitian_eig, op_norm
 from .semigroup import SemigroupSpec, generator_matrix
 
 
-def _complex_fields(obj, *names):
-    """Cast the named matrix fields of a frozen dataclass to complex128."""
-    for name in names:
-        object.__setattr__(obj, name, np.asarray(getattr(obj, name), dtype=complex))
-
-
 @dataclass(frozen=True)
 class TransformSpec:
-    """J, G and F as complex128 matrices, and the order alpha."""
+    """J, G and F as matrices, real when their data are, and the order alpha."""
 
     J: np.ndarray
     G: np.ndarray
@@ -49,7 +43,6 @@ class TransformSpec:
     def __post_init__(self):
         if not 0.0 <= self.alpha < 1.0:
             raise BadAlpha(f"transform order must lie in [0, 1), got {self.alpha}")
-        _complex_fields(self, "J", "G", "F")
 
 
 @dataclass(frozen=True)
@@ -66,7 +59,7 @@ def assemble(spec):
     """Z = J^H G J + F J^alpha; alpha = 0 uses J^0 = I."""
     J, G, F = spec.J, spec.G, spec.F
     if spec.alpha == 0.0:
-        Ja = np.eye(J.shape[0], dtype=complex)
+        Ja = np.eye(J.shape[0])
     else:
         Ja = balakrishnan_power(J, BalakrishnanConfig(spec.alpha))
     return J.conj().T @ G @ J + F @ Ja
@@ -89,7 +82,8 @@ class Model:
 
     L is the directly assembled matrix; spec describes the same operator as a
     transform Z^a_(G,F)(J); hplus is the positive definite norm matrix of the
-    embedded space h+ used by the H1/H2 diagnostics. L and hplus are complex128.
+    embedded space h+ used by the H1/H2 diagnostics. Every matrix is float64
+    when the model's data are real, complex128 otherwise.
     """
 
     L: np.ndarray
@@ -99,9 +93,6 @@ class Model:
     sigma_const: float = float("nan")
     gamma_N: float = float("nan")
     norm_Q_inv: float = float("nan")
-
-    def __post_init__(self):
-        _complex_fields(self, "L", "hplus")
 
     @property
     def h2_threshold(self):
@@ -165,14 +156,11 @@ def build_difference_model(grid, a, b, lam, mu, alpha, nu=1.0):
     A = generator_matrix(spec_sg)
     av = sample_coefficient(a, grid)
     bv = sample_coefficient(b, grid)
+    G, F = np.diag(av), np.diag(bv)
     Q = first_difference(grid)
-    Nm = nu * np.eye(grid.n)
-    L = A.conj().T @ np.diag(av) @ A + np.diag(bv) @ gl_power_matrix(spec_sg, alpha) \
-        + Q.conj().T @ Nm @ Q
+    QtQ = Q.T @ Q  # Q*NQ = nu Q^T Q, and gamma_N = min eig(nu I) = nu
+    L = A.conj().T @ G @ A + F @ gl_power_matrix(spec_sg, alpha) + nu * QtQ
     sigma_const = 4.0 * lam * float(np.max(np.abs(av))) \
         + float(np.max(np.abs(bv))) * gl_abs_sum(alpha, lam)
-    gamma_N = min_hermitian_eig(Nm)
-    norm_Q_inv = inverse_norm(Q)
-    tspec = TransformSpec(A, multiply(grid, a), multiply(grid, b), alpha)
-    return Model(L, tspec, Q.conj().T @ Q,
-                 sigma_const=sigma_const, gamma_N=gamma_N, norm_Q_inv=norm_Q_inv)
+    return Model(L, TransformSpec(A, G, F, alpha), QtQ, sigma_const=sigma_const,
+                 gamma_N=float(nu), norm_Q_inv=inverse_norm(Q))

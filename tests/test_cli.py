@@ -95,12 +95,36 @@ class TestArtifactFormat:
         pairs = [(built.L, loaded.L), (built.spec.J, loaded.spec.J), (built.spec.G, loaded.spec.G),
                  (built.spec.F, loaded.spec.F), (built.hplus, loaded.hplus)]
         for want, got in pairs:
-            assert got.dtype == np.complex128 and np.array_equal(want, got)
+            # every paper model has real coefficients, so all its matrices are real
+            assert got.dtype == want.dtype == np.float64 and np.array_equal(want, got)
         assert loaded.spec.alpha == built.spec.alpha
         for key in ("delta", "sigma_const", "gamma_N", "norm_Q_inv"):
             assert np.array_equal(getattr(built, key), getattr(loaded, key), equal_nan=True)
         if model != "difference":
             assert np.isnan(loaded.sigma_const)
+
+    def test_complex_data_stay_complex(self, tmp_path, capsys, monkeypatch):
+        # a complex a11 and a complex custom matrix keep complex128 through the
+        # artifact, bit for bit
+        monkeypatch.chdir(tmp_path)
+        M = np.array([[4 + 1j, 1, 0, 0], [-1, 4 - 1j, 1, 0], [0, -1, 4 + 0.5j, 1], [0, 0, -1, 4]])
+        with open("m.csv", "w") as fh:
+            fh.writelines(",".join(str(z).strip("()") for z in row) + "\n" for row in M)
+        builds = {"kipriyanov1d": ["--grid-n", "24", "--a11", "poly:1,0.1j"],
+                  "custom-matrix": ["--a11", "m.csv"]}
+        for model, flags in builds.items():
+            argv = ["build", "--model", model, *flags, "--out", "a.json"]
+            assert main(argv) == 0
+            built, _, _ = _build_model(_config_doc(_make_parser().parse_args(argv)))
+            loaded, _, _ = _load_artifact("a.json")
+            assert built.L.dtype == loaded.L.dtype == np.complex128
+            assert np.array_equal(built.L, loaded.L)
+            assert np.array_equal(built.spec.G, loaded.spec.G)
+            if model == "custom-matrix":
+                assert np.array_equal(loaded.L, M)
+            else:
+                assert loaded.spec.G.dtype == np.complex128
+                assert loaded.spec.J.dtype == np.float64  # the shift generator has no data
 
     def test_artifact_and_report_are_strict_json(self, tmp_path, capsys):
         out, rep = tmp_path / "a.json", tmp_path / "r.json"

@@ -286,16 +286,6 @@ class TestDenseMatrices:
         got = fp.balakrishnan_apply(A, f, cfg, check=True)
         assert np.linalg.norm(got - want @ f) <= 1e-8 * np.linalg.norm(want @ f)
 
-    @pytest.mark.parametrize("kind", ["shift", "gauss", "poisson"])
-    def test_complex_typed_real_matrix_is_solved_as_real(self, kind):
-        # numcore's rule: a zero imaginary part is dropped before the solves
-        A, cfg = generator(kind, 96), fp.BalakrishnanConfig(0.6)
-        assert A.dtype == np.float64
-        for call in (fp.balakrishnan_power, fp.negative_power):
-            for check in (False, True):
-                assert np.array_equal(call(A.astype(complex), cfg, check=check),
-                                      call(A, cfg, check=check))
-
 
 class TestHalvingRecurrence:
     """The checked result is the rule of the halved step, built from the
