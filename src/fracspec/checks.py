@@ -46,7 +46,7 @@ class Context:
 
     @cached_property
     def factors(self):
-        """H^(1/2), H^(-1/2) and B of L = H^(1/2)(I + iB)H^(1/2), H = Re L."""
+        """H^(1/2), H^(-1/2) and C of L = H^(1/2)(I + C)H^(1/2), H = Re L, C = -C^H."""
         return diagnostics.sectorial_factorize(self.model.L)
 
 
@@ -182,15 +182,15 @@ def _h1_h2(ctx):
 
 def _factorization(ctx):
     L = ctx.model.L
-    root, _, B = ctx.factors
-    rel = float(np.linalg.norm(root @ (np.eye(len(L)) + 1j * B) @ root - L) / np.linalg.norm(L))
+    root, _, C = ctx.factors
+    rel = float(np.linalg.norm(root @ (np.eye(len(L)) + C) @ root - L) / np.linalg.norm(L))
     return _verdict(rel <= 1e-10), {"reconstruction_rel": rel}
 
 
 def _realpart(ctx):
     R = ctx.resolvent
-    _, inv_root, B = ctx.factors
-    defect1, defect_half = diagnostics.realpart_resolvent_check(R, inv_root, B)
+    _, inv_root, C = ctx.factors
+    defect1, defect_half = diagnostics.realpart_resolvent_check(R, inv_root, C)
     return _verdict(defect1 <= 1e-8), {"defect_factor1": defect1,
                                        "defect_factor_half": defect_half}
 

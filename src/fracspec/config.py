@@ -13,7 +13,6 @@ class Tolerances:
     # numcore
     hermitian_rel: float = 1e-10       # adjoint defect for "self-adjoint"
     cond_cap: float = 1e12
-    pd_floor_rel: float = 1e-12        # min eigenvalue > floor * ||M||
     # fracpow
     accretive_floor_rel: float = 1e-10
     quad_doubling_rel: float = 1e-8

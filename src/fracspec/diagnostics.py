@@ -20,7 +20,6 @@ from .numcore import (
     inverse_norm,
     min_hermitian_eig,
     op_norm,
-    skew_part,
     spd_powers,
 )
 
@@ -56,15 +55,16 @@ def numerical_range(M, n_angles=256):
     half = n_angles // 2
     real = np.isrealobj(M)
     pts = np.empty(n_angles, dtype=complex)
+    Mc = M.astype(complex, copy=False)  # cast once, not in each Rayleigh product
     for j in range(half // 2 + 1 if real else half):
         H = np.exp(1j * phis[j]) * M
         H = (H + H.conj().T) / 2
         bottom, top = extreme_eigvecs(H)
-        pts[j] = top.conj() @ M @ top
+        pts[j] = top.conj() @ Mc @ top
         if not real:
-            pts[j + half] = bottom.conj() @ M @ bottom
+            pts[j + half] = bottom.conj() @ Mc @ bottom
         elif 2 * j != half:
-            pts[half - j] = (bottom.conj() @ M @ bottom).conj()
+            pts[half - j] = (bottom.conj() @ Mc @ bottom).conj()
     if real:
         j = np.arange(1, half)
         pts[n_angles - j] = pts[j].conj()
@@ -99,19 +99,21 @@ def verify_H1_H2(L, hplus):
 
 
 def sectorial_factorize(W):
-    """H^(1/2), H^(-1/2) and B of W = H^(1/2)(I + iB)H^(1/2), with H the
-    Hermitian part of W and B self-adjoint, from one eigendecomposition of H;
-    H must be positive definite."""
+    """H^(1/2), H^(-1/2) and C of W = H^(1/2)(I + C)H^(1/2), with H the
+    Hermitian part of W (positive definite), from one eigendecomposition of H.
+    C = H^(-1/2) (W - W^H)/2 H^(-1/2) = iB for Kato's self-adjoint B is
+    skew-Hermitian, and real for a real W."""
     root, inv_root = spd_powers(W, (0.5, -0.5), "Hermitian part")
-    return root, inv_root, inv_root @ skew_part(W) @ inv_root
+    return root, inv_root, inv_root @ ((W - W.conj().T) / 2) @ inv_root
 
 
-def realpart_resolvent_check(R, S, B):
-    """Relative defects of Re(R) = S(I + B^2)^(-1)S, for R = W^-1 and S, B
-    the H^(-1/2) and B of ``sectorial_factorize(W)``: the factor-1 identity
-    (which matrix algebra gives) and the printed factor-1/2 variant."""
+def realpart_resolvent_check(R, S, C):
+    """Relative defects of Re(R) = S(I - C^2)^(-1)S, for R = W^-1 and S, C
+    the H^(-1/2) and C of ``sectorial_factorize(W)`` (I - C^2 = I + B^2 for
+    C = iB): the factor-1 identity (which matrix algebra gives) and the
+    printed factor-1/2 variant."""
     X = hermitian_part(R)
-    Y = S @ inverse(np.eye(R.shape[0]) + B @ B) @ S
+    Y = S @ inverse(np.eye(R.shape[0]) - C @ C) @ S
     scale = np.linalg.norm(X)
     return float(np.linalg.norm(X - Y) / scale), float(np.linalg.norm(X - Y / 2) / scale)
 
@@ -175,7 +177,7 @@ def eigenvalue_inequality(R_W, R_H, p=1.0):
 def asymptotics_check(eigenvalues, mu, eps, fraction=None):
     """Largest value and log-log trend slope of i^(mu-eps)|l_i| over the
     trusted leading range; |l_i| = o(i^(-mu+eps)) wants a negative slope."""
-    lam = np.abs(np.asarray(eigenvalues, dtype=complex))
+    lam = np.abs(eigenvalues)
     m = max(8, int(lam.size * (fraction if fraction is not None else DEFAULT.fit_fraction)))
     i = np.arange(1, m + 1, dtype=float)
     seq = i ** (mu - eps) * lam[:m]

@@ -150,7 +150,7 @@ def _triangular_toeplitz(A):
 
 
 def _balakrishnan(A, B, cfg, check, negative=False):
-    """A^(+-alpha) B for m-accretive A, as complex128; B = None stands for I.
+    """A^(+-alpha) B for m-accretive A in the dtype of A and B (B = None: I).
     The integral runs on one column for a triangular-Toeplitz A and B = None,
     and on ones in the eigenbasis of a real symmetric tridiagonal A."""
     A = np.asarray(A)
@@ -167,15 +167,14 @@ def _balakrishnan(A, B, cfg, check, negative=False):
         # entry j of the column recurs n - j times in the matrix, so the
         # doubling gate weighs it by sqrt(n - j) to measure the matrix's move
         col = _integral(solver, x, e, check, weight=np.sqrt(np.arange(n, 0, -1)))
-        # expanded in complex at once: no real n x n copy to cast
-        out = toeplitz(col.astype(complex), np.zeros(n))
+        out = toeplitz(col, np.zeros(n))
         return out if side == "lower" else out.T
     if B is None:
         X = np.eye(n) if negative else A
     else:
         X = B if negative else A @ B
     if solver.V is None:
-        return _integral(solver, X, e, check).astype(complex, copy=False)
+        return _integral(solver, X, e, check)
     # the rule runs on ones, entry i weighed by the norm of row i of Y = V^T X
     # (V is orthogonal: the gate measures V diag(col) Y). A complex X enters as
     # its real view, Re and Im side by side, so every product is real
@@ -186,7 +185,7 @@ def _balakrishnan(A, B, cfg, check, negative=False):
     col = _integral(solver, np.ones(n), e, check, weight=np.sqrt(np.einsum("ij,ij->i", Y, Y)))
     Y *= col[:, None]
     Y = solver.V @ Y
-    return Y.view(complex).reshape(X.shape) if cplx else Y.reshape(X.shape).astype(complex)
+    return (Y.view(complex) if cplx else Y).reshape(X.shape)
 
 
 def _integral(solver, X, e, check, weight=1.0):
@@ -231,7 +230,8 @@ def balakrishnan_power(A, cfg, check=False):
 
 def balakrishnan_apply(A, f, cfg, check=False):
     """A^alpha f without forming the full power matrix."""
-    return _balakrishnan(A, np.asarray_chkfinite(f, dtype=complex), cfg, check)
+    f = np.asarray_chkfinite(f)
+    return _balakrishnan(A, f.astype(np.result_type(f, float), copy=False), cfg, check)
 
 
 def negative_power(A, cfg, check=False):
@@ -307,7 +307,7 @@ def gl_power(spec, alpha, f):
     if spec.kind != "poisson":
         raise ValueError("gl_power applies to the Poisson-difference semigroup")
     m = spec.shift_steps
-    v = np.asarray(f, dtype=complex)
+    v = np.asarray(f)
     n = v.size
     kmax = (n - 1) // m
     c = gl_coefficients(alpha, spec.lam, max(kmax, 1))
@@ -343,9 +343,8 @@ def marchaud_power_check(alpha, grid, f):
     """Relative l2 distance of the shift-generator Balakrishnan power from the
     truncated Marchaud right derivative (eps = h, analytic first cell)."""
     A = generator_matrix(SemigroupSpec("shift", grid))
-    v = np.asarray(f, dtype=complex)
-    via_balak = balakrishnan_apply(A, v, BalakrishnanConfig(alpha))
-    via_closed = marchaud_right_derivative(grid, alpha) @ v
+    via_balak = balakrishnan_apply(A, f, BalakrishnanConfig(alpha))
+    via_closed = marchaud_right_derivative(grid, alpha) @ f
     return _rel_l2(via_balak, via_closed)
 
 
@@ -356,10 +355,9 @@ def riesz_power_check(alpha, grid, f):
     if not 0.75 < alpha < 1.0:
         raise BadAlpha(f"riesz power route needs alpha in (3/4, 1), got {alpha}")
     A = generator_matrix(SemigroupSpec("gauss", grid))
-    v = np.asarray(f, dtype=complex)
-    via_balak = balakrishnan_apply(A, v, BalakrishnanConfig(alpha))
+    via_balak = balakrishnan_apply(A, f, BalakrishnanConfig(alpha))
     kernel = axis_kernel_both(grid, 1.0 - 2.0 * alpha)
     const = riesz_power_constant(alpha) * riesz_constant(alpha)
-    via_closed = const * (kernel @ (second_derivative(grid) @ v))
+    via_closed = const * (kernel @ (second_derivative(grid) @ f))
     margin = int(np.ceil(0.1 * grid.n))
     return _rel_l2(via_balak[margin : grid.n - margin], via_closed[margin : grid.n - margin])

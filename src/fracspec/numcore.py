@@ -3,7 +3,7 @@
 Every model is discretized on a uniform grid, whose quadrature inner product
 is h times the standard one, so adjoints, self-adjointness, singular values
 and operator norms are the standard ones.  Operations take and return plain
-ndarrays, float64 or complex128.
+ndarrays and keep their dtype, float64 (real arithmetic) or complex128.
 """
 
 import numpy as np
@@ -24,11 +24,6 @@ def hermitian_defect(M):
 def hermitian_part(M):
     """Hermitian part (M + M^H) / 2."""
     return (M + M.conj().T) / 2
-
-
-def skew_part(M):
-    """Skew part (M - M^H) / (2i); self-adjoint."""
-    return (M - M.conj().T) / 2j
 
 
 def _check_hermitian(M):
@@ -65,11 +60,11 @@ def spd_powers(M, ps, what="matrix"):
     part H of M.
 
     H must be positive definite: its smallest eigenvalue has to exceed
-    ``pd_floor_rel * ||H||_F``, else :class:`NotPositiveDefinite` names
-    ``what``, the eigenvalue and the floor.
+    n eps max|w|, below which ``eigh`` cannot certify its sign; else
+    :class:`NotPositiveDefinite` names ``what``, the eigenvalue and the floor.
     """
     w, V = _eigh(M)
-    floor = DEFAULT.pd_floor_rel * np.linalg.norm(w)  # ||H||_F = ||eigenvalues||_2
+    floor = w.size * np.finfo(w.dtype).eps * np.max(np.abs(w))
     if w[0] <= floor:
         raise NotPositiveDefinite(f"{what} min eigenvalue {w[0]:.3e} not above floor {floor:.3e}")
     return [(V * w**p) @ V.conj().T for p in ps]
@@ -121,12 +116,11 @@ def general_eigen(M):
     """All eigenvalues, sorted by descending modulus.
 
     Ties are broken by descending real part, then descending imaginary
-    part, so reports are deterministic.  A matrix with zero imaginary part
-    goes to the real solver, whose conjugate pairs are exact, so such a pair
-    ties on modulus and lists +imag first.
+    part, so reports are deterministic.  A real M's conjugate pairs are
+    exact, so such a pair ties on modulus and lists +imag first.
     """
     try:
-        lam = np.linalg.eigvals(M if M.imag.any() else M.real)
+        lam = np.linalg.eigvals(M)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
     order = np.lexsort((-lam.imag, -lam.real, -np.abs(lam)))
@@ -134,10 +128,9 @@ def general_eigen(M):
 
 
 def singular_values(M):
-    """s-numbers of M, descending; a matrix with zero imaginary part goes to
-    the real solver."""
+    """s-numbers of M, descending."""
     try:
-        return scipy.linalg.svdvals(M if M.imag.any() else M.real)
+        return scipy.linalg.svdvals(M)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
 

@@ -83,10 +83,11 @@ def _poisson_isf(q, rate):
 
 
 def apply(spec, t, f):
-    """Apply T_t to the samples f."""
+    """Apply T_t to the samples f, in f's dtype (an integer f as float64)."""
     if t < 0:
         raise NegativeTime(f"semigroup time must be >= 0, got {t}")
-    v = np.asarray(f, dtype=complex)
+    v = np.asarray(f)
+    v = v.astype(np.result_type(v, float), copy=False)
     grid = spec.grid
     if t == 0:
         out = v.copy()
@@ -134,7 +135,7 @@ def yosida_resolvent(spec, n_param, f):
     grid = spec.grid
     d = grid.h * np.arange(grid.n)
     kernel = grid.h * np.sqrt(n_param / 2.0) * np.exp(-np.sqrt(2.0 * n_param) * d)
-    return toeplitz(kernel) @ np.asarray(f, dtype=complex)
+    return toeplitz(kernel) @ f
 
 
 @dataclass(frozen=True)

@@ -247,14 +247,27 @@ class TestH1H2:
     def test_not_positive_definite_names_eigenvalue_and_floor(self):
         with pytest.raises(NotPositiveDefinite) as err:
             dg.verify_H1_H2(np.eye(2), np.diag([2.0, -1.0]))
-        # floor = pd_floor_rel * ||N||_F = 1e-12 * sqrt(5)
-        assert str(err.value) == "norm matrix min eigenvalue -1.000e+00 not above floor 2.236e-12"
+        # floor = n eps max|w| = 2 * 2.22e-16 * 2
+        assert str(err.value) == "norm matrix min eigenvalue -1.000e+00 not above floor 8.882e-16"
+
+    def test_riesz_512_norm_matrix_clears_the_rounding_floor(self):
+        # the weighted-H2 norm matrix has lambda_min = 1.0015 and lambda_max =
+        # 1.55e12: the floor n eps max|w| is 0.176, where 1e-12 ||N||_F (6.35)
+        # rejected it
+        argv = ["build", "--model", "riesz", "--grid-n", "512", "--alpha", "0.9",
+                "--rho", "const:0.1", "--out", "unused.json"]
+        model = _build_model(_config_doc(_make_parser().parse_args(argv)))[0]
+        ctx = checks.Context(model, None, {"model": "riesz"})
+        status, numbers = run_check("h1-h2-bounds", ctx)
+        assert status == "pass"
+        assert numbers["C1"] == pytest.approx(0.99691, rel=1e-4)
+        assert numbers["C2"] == pytest.approx(2.4939e-7, rel=1e-4)
 
 
 class TestFactorizationCache:
     def test_spectrum_suite_factors_L_once(self, monkeypatch):
         # one eigh of Re L (and one of the h+ norm matrix), one inverse of L
-        # and one of I + B^2
+        # and one of I - C^2
         grid, model = TestNumericalRange.kipriyanov(32)
         calls = {"eigh": 0, "inv": 0}
         eigh, inv = numcore._eigh, np.linalg.inv
@@ -273,28 +286,37 @@ class TestFactorizationCache:
 
 
 class TestSectorialFactorization:
-    def test_hermitian_gives_zero_B(self):
+    def test_hermitian_gives_zero_C(self):
         W = rand_accretive(5, 3) .real
         W = (W + W.T) / 2 + 5 * np.eye(5)
-        root, inv_root, B = dg.sectorial_factorize(W)
+        root, inv_root, C = dg.sectorial_factorize(W)
         assert np.allclose(root @ root, W, atol=1e-10)
         assert np.allclose(root @ inv_root, np.eye(5), atol=1e-10)
-        assert np.max(np.abs(B)) <= 1e-10
+        assert np.max(np.abs(C)) <= 1e-10
 
     def test_reconstruction(self):
         for seed in (0, 1, 2):
             n = 30
             W = rand_accretive(n, seed)
-            root, _, B = dg.sectorial_factorize(W)
-            # W = H^1/2 (I + iB) H^1/2
-            recon = root @ (np.eye(n) + 1j * B) @ root
+            root, _, C = dg.sectorial_factorize(W)
+            # W = H^1/2 (I + C) H^1/2
+            recon = root @ (np.eye(n) + C) @ root
             assert np.linalg.norm(recon - W) <= 1e-10 * np.linalg.norm(W)
 
-    def test_B_selfadjoint(self):
+    def test_C_skew_hermitian(self):
         n = 12
         W = rand_accretive(n, 7)
-        _, _, B = dg.sectorial_factorize(W)
-        assert np.linalg.norm(B.conj().T - B) <= 1e-10 * np.linalg.norm(B)
+        _, _, C = dg.sectorial_factorize(W)
+        assert np.linalg.norm(C.conj().T + C) <= 1e-10 * np.linalg.norm(C)
+
+    def test_factors_keep_the_dtype(self):
+        # the entrywise real part of this W is accretive too; its factors are real
+        W = rand_accretive(12, 7)
+        factors = dg.sectorial_factorize(W.real)
+        assert all(X.dtype == np.float64 for X in factors)
+        root, _, C = factors
+        assert np.linalg.norm(root @ (np.eye(12) + C) @ root - W.real) <= 1e-10 * np.linalg.norm(W)
+        assert dg.sectorial_factorize(W)[2].dtype == np.complex128
 
     def test_rejects_nonpositive_real_part(self):
         with pytest.raises(NotPositiveDefinite):
@@ -304,8 +326,8 @@ class TestSectorialFactorization:
 class TestResolventIdentity:
     @staticmethod
     def defects(W):
-        _, inv_root, B = dg.sectorial_factorize(W)
-        return dg.realpart_resolvent_check(inverse(W), inv_root, B)
+        _, inv_root, C = dg.sectorial_factorize(W)
+        return dg.realpart_resolvent_check(inverse(W), inv_root, C)
 
     def test_factor_one_holds(self):
         for seed in (0, 1):

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 from scipy.special import gammaln
 
-from fracspec import checks
+from fracspec import checks, semigroup
 from fracspec import fracpow as fp
 from fracspec.discretize import Grid1D
 from fracspec.errors import BadAlpha, NotAccretive, QuadratureNotConverged
@@ -258,8 +258,34 @@ class TestBandedDrivers:
         want = (V * np.sqrt(np.clip(w, 0.0, None))) @ V.T
         for check in (False, True):
             P = fp.balakrishnan_power(A, fp.BalakrishnanConfig(0.5), check=check)
-            assert P.dtype == np.complex128
+            assert P.dtype == np.float64
             assert np.linalg.norm(P - want) <= 1e-8 * np.linalg.norm(want)
+
+
+class TestDtype:
+    """Results keep the dtype of A and f; an integer f is taken as float64.
+    Between them the cases run every route: one column (powers of shift and
+    poisson), the eigenbasis (real gauss) and the band (the rest)."""
+
+    @pytest.mark.parametrize("kind", ["shift", "gauss", "poisson"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_results_keep_the_input_dtype(self, kind, dtype):
+        n, cfg = 32, fp.BalakrishnanConfig(0.5)
+        # + 0.5i I leaves the Hermitian part, so A stays m-accretive
+        A = generator(kind, n) + (0.5j if dtype is np.complex128 else 0.0) * np.eye(n)
+        f = np.arange(n)
+        assert fp.balakrishnan_power(A, cfg).dtype == dtype
+        assert fp.negative_power(A, cfg).dtype == dtype
+        assert fp.balakrishnan_apply(A, f.astype(dtype), cfg).dtype == dtype
+        assert fp.balakrishnan_apply(A, f, cfg).dtype == dtype
+        assert np.array_equal(fp.balakrishnan_apply(A, f, cfg), fp.balakrishnan_apply(A, f * 1.0, cfg))
+        grid = Grid1D(-20.0, 20.0, n) if kind == "gauss" else Grid1D(0.0, 1.0, n)
+        spec = SemigroupSpec(kind, grid, mu=4 * grid.h if kind == "poisson" else 0.0)
+        assert semigroup.apply(spec, 0.5, f.astype(dtype)).dtype == dtype
+        assert semigroup.apply(spec, 0.5, f).dtype == np.float64
+        if kind == "gauss":
+            assert semigroup.yosida_resolvent(spec, 1.0, f.astype(dtype)).dtype == dtype
+            assert semigroup.yosida_resolvent(spec, 1.0, f).dtype == np.float64
 
 
 class TestDenseMatrices:
