@@ -41,7 +41,7 @@ class Context:
 
     @cached_property
     def resolvent(self):
-        """L^-1."""
+        """L^-1 and the singular values of L, descending."""
         return numcore.inverse(self.model.L)
 
     @cached_property
@@ -149,8 +149,8 @@ def _maccretive(ctx):
 
 
 def _resolvent_spectrum(ctx):
-    R = ctx.resolvent
-    ctx.svals, ctx.evals = numcore.singular_values(R), numcore.general_eigen(R)
+    R, s = ctx.resolvent
+    ctx.svals, ctx.evals = 1.0 / s[::-1], numcore.general_eigen(R)
 
 
 def _order(ctx):
@@ -164,8 +164,9 @@ def _schatten(ctx):
     if ctx.mu is None:
         return "info", {"message": "order unavailable"}
     cls = diagnostics.schatten_classify(ctx.svals, ctx.mu)
+    # p = 2/mu is keyed at 12 decimals, so a last-digit move of mu keeps the key
     return "info", {"predicted_p": cls.predicted_p, "trace_class": cls.trace_class,
-                    "sums": {str(k): v for k, v in cls.sums.items()}}
+                    "sums": {repr(round(p, 12)): v for p, v in cls.sums.items()}}
 
 
 def _numerical_range(ctx):
@@ -188,7 +189,7 @@ def _factorization(ctx):
 
 
 def _realpart(ctx):
-    R = ctx.resolvent
+    R, _ = ctx.resolvent
     _, inv_root, C = ctx.factors
     defect1, defect_half = diagnostics.realpart_resolvent_check(R, inv_root, C)
     return _verdict(defect1 <= 1e-8), {"defect_factor1": defect1,

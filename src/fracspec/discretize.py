@@ -227,12 +227,12 @@ def multiply(grid, rho):
     return np.diag(sample_coefficient(rho, grid))
 
 
-def weighted_h2_matrix(grid, lam=5):
-    """Norm matrix of ||f||^2 + ||f''||^2 weighted by (1+|x|)^lam.
+def weighted_h2_matrix(grid):
+    """Norm matrix of ||f||^2 + ||f''||^2 weighted by (1+|x|)^5.
 
-    Realizes the weighted Sobolev H_0^(2,lam) norm as a positive definite
+    Realizes the weighted Sobolev H_0^(2,5) norm as a positive definite
     matrix N with ||f||_+^2 = (N f, f) under the grid inner product.
     """
-    w = (1.0 + np.abs(grid.nodes)) ** lam
+    w = (1.0 + np.abs(grid.nodes)) ** 5
     D2 = second_derivative(grid)
     return np.eye(grid.n) + D2.T @ (w[:, None] * D2)

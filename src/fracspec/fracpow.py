@@ -291,12 +291,13 @@ def gl_partial_sum(alpha, lam, K):
     return lam**alpha * np.exp(gammaln(K + 1 - alpha) - gammaln(K + 1) - gammaln(1 - alpha))
 
 
-def gl_abs_sum(alpha, lam, K=100_000):
-    """sum_k |C_k| summed by recurrence up to K with the telescoped remainder.
+def gl_abs_sum(alpha, lam):
+    """sum_k |C_k| summed by recurrence up to K = 100000 with the telescoped remainder.
 
     Since C_k < 0 for k >= 1 and the full series sums to zero, the exact
     remainder past K is S_K itself, so the truncation tail is zero.
     """
+    K = 100_000
     c = gl_coefficients(alpha, lam, K)
     return float(c[0] - np.sum(c[1:]) + gl_partial_sum(alpha, lam, K))
 

@@ -150,8 +150,9 @@ def _check_cond(M):
 
 
 def inverse(M):
-    _check_cond(M)
-    return np.linalg.inv(M)
+    """M^-1 and the singular values of M, descending (the condition cap's SVD)."""
+    s = _check_cond(M)
+    return np.linalg.inv(M), s
 
 
 def inverse_norm(M):

@@ -62,9 +62,9 @@ class SemigroupSpec:
 
 
 def _shift_values(v, steps):
-    """Values of f(x + steps*h) with zero extension (steps may be negative)."""
+    """Values of f(x + steps*h) along axis 0, with zero extension (steps may be negative)."""
     out = np.zeros_like(v)
-    n = v.size
+    n = v.shape[0]
     if steps >= n or steps <= -n:
         return out
     if steps >= 0:
@@ -83,7 +83,8 @@ def _poisson_isf(q, rate):
 
 
 def apply(spec, t, f):
-    """Apply T_t to the samples f, in f's dtype (an integer f as float64)."""
+    """Apply T_t to the samples f, a vector or the k columns of an n x k array,
+    in f's dtype (an integer f as float64)."""
     if t < 0:
         raise NegativeTime(f"semigroup time must be >= 0, got {t}")
     v = np.asarray(f)
@@ -146,9 +147,10 @@ class AxiomReport:
     t0_identity_exact: bool
 
 
-def verify_axioms(spec, times=(0.1, 0.5, 1.0), n_probes=100, seed=0):
-    """Check the C0-semigroup axioms on random and smooth probes."""
+def verify_axioms(spec, seed=0):
+    """Check the C0-semigroup axioms at t = 0.1, 0.5 and 1 on a smooth probe and 100 random ones."""
     grid = spec.grid
+    times = (0.1, 0.5, 1.0)
     rng = np.random.default_rng(seed)
     x = grid.nodes
     smooth = np.exp(-((x - (grid.a + grid.b) / 2) ** 2)) * (x - grid.a) * (grid.b - x)
@@ -161,15 +163,12 @@ def verify_axioms(spec, times=(0.1, 0.5, 1.0), n_probes=100, seed=0):
             one = apply(spec, s + t, smooth)
             law = max(law, np.linalg.norm(two - one) / nrm)
 
-    contraction = 0.0
-    for _ in range(n_probes):
-        fv = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
-        fn = np.linalg.norm(fv)
-        for t in times:
-            contraction = max(contraction, np.linalg.norm(apply(spec, t, fv)) / fn)
+    z = rng.standard_normal((100, 2, grid.n))  # each probe's real, then imaginary part
+    probes = (z[:, 0] + 1j * z[:, 1]).T
+    norms = np.linalg.norm(probes, axis=0)
+    contraction = max(np.max(np.linalg.norm(apply(spec, t, probes), axis=0) / norms) for t in times)
 
-    t0 = apply(spec, 0.0, smooth)
-    t0_exact = bool(np.array_equal(t0, smooth))
+    t0_exact = bool(np.array_equal(apply(spec, 0.0, smooth), smooth))
 
     t_small = max(min(times) / 8, grid.h**2 / 2 if spec.kind == "gauss" else 0.0)
     continuity = np.linalg.norm(apply(spec, t_small, smooth) - smooth) / nrm

@@ -119,7 +119,7 @@ def test_05_sectorial_factorization():
 def _kipriyanov_resolvent_svals(n):
     g = Grid1D(0.0, np.pi, n)
     m = tf.build_kipriyanov_1d(g, "const:1.0", "const:0.0", 0.0, 0.5)
-    R = nc.inverse(m.L)
+    R, _ = nc.inverse(m.L)
     return nc.singular_values(R)
 
 
@@ -145,8 +145,8 @@ def test_07_eigenvalue_inequality():
     sups = []
     for n in (128, 256, 512):
         g, m = _eigenvalue_model(n)
-        R_W = nc.inverse(m.L)
-        R_H = nc.inverse(nc.hermitian_part(m.L))
+        R_W, _ = nc.inverse(m.L)
+        R_H, _ = nc.inverse(nc.hermitian_part(m.L))
         _, sup = dg.eigenvalue_inequality(R_W, R_H, p=1.0)
         assert np.isfinite(sup)
         sups.append(sup)

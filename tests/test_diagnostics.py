@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from fracspec import checks
 from fracspec import diagnostics as dg
@@ -266,11 +267,14 @@ class TestH1H2:
 
 class TestFactorizationCache:
     def test_spectrum_suite_factors_L_once(self, monkeypatch):
-        # one eigh of Re L (and one of the h+ norm matrix), one inverse of L
-        # and one of I - C^2
+        # one eigh of Re L (and one of the h+ norm matrix), one inverse of L,
+        # one Cholesky factor of I - C^2, and seven SVDs: L's (which also gives
+        # the resolvent's singular values), W's in h1-h2-bounds and five in
+        # generator-m-accretive
         grid, model = TestNumericalRange.kipriyanov(32)
-        calls = {"eigh": 0, "inv": 0}
+        calls = {"eigh": 0, "inv": 0, "cholesky": 0, "svd": 0}
         eigh, inv = numcore._eigh, np.linalg.inv
+        cho_factor, svdvals = scipy.linalg.cho_factor, scipy.linalg.svdvals
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -280,9 +284,11 @@ class TestFactorizationCache:
 
         monkeypatch.setattr(numcore, "_eigh", counted("eigh", eigh))
         monkeypatch.setattr(np.linalg, "inv", counted("inv", inv))
+        monkeypatch.setattr(scipy.linalg, "cho_factor", counted("cholesky", cho_factor))
+        monkeypatch.setattr(scipy.linalg, "svdvals", counted("svd", svdvals))
         entries = checks.run(checks.Context(model, grid, {"model": "kipriyanov1d"}), ("spectrum",))
         assert "error" not in {e["status"] for e in entries}
-        assert calls == {"eigh": 2, "inv": 2}
+        assert calls == {"eigh": 2, "inv": 1, "cholesky": 1, "svd": 7}
 
 
 class TestSectorialFactorization:
@@ -327,7 +333,7 @@ class TestResolventIdentity:
     @staticmethod
     def defects(W):
         _, inv_root, C = dg.sectorial_factorize(W)
-        return dg.realpart_resolvent_check(inverse(W), inv_root, C)
+        return dg.realpart_resolvent_check(inverse(W)[0], inv_root, C)
 
     def test_factor_one_holds(self):
         for seed in (0, 1):
@@ -375,6 +381,16 @@ class TestOrderAndSchatten:
         assert not rep2.trace_class and np.isclose(rep2.predicted_p, 4.0)
         with pytest.raises(ValueError):
             dg.schatten_classify(s, 0.0)
+
+    def test_schatten_key_survives_one_ulp_of_mu(self):
+        # riesz n=24: 2/mu and 2/nextafter(mu) differ in the last digit
+        s = np.arange(1, 65, dtype=float) ** -0.2
+        mu = 2 / 15.204212141599925
+        got = [run_check("schatten-classification",
+                         checks.Context(None, None, {}, svals=s, mu=m))[1]
+               for m in (mu, float(np.nextafter(mu, 1.0)))]
+        assert got[0]["predicted_p"] != got[1]["predicted_p"]
+        assert list(got[0]["sums"]) == list(got[1]["sums"]) == ["1.0", "15.2042121416"]
 
 
 class TestEigenvalueInequalityAndAsymptotics:

@@ -106,7 +106,9 @@ class TestSingularValues:
 class TestAdjointSolveInverse:
     def test_solve_and_inverse(self):
         M = rand_spd(6, 15)
-        assert np.allclose(nc.inverse(M) @ M, np.eye(6), atol=1e-10)
+        M_inv, s = nc.inverse(M)
+        assert np.allclose(M_inv @ M, np.eye(6), atol=1e-10)
+        assert np.array_equal(s, nc.singular_values(M))  # the condition cap's SVD
 
     def test_ill_conditioned_rejected(self):
         M = np.diag([1.0, 1e-15])

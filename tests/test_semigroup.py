@@ -86,6 +86,19 @@ class TestApply:
         for k in range(5):
             assert out[10 + k] == pd.pmf(k, 2.0 * t)
 
+    @pytest.mark.parametrize("kind", sg.KINDS)
+    def test_block_matches_single_applies(self, kind):
+        g = unit_grid(33)
+        spec = sg.SemigroupSpec(kind, g, mu=2 * g.h if kind == "poisson" else 0.0)
+        rng = np.random.default_rng(4)
+        F = rng.standard_normal((33, 5)) + 1j * rng.standard_normal((33, 5))
+        for t in (0.0, 0.37 * g.h, 0.3):
+            block = sg.apply(spec, t, F)
+            assert block.shape == F.shape
+            for j in range(5):
+                np.testing.assert_allclose(block[:, j], sg.apply(spec, t, F[:, j]),
+                                           rtol=1e-14, atol=1e-15)
+
 
 def poisson_impulse_response(n, m, rate):
     """T_t of a unit impulse at node 0 on a poisson grid with mu = m h, lam t = rate."""
@@ -238,3 +251,16 @@ class TestAxioms:
         assert rep.t0_identity_exact
         assert rep.law_defect <= 1e-12
         assert rep.contraction_max <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("kind", sg.KINDS)
+    def test_contraction_matches_per_probe_loop(self, kind):
+        # the reference: each of the 100 probes drawn and applied on its own
+        g = Grid1D(-10.0, 10.0, 63) if kind == "gauss" else unit_grid(63)
+        spec = sg.SemigroupSpec(kind, g, mu=4 * g.h if kind == "poisson" else 0.0)
+        rng = np.random.default_rng(3)
+        want = 0.0
+        for _ in range(100):
+            fv = rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n)
+            for t in (0.1, 0.5, 1.0):
+                want = max(want, np.linalg.norm(sg.apply(spec, t, fv)) / np.linalg.norm(fv))
+        assert sg.verify_axioms(spec, seed=3).contraction_max == pytest.approx(want, rel=1e-14)
