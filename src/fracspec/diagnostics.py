@@ -56,9 +56,14 @@ def numerical_range(M, n_angles=256):
     real = np.isrealobj(M)
     pts = np.empty(n_angles, dtype=complex)
     Mc = M.astype(complex, copy=False)  # cast once, not in each Rayleigh product
+    # every angle forms H in the same two buffers, and the reduction overwrites
+    # H, so no angle allocates (or makes the allocator trim and regrow) n x n
+    H = np.empty(M.shape, dtype=complex, order="F")
+    T = np.empty(M.shape, dtype=complex, order="F")
     for j in range(half // 2 + 1 if real else half):
-        H = np.exp(1j * phis[j]) * M
-        H = (H + H.conj().T) / 2
+        np.multiply(np.exp(1j * phis[j]), M, out=H)
+        np.add(H, np.conjugate(H, out=T).T, out=H)
+        H /= 2
         bottom, top = extreme_eigvecs(H)
         pts[j] = top.conj() @ Mc @ top
         if not real:

@@ -13,9 +13,14 @@ Routes implemented:
    power) and then expanded. A real symmetric tridiagonal A = V diag(w) V^T
    (the Gauss generator) is diagonalized once; every resolvent is then
    1/(l + w) in that basis, so the rule runs on a vector of ones. Every other
-   A is solved by gbsv in LAPACK band storage, its band read from its nonzeros
-   and a real A kept real. The accretivity gate reads the smallest eigenvalue
-   of the Hermitian part from w or from the same band.
+   A is solved in LAPACK band storage, its band read from its nonzeros and a
+   real A kept real. Each pass of the rule solves all its shifts at once: the
+   shifted copies of A are the diagonal blocks of one band matrix, solved by
+   substitution (tbtrs) when A is triangular, else by one gbsv, and as many
+   copies share a call as a fixed cap on its entries allows (a wide general
+   band, whose LU would do more work in a shared call, takes one shift to a
+   call). The accretivity gate reads the smallest eigenvalue of the Hermitian
+   part from w or from the same band.
 2. Spectral calculus for Hermitian positive matrices (numcore.herm_power).
 3. Grunwald-type series for the Poisson-difference generator.
 4. Closed-form singular-integral matrices (Marchaud derivative for the shift
@@ -52,15 +57,31 @@ class BalakrishnanConfig:
 # the doubling check adds the odd nodes of step _STEP / 2, and if need be of _STEP / 4.
 _STEP = 0.1
 _NODES = 48
+# Entries of one call of the shifted solver: (band rows + right-hand-side
+# columns) x n x shifts. 2^18 float64 entries are 2 MB: one pass of the rule
+# on a banded generator and a few columns is one call, a matrix right-hand
+# side takes several
+_CALL_ENTRIES = 2**18
+# The shifted copies of a general band in one call are coupled through the
+# window of its LU: at its far edge each copy does the whole lo x (lo + up)
+# window that a lone copy truncates, about lo (lo + up) min(lo + up, n) more
+# multiply-adds. Copies share a call while that stays under 2^14, about the
+# cost of a call of its own; a wider band (a dense A of n > 20) is solved one
+# shift to a call
+_COUPLED_WORK = 2**14
 
 
 class _ResolventSolver:
-    """Solves (l I + A) X = B for shifts l > 0; a real A stays real.  A real
-    symmetric tridiagonal A = V diag(w) V^T is diagonalized once, and then
-    ``solve`` works in that basis: it divides B by l + w, and the caller
-    transforms with ``V``.  Any other A is solved by ``gbsv`` in LAPACK band
-    storage, the band widths read from A's nonzeros, and ``V`` is None.
-    ``herm_min`` is the smallest eigenvalue of A's Hermitian part."""
+    """Solves (l I + A) X = B for shifts l > 0, all the shifts of one call at
+    once; a real A stays real.  A real symmetric tridiagonal A = V diag(w) V^T
+    is diagonalized once, and then ``solve`` works in that basis: it divides B
+    by l + w, and the caller transforms with ``V``.  Any other A is solved in
+    LAPACK band storage, the band widths read from A's nonzeros, and ``V`` is
+    None: the shifted copies of A are the diagonal blocks of one band matrix,
+    solved by substitution (``tbtrs``) when A is triangular, else by ``gbsv``.
+    ``herm_min`` is the smallest eigenvalue of A's Hermitian part; ``rows`` is
+    the number of band rows a shift adds to a call (0 in the eigenbasis), and
+    ``batched`` says whether shifts may share a call (see _COUPLED_WORK)."""
 
     def __init__(self, A):
         # checked once here, so the solves need not check each shift
@@ -75,6 +96,7 @@ class _ResolventSolver:
             if self.real and lo == up == 1 and np.array_equal(np.diagonal(A, -1), np.diagonal(A, 1)):
                 self.w, self.V = eigh_tridiagonal(self.diag, np.diagonal(A, 1), check_finite=False)
                 self.herm_min = float(self.w[0])
+                self.rows, self.batched = 0, True
                 return
             # else the smallest eigenvalue of the Hermitian part, from its band
             k = max(lo, up)
@@ -85,27 +107,52 @@ class _ResolventSolver:
             self.herm_min = float(w[0])
         except np.linalg.LinAlgError as exc:
             raise NoConvergence(str(exc)) from exc
+        # a triangular band needs no factorization; a general one has lo more
+        # rows on top for the fill-in of its LU
+        self.triangular = lo == 0 or up == 0
         self.lo, self.up = lo, up
-        # LAPACK band storage with lo more rows on top for the fill-in of the
-        # LU, built once; each shift rewrites the diagonal row
-        self.ab = np.zeros((2 * lo + up + 1, n), dtype=A.dtype)
+        fill = 0 if self.triangular else lo
+        self.diag_row = fill + up
+        # LAPACK band storage of one copy of A, built once. Diagonal d fills
+        # n - |d| of its row; the |d| entries left over are the corners that
+        # would couple one shifted copy to the next when the copies are laid
+        # side by side, and they stay zero
+        self.ab = np.zeros((fill + lo + up + 1, n), dtype=A.dtype)
         for d in range(-lo, up + 1):
-            self.ab[lo + up - d, max(d, 0) : n + min(d, 0)] = np.diagonal(A, d)
-        self.gbsv = get_lapack_funcs("gbsv", (A,))
+            self.ab[fill + up - d, max(d, 0) : n + min(d, 0)] = np.diagonal(A, d)
+        self.rows = self.ab.shape[0]
+        self.batched = self.triangular or lo * (lo + up) * min(lo + up, n) <= _COUPLED_WORK
+        self.driver = get_lapack_funcs("tbtrs" if self.triangular else "gbsv", (A,))
 
-    def solve(self, lam, B):
+    def solve(self, lams, B):
+        """(l I + A)^(-1) B for each shift l of ``lams``, stacked on a new first axis."""
         if self.V is not None:
-            return (B.T / (lam + self.w)).T
-        # a real band solves a complex B as the real columns [Re B, Im B] of one call
+            d = lams[:, None] + self.w
+            return B / d[(...,) + (None,) * (B.ndim - 1)]
+        # a real band solves a complex B as the real columns [Re B, Im B]
         split = self.real and np.iscomplexobj(B)
         rhs = np.stack([B.real, B.imag], -1) if split else B
-        self.ab[self.lo + self.up] = self.diag + lam
-        *_, x, info = self.gbsv(self.lo, self.up, self.ab, rhs.reshape(B.shape[0], -1))
+        n, K = B.shape[0], lams.size
+        cols = rhs.reshape(n, -1)
+        # copy k of A, shifted by lams[k], is diagonal block k of one K n x K n
+        # band, and copy k of B is block k of its right-hand side; (rows, n, K)
+        # and (n, K, cols) in Fortran order are those Fortran-ordered arrays
+        ab = np.empty(self.ab.shape + (K,), dtype=self.ab.dtype, order="F")
+        ab[...] = self.ab[..., None]
+        ab = ab.reshape((self.rows, n * K), order="F")
+        ab[self.diag_row] = (self.diag + lams[:, None]).ravel()
+        b = np.empty((n, K, cols.shape[1]), dtype=np.result_type(ab, cols), order="F")
+        b[...] = cols[:, None, :]
+        b = b.reshape((n * K, cols.shape[1]), order="F")
+        if self.triangular:
+            x, info = self.driver(ab, b, uplo="U" if self.lo == 0 else "L", overwrite_b=1)
+        else:
+            *_, x, info = self.driver(self.lo, self.up, ab, b, overwrite_ab=1, overwrite_b=1)
         if info > 0:
             raise np.linalg.LinAlgError("singular matrix")
         if info < 0:
-            raise ValueError(f"illegal value in argument {-info} of gbsv")
-        x = x.reshape(rhs.shape)
+            raise ValueError(f"illegal value in argument {-info} of the band solver")
+        x = np.moveaxis(x.reshape((n, K, -1), order="F"), 1, 0).reshape((K,) + rhs.shape)
         return x[..., 0] + 1j * x[..., 1] if split else x
 
 
@@ -188,21 +235,31 @@ def _balakrishnan(A, B, cfg, check, negative=False):
     return (Y.view(complex) if cplx else Y).reshape(X.shape)
 
 
+def _solutions(solver, lams, X):
+    """(l + A)^(-1) X for each shift l of ``lams`` in turn, from as few calls
+    of ``solver.solve`` as keep each call within _CALL_ENTRIES entries (one
+    shift to a call where the solver's copies do not share one)."""
+    n = X.shape[0]
+    per_call = max(1, _CALL_ENTRIES // ((solver.rows + X.size // n) * n)) if solver.batched else 1
+    for i in range(0, lams.size, per_call):
+        yield from solver.solve(lams[i : i + per_call], X)
+
+
 def _integral(solver, X, e, check, weight=1.0):
     """(sin e pi / pi) int_0^inf l^(e-1) (l+A)^(-1) X dl by the rule of step
     _STEP, solving with ``solver``.  With ``check`` the step is halved, at most
     twice, until a halving moves the result by at most ``quad_doubling_rel``;
     ``weight`` weighs the entries of the result in the measure of that move."""
     lam, w = _weights(e, 1)
-    # the banded drivers take Fortran-ordered right-hand sides
-    X = np.asfortranarray(X)
-    first = last = solver.solve(lam[0], X)
+    solutions = _solutions(solver, lam, X)
+    # copied, so they hold no block of stacked solutions through the halvings
+    first = next(solutions).copy()
     out = w[0] * first
-    for k in range(1, lam.size):
-        last = solver.solve(lam[k], X)
+    for k, last in enumerate(solutions, 1):
         out += w[k] * last
     if not check:
         return out
+    last = last.copy()
     for m in (2, 4):
         # the old nodes are the even new ones, where the new weights are half
         # the old but for the end corrections
@@ -210,12 +267,10 @@ def _integral(solver, X, e, check, weight=1.0):
         new = out / 2
         new += (w_new[0] - w[0] / 2) * first
         new += (w_new[-1] - w[-1] / 2) * last
-        for k in range(1, lam.size, 2):
-            # scaled in place and released before the next solve allocates
-            Y = solver.solve(lam[k], X)
+        for k, Y in zip(range(1, lam.size, 2), _solutions(solver, lam[1::2], X)):
+            # scaled in place, in the block of stacked solutions
             Y *= w_new[k]
             new += Y
-            del Y
         moved = _moved(new, out, weight)
         if moved <= DEFAULT.quad_doubling_rel:
             return new

@@ -79,6 +79,9 @@ def extreme_eigvecs(H):
     stein, as ``zheevr`` does for an index range), and Q is applied to both
     at once (``zunmqr`` on the reflectors below the subdiagonal, which is
     ``zunmtr`` for the lower triangle).
+
+    The reduction overwrites H when H is a Fortran-ordered complex128 array
+    (any other H is copied first), so a caller that keeps H passes a copy.
     """
     n = H.shape[0]
     if n == 1:
@@ -86,7 +89,7 @@ def extreme_eigvecs(H):
     lapack = scipy.linalg.lapack
     work, info = lapack.zhetrd_lwork(n, lower=1)
     if info == 0:
-        c, d, e, tau, info = lapack.zhetrd(H, lower=1, lwork=int(work.real))
+        c, d, e, tau, info = lapack.zhetrd(H, lower=1, lwork=int(work.real), overwrite_a=1)
     if info != 0:
         raise NoConvergence(f"zhetrd info={info}")
     Z = np.empty((n, 2), complex, order="F")

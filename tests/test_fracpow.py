@@ -25,13 +25,14 @@ def generator(kind, n):
 
 
 def count_solves(monkeypatch):
-    """Record (shift, right-hand-side ndim) of every resolvent solve."""
+    """Record (shift, right-hand-side ndim) of every shift the resolvent
+    solver is called on; one call takes many shifts."""
     calls = []
     solve = fp._ResolventSolver.solve
 
-    def counting(self, lam, B):
-        calls.append((lam, np.ndim(B)))
-        return solve(self, lam, B)
+    def counting(self, lams, B):
+        calls.extend((lam, np.ndim(B)) for lam in lams)
+        return solve(self, lams, B)
 
     monkeypatch.setattr(fp._ResolventSolver, "solve", counting)
     return calls
@@ -206,8 +207,10 @@ def banded_matrix(lo, up, complex_, hermitian=False, n=96, seed=4):
 
 
 class TestBandedDrivers:
-    """The band solver against a dense solve, for real and complex A and
-    right-hand sides."""
+    """The band solver against a dense solve per shift, for real and complex A
+    and right-hand sides, every shift of a call solved at once."""
+
+    SHIFTS = np.array([1e-3, 1.0, 1e3])
 
     @pytest.mark.parametrize("complex_", [False, True])
     @pytest.mark.parametrize("lo, up, hermitian", [
@@ -216,25 +219,104 @@ class TestBandedDrivers:
         A = banded_matrix(lo, up, complex_, hermitian)
         n = A.shape[0]
         solver = fp._ResolventSolver(A)
-        # a real symmetric tridiagonal A = V diag(w) V^T is solved in its eigenbasis
+        # a real symmetric tridiagonal A = V diag(w) V^T is solved in its
+        # eigenbasis; any other triangular band by substitution
         eigen = hermitian and not complex_
         assert (solver.V is not None) == eigen
+        if not eigen:
+            assert solver.triangular == (lo == 0 or up == 0)
         rng = np.random.default_rng(5)
         real = rng.standard_normal((n, n))
         cplx = real + 1j * rng.standard_normal((n, n))
-        for lam in (1e-3, 1.0, 1e3):
-            for B in (real[:, 0], cplx[:, 0], real, cplx):
-                got = solver.V @ solver.solve(lam, solver.V.T @ B) if eigen else solver.solve(lam, B)
+        for B in (real[:, 0], cplx[:, 0], real, cplx):
+            if eigen:
+                got = np.array([solver.V @ y for y in solver.solve(self.SHIFTS, solver.V.T @ B)])
+            else:
+                got = solver.solve(self.SHIFTS, B)
+            assert got.shape == (self.SHIFTS.size,) + B.shape
+            for lam, x in zip(self.SHIFTS, got):
                 want = np.linalg.solve(A + lam * np.eye(n), B)
-                assert got.shape == B.shape
-                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
-                if not complex_ and not np.iscomplexobj(B):
-                    assert got.dtype == np.float64
+                assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
+            if not complex_ and not np.iscomplexobj(B):
+                assert got.dtype == np.float64
         assert solver.real == (not complex_)
         if not complex_ and not eigen:
             assert solver.diag.dtype == solver.ab.dtype == np.float64
         herm_min = np.linalg.eigvalsh((A + A.conj().T) / 2)[0]
         assert abs(solver.herm_min - herm_min) <= 1e-12 * np.linalg.norm(A)
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("lo, up", [(4, 0), (0, 1), (2, 1)])
+    def test_corners_keep_the_shifted_copies_apart(self, lo, up, complex_):
+        # the entries of the band storage that no diagonal of A fills would
+        # couple copy k to copy k + 1 once the copies lie side by side: a copy
+        # of the solver with them set solves one shift right and several wrong
+        A = banded_matrix(lo, up, complex_)
+        n = A.shape[0]
+        B = np.random.default_rng(6).standard_normal(n)
+        solver = fp._ResolventSolver(A)
+        corners = np.ones(solver.ab.shape, dtype=bool)
+        for d in range(-lo, up + 1):
+            corners[solver.diag_row - d, max(d, 0) : n + min(d, 0)] = False
+        corners[: solver.diag_row - up] = False  # the rows of the LU's fill-in
+        assert np.count_nonzero(corners) == lo * (lo + 1) // 2 + up * (up + 1) // 2
+        assert not np.any(solver.ab[corners])
+        want = [np.linalg.solve(A + lam * np.eye(n), B) for lam in self.SHIFTS]
+
+        def worst(solver, shifts):
+            got = solver.solve(shifts, B)
+            return max(np.linalg.norm(x - want[i]) / np.linalg.norm(want[i]) for i, x in enumerate(got))
+
+        assert worst(solver, self.SHIFTS) <= 1e-12
+        solver.ab[corners] = 1.0
+        assert worst(solver, self.SHIFTS[:1]) <= 1e-12
+        assert worst(solver, self.SHIFTS) > 1e-3
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("lo, up, hermitian", [(4, 0, False), (0, 1, False), (1, 1, True), (2, 1, False)])
+    def test_shifts_split_over_calls_as_in_one_call(self, lo, up, hermitian, complex_, monkeypatch):
+        # n x n right-hand sides need (rows + n) n entries a shift, so the 97
+        # shifts of a pass go to several calls under the entry cap
+        A = banded_matrix(lo, up, complex_, hermitian)
+        n = A.shape[0]
+        X = np.random.default_rng(7).standard_normal((n, n)) * (1 + 1j)
+        solver = fp._ResolventSolver(A)
+        lams, _ = fp._weights(0.5, 1)
+        whole = solver.solve(lams, X)
+        calls = []
+        solve = fp._ResolventSolver.solve
+        monkeypatch.setattr(fp._ResolventSolver, "solve", lambda self, l, B: calls.append(l.size) or solve(self, l, B))
+        split = np.stack(list(fp._solutions(solver, lams, X)))
+        assert len(calls) > 1 and sum(calls) == lams.size
+        assert max(calls) * (solver.rows + n) * n <= fp._CALL_ENTRIES
+        assert np.linalg.norm(split - whole) <= 1e-15 * np.linalg.norm(whole)
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_singular_shifted_matrix_raises(self, complex_):
+        # l = 1 makes the triangular T + l I, whose first diagonal entry is
+        # then 0, and the general band B - I + l I, whose leading 2 x 2 block
+        # is then singular, singular; the other shifted copies of the call do
+        # not hide it
+        shifts = np.array([0.5, 1.0, 2.0])
+        c = 1j if complex_ else 1.0
+        T = np.diag([-1.0, 2.0, 3.0]) + 0.5 * c * np.eye(3, k=1)
+        B = np.array([[1.0, 2.0 * c, 0.0], [0.5 / c, 1.0, 0.0], [0.0, 3.0, 1.0]])
+        for A, triangular in ((T, True), (B - np.eye(3), False)):
+            solver = fp._ResolventSolver(A)
+            assert solver.triangular == triangular
+            with pytest.raises(np.linalg.LinAlgError, match="singular"):
+                solver.solve(shifts, np.ones(3))
+            solver.solve(shifts[[0, 2]], np.ones(3))
+
+    @pytest.mark.parametrize("n, batched", [(8, True), (20, True), (21, False), (96, False)])
+    def test_wide_general_band_takes_a_call_per_shift(self, n, batched, monkeypatch):
+        # the copies of a dense A in one call would do n^2 window work each
+        # that a lone copy truncates, so past n = 20 each shift has its call
+        A = 3.0 * np.eye(n) + np.random.default_rng(8).standard_normal((n, n)) / np.sqrt(n)
+        calls = TestEigenbasisRoute.count_routes(monkeypatch)
+        assert fp._ResolventSolver(A).batched == batched
+        fp.negative_power(A, fp.BalakrishnanConfig(0.5), check=True)
+        assert calls == {"gbsv": 2 if batched else 193}
 
     @pytest.mark.parametrize("kind", ["shift", "gauss", "poisson"])
     def test_gate_rejects_nonaccretive_band(self, kind):
@@ -416,9 +498,9 @@ class TestEigenbasisRoute:
         def counted_fetch(name, arrays):
             driver = fetch(name, arrays)
 
-            def call(*args):
+            def call(*args, **kwargs):
                 calls[name] += 1
-                return driver(*args)
+                return driver(*args, **kwargs)
             return call
 
         monkeypatch.setattr(fp, "eigh_tridiagonal", counted_eigh)
@@ -427,22 +509,25 @@ class TestEigenbasisRoute:
 
     @pytest.mark.parametrize("kind", ["shift", "gauss", "poisson"])
     def test_route_and_cost(self, kind, monkeypatch):
+        # a checked pass of 97 shifts, then 96, is one band-driver call each;
+        # the shift and poisson generators are triangular, solved by substitution
         calls = self.count_routes(monkeypatch)
         A, cfg = generator(kind, 256), fp.BalakrishnanConfig(0.5)
-        for call in (fp.balakrishnan_power, fp.negative_power):
+        f = np.sin(np.arange(256.0)) * (1 + 1j)
+        for call in (fp.balakrishnan_power, fp.negative_power, lambda A, cfg, check: fp.balakrishnan_apply(A, f, cfg, check)):
             calls.clear()
             call(A, cfg, check=True)
             if kind == "gauss":
                 assert calls == {"eigh_tridiagonal": 1}
             else:
-                assert calls == {"gbsv": 193}
+                assert calls == {"tbtrs": 2}
 
     def test_oracle_matrix_stays_on_band_solver(self, monkeypatch):
         calls = self.count_routes(monkeypatch)
         ctx = checks.Context(None, None, {"model": "riesz", "alpha": 0.9}, seed=7)
         status, numbers = checks._balakrishnan_oracle(ctx)
         assert status == "pass" and numbers["rel_frobenius"] <= 1e-8
-        assert calls["eigh_tridiagonal"] == 0 and calls["gbsv"] == 193
+        assert calls["eigh_tridiagonal"] == 0 and calls["gbsv"] == 2
 
 
 class TestToeplitzColumnRoute:
