@@ -13,14 +13,19 @@ Routes implemented:
    power) and then expanded. A real symmetric tridiagonal A = V diag(w) V^T
    (the Gauss generator) is diagonalized once; every resolvent is then
    1/(l + w) in that basis, so the rule runs on a vector of ones. Every other
-   A is solved in LAPACK band storage, its band read from its nonzeros and a
-   real A kept real. Each pass of the rule solves all its shifts at once: the
-   shifted copies of A are the diagonal blocks of one band matrix, solved by
-   substitution (tbtrs) when A is triangular, else by one gbsv, and as many
-   copies share a call as a fixed cap on its entries allows (a wide general
-   band, whose LU would do more work in a shared call, takes one shift to a
-   call). The accretivity gate reads the smallest eigenvalue of the Hermitian
-   part from w or from the same band.
+   A is solved in LAPACK band storage, its band widths read by
+   scipy.linalg.bandwidth and a real A kept real. Each pass of the rule
+   solves all its shifts at once: the shifted copies of A are the diagonal
+   blocks of one band matrix, solved by substitution (tbtrs) when A is
+   triangular, else by one gbsv, and as many copies share a call as a fixed
+   cap on its entries allows (a wide general band, whose LU would do more
+   work in a shared call, takes one shift to a call). Each call's block of
+   stacked solutions is scaled by its weights and summed in one reduction, in
+   node order. The accretivity gate reads the smallest eigenvalue of the
+   Hermitian part from w or from the same band. The set-up (the band, or V
+   and w) of the latest call is kept with the bytes of its matrix, and a call
+   on a byte-identical matrix reuses it: a caller that applies A^a to one
+   vector after another sets up once.
 2. Spectral calculus for Hermitian positive matrices (numcore.herm_power).
 3. Grunwald-type series for the Poisson-difference generator.
 4. Closed-form singular-integral matrices (Marchaud derivative for the shift
@@ -30,7 +35,7 @@ Routes implemented:
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, eigvals_banded, get_lapack_funcs, toeplitz
+from scipy.linalg import bandwidth, eigh_tridiagonal, eigvals_banded, get_lapack_funcs, toeplitz
 from scipy.special import gamma, gammaln, roots_jacobi
 
 from .config import DEFAULT
@@ -76,20 +81,20 @@ class _ResolventSolver:
     once; a real A stays real.  A real symmetric tridiagonal A = V diag(w) V^T
     is diagonalized once, and then ``solve`` works in that basis: it divides B
     by l + w, and the caller transforms with ``V``.  Any other A is solved in
-    LAPACK band storage, the band widths read from A's nonzeros, and ``V`` is
+    LAPACK band storage, its band widths read by ``bandwidth``, and ``V`` is
     None: the shifted copies of A are the diagonal blocks of one band matrix,
     solved by substitution (``tbtrs``) when A is triangular, else by ``gbsv``.
     ``herm_min`` is the smallest eigenvalue of A's Hermitian part; ``rows`` is
     the number of band rows a shift adds to a call (0 in the eigenbasis), and
-    ``batched`` says whether shifts may share a call (see _COUPLED_WORK)."""
+    ``batched`` says whether shifts may share a call (see _COUPLED_WORK).
+    Nothing changes a solver after ``__init__``, so calls may share one."""
 
     def __init__(self, A):
         # checked once here, so the solves need not check each shift
         A = np.asarray_chkfinite(A)
         A = A.astype(np.result_type(A, float), copy=False)
         n = A.shape[0]
-        r, c = np.nonzero(A)
-        lo, up = int(np.max(r - c, initial=0)), int(np.max(c - r, initial=0))
+        lo, up = bandwidth(A)
         self.real = not np.iscomplexobj(A)
         self.diag, self.V = np.diagonal(A).copy(), None
         try:
@@ -156,6 +161,22 @@ class _ResolventSolver:
         return x[..., 0] + 1j * x[..., 1] if split else x
 
 
+# The key of the latest call's matrix (shape, dtype and bytes) and its solver
+_last = (None, None)
+
+
+def _solver(A):
+    """The resolvent solver of A: the latest call's if that call's matrix had
+    the bytes of A, else a new one. A matrix changed in place gets a new one."""
+    global _last
+    key = (A.shape, A.dtype, A.tobytes())
+    last_key, solver = _last
+    if key != last_key:
+        solver = _ResolventSolver(A)
+        _last = (key, solver)
+    return solver
+
+
 def _weights(e, m):
     """Nodes l_k and weights c_k of the rule of step _STEP / m, with
     sum_k c_k (l_k + A)^(-1) X ~ (sin e pi / pi) int_0^inf l^(e-1) (l+A)^(-1) X dl.
@@ -204,7 +225,7 @@ def _balakrishnan(A, B, cfg, check, negative=False):
     side = None if B is not None else _triangular_toeplitz(A)
     # the Hermitian part of A^T has the eigenvalues of that of A
     low = A.T if side == "upper" else A
-    solver = _ResolventSolver(low)
+    solver = _solver(low)
     if solver.herm_min < -DEFAULT.accretive_floor_rel * np.linalg.norm(A):
         raise NotAccretive(f"Hermitian part has eigenvalue {solver.herm_min:.3e}")
     e = 1.0 - cfg.alpha if negative else cfg.alpha
@@ -235,14 +256,26 @@ def _balakrishnan(A, B, cfg, check, negative=False):
     return (Y.view(complex) if cplx else Y).reshape(X.shape)
 
 
-def _solutions(solver, lams, X):
-    """(l + A)^(-1) X for each shift l of ``lams`` in turn, from as few calls
-    of ``solver.solve`` as keep each call within _CALL_ENTRIES entries (one
-    shift to a call where the solver's copies do not share one)."""
+def _blocks(solver, lams, X):
+    """(index of its first shift, stacked solutions) for each call of
+    ``solver.solve`` that solves (l + A)^(-1) X for the shifts l of ``lams``,
+    in as few calls as keep each within _CALL_ENTRIES entries (one shift to a
+    call where the solver's copies do not share one)."""
     n = X.shape[0]
     per_call = max(1, _CALL_ENTRIES // ((solver.rows + X.size // n) * n)) if solver.batched else 1
     for i in range(0, lams.size, per_call):
-        yield from solver.solve(lams[i : i + per_call], X)
+        yield i, solver.solve(lams[i : i + per_call], X)
+
+
+def _add_block(out, Y, w):
+    """out + w_0 Y_0 + w_1 Y_1 + ..., added in that order (out = None: 0);
+    the block Y of stacked solutions is scaled in place."""
+    Y *= w.reshape((-1,) + (1,) * (Y.ndim - 1))
+    if out is not None:
+        Y[0] += out
+    # numpy sums axis 0 row after row unless it is the innermost axis of the
+    # loop, which only a 1 x 1 A makes it; then it would sum pairwise
+    return Y.sum(axis=0) if Y.shape[1] > 1 else np.cumsum(Y, axis=0)[-1]
 
 
 def _integral(solver, X, e, check, weight=1.0):
@@ -251,15 +284,16 @@ def _integral(solver, X, e, check, weight=1.0):
     twice, until a halving moves the result by at most ``quad_doubling_rel``;
     ``weight`` weighs the entries of the result in the measure of that move."""
     lam, w = _weights(e, 1)
-    solutions = _solutions(solver, lam, X)
-    # copied, so they hold no block of stacked solutions through the halvings
-    first = next(solutions).copy()
-    out = w[0] * first
-    for k, last in enumerate(solutions, 1):
-        out += w[k] * last
+    out = None
+    for i, Y in _blocks(solver, lam, X):
+        # the end solutions, copied before their block is scaled
+        if check and i == 0:
+            first = Y[0].copy()
+        if check and i + len(Y) == lam.size:
+            last = Y[-1].copy()
+        out = _add_block(out, Y, w[i : i + len(Y)])
     if not check:
         return out
-    last = last.copy()
     for m in (2, 4):
         # the old nodes are the even new ones, where the new weights are half
         # the old but for the end corrections
@@ -267,10 +301,9 @@ def _integral(solver, X, e, check, weight=1.0):
         new = out / 2
         new += (w_new[0] - w[0] / 2) * first
         new += (w_new[-1] - w[-1] / 2) * last
-        for k, Y in zip(range(1, lam.size, 2), _solutions(solver, lam[1::2], X)):
-            # scaled in place, in the block of stacked solutions
-            Y *= w_new[k]
-            new += Y
+        odd = w_new[1::2]
+        for i, Y in _blocks(solver, lam[1::2], X):
+            new = _add_block(new, Y, odd[i : i + len(Y)])
         moved = _moved(new, out, weight)
         if moved <= DEFAULT.quad_doubling_rel:
             return new

@@ -1,3 +1,4 @@
+import dataclasses
 from collections import Counter
 
 import numpy as np
@@ -26,7 +27,9 @@ def generator(kind, n):
 
 def count_solves(monkeypatch):
     """Record (shift, right-hand-side ndim) of every shift the resolvent
-    solver is called on; one call takes many shifts."""
+    solver is called on; one call takes many shifts. The solver kept from an
+    earlier call is dropped, so the count does not depend on test order."""
+    monkeypatch.setattr(fp, "_last", (None, None))
     calls = []
     solve = fp._ResolventSolver.solve
 
@@ -286,8 +289,10 @@ class TestBandedDrivers:
         calls = []
         solve = fp._ResolventSolver.solve
         monkeypatch.setattr(fp._ResolventSolver, "solve", lambda self, l, B: calls.append(l.size) or solve(self, l, B))
-        split = np.stack(list(fp._solutions(solver, lams, X)))
+        starts, blocks = zip(*fp._blocks(solver, lams, X))
+        split = np.concatenate(blocks)
         assert len(calls) > 1 and sum(calls) == lams.size
+        assert list(starts) == list(np.cumsum([0] + calls[:-1]))
         assert max(calls) * (solver.rows + n) * n <= fp._CALL_ENTRIES
         assert np.linalg.norm(split - whole) <= 1e-15 * np.linalg.norm(whole)
 
@@ -487,7 +492,10 @@ class TestEigenbasisRoute:
 
     @staticmethod
     def count_routes(monkeypatch):
-        """Count eigh_tridiagonal calls and calls of each band driver."""
+        """Count eigh_tridiagonal calls and calls of each band driver. The
+        solver kept from an earlier call is dropped: its set-up was not
+        counted, and it would call an uncounted driver."""
+        monkeypatch.setattr(fp, "_last", (None, None))
         calls = Counter()
         eigh, fetch = fp.eigh_tridiagonal, fp.get_lapack_funcs
 
@@ -510,15 +518,17 @@ class TestEigenbasisRoute:
     @pytest.mark.parametrize("kind", ["shift", "gauss", "poisson"])
     def test_route_and_cost(self, kind, monkeypatch):
         # a checked pass of 97 shifts, then 96, is one band-driver call each;
-        # the shift and poisson generators are triangular, solved by substitution
+        # the shift and poisson generators are triangular, solved by
+        # substitution. The three calls on one A diagonalize it once
         calls = self.count_routes(monkeypatch)
         A, cfg = generator(kind, 256), fp.BalakrishnanConfig(0.5)
         f = np.sin(np.arange(256.0)) * (1 + 1j)
-        for call in (fp.balakrishnan_power, fp.negative_power, lambda A, cfg, check: fp.balakrishnan_apply(A, f, cfg, check)):
+        for i, call in enumerate((fp.balakrishnan_power, fp.negative_power,
+                                  lambda A, cfg, check: fp.balakrishnan_apply(A, f, cfg, check))):
             calls.clear()
             call(A, cfg, check=True)
             if kind == "gauss":
-                assert calls == {"eigh_tridiagonal": 1}
+                assert calls == ({"eigh_tridiagonal": 1} if i == 0 else {})
             else:
                 assert calls == {"tbtrs": 2}
 
@@ -600,6 +610,162 @@ class TestToeplitzColumnRoute:
         assert np.linalg.norm(P - want) <= 1e-8 * np.linalg.norm(want)
         N = fp.negative_power(A, cfg, check=True)
         assert np.linalg.norm(N @ P - np.eye(256)) <= 1e-8 * np.linalg.norm(np.eye(256))
+
+
+def integral_by_shift(solver, X, e, check, weight=1.0):
+    """fp._integral summed one shift at a time, out += w_k Y_k in node order,
+    on the solutions of the same calls of the solver."""
+    def solutions(lams):
+        for _, Y in fp._blocks(solver, lams, X):
+            yield from Y
+
+    lam, w = fp._weights(e, 1)
+    ys = solutions(lam)
+    first = next(ys).copy()
+    out = w[0] * first
+    for k, last in enumerate(ys, 1):
+        out += w[k] * last
+    if not check:
+        return out
+    for m in (2, 4):
+        lam, w_new = fp._weights(e, m)
+        new = out / 2
+        new += (w_new[0] - w[0] / 2) * first
+        new += (w_new[-1] - w[-1] / 2) * last
+        for k, Y in zip(range(1, lam.size, 2), solutions(lam[1::2])):
+            new += w_new[k] * Y
+        if fp._moved(new, out, weight) <= fp.DEFAULT.quad_doubling_rel:
+            return new
+        out, w = new, w_new
+    raise QuadratureNotConverged("reference rule did not converge")
+
+
+def count_setups(monkeypatch):
+    """Count _ResolventSolver constructions, starting with no solver kept."""
+    monkeypatch.setattr(fp, "_last", (None, None))
+    calls = []
+    init = fp._ResolventSolver.__init__
+    monkeypatch.setattr(fp._ResolventSolver, "__init__", lambda self, A: calls.append(1) or init(self, A))
+    return calls
+
+
+class TestBlockedSum:
+    """Each block of stacked solutions is summed in one reduction, with the
+    bits of a sum over one shift at a time."""
+
+    @staticmethod
+    def cases():
+        rng = np.random.default_rng(11)
+        f = rng.standard_normal(96) + 1j * rng.standard_normal(96)
+        return {
+            # eigenbasis: a vector of ones, weighed by the rows of V^T X
+            "eigenbasis": (generator("gauss", 64), f[:64]),
+            # tbtrs: the Toeplitz column, and the full vector route
+            "tbtrs": (generator("poisson", 96), f),
+            # one gbsv for the shifts of a pass, real and complex
+            "gbsv": (banded_matrix(2, 1, False), f),
+            "gbsv-complex": (banded_matrix(2, 1, True), f.real),
+            # a dense A of n > 20: one gbsv per shift
+            "dense": (spd_matrix(24, 3), f[:24]),
+            # a 1 x 1 A, whose blocks are summed in turn by cumsum
+            "scalar": (np.array([[2.5]]), f[:1]),
+        }
+
+    @pytest.mark.parametrize("case", ["eigenbasis", "tbtrs", "gbsv", "gbsv-complex", "dense", "scalar"])
+    @pytest.mark.parametrize("check", [False, True])
+    def test_bit_identical_to_a_sum_by_shift(self, case, check, monkeypatch):
+        A, f = self.cases()[case]
+        cfg = fp.BalakrishnanConfig(0.5)
+        for call in (fp.balakrishnan_power, fp.negative_power,
+                     lambda A, cfg, check: fp.balakrishnan_apply(A, f, cfg, check)):
+            got = call(A, cfg, check=check)
+            with monkeypatch.context() as m:
+                m.setattr(fp, "_integral", integral_by_shift)
+                want = call(A, cfg, check=check)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("check", [False, True])
+    def test_matrix_right_hand_side_split_over_calls(self, complex_, check, monkeypatch):
+        # A^-a of a 96 x 96 band takes X = I, and A^a f an n x n f: a pass
+        # of 97 shifts goes to several calls under the entry cap
+        A = banded_matrix(2, 1, complex_)
+        F = np.random.default_rng(12).standard_normal((96, 96)) * (1 + 1j)
+        cfg = fp.BalakrishnanConfig(0.7)
+        calls = []
+        solve = fp._ResolventSolver.solve
+        monkeypatch.setattr(fp._ResolventSolver, "solve", lambda self, l, B: calls.append(l.size) or solve(self, l, B))
+        for call in (fp.negative_power, lambda A, cfg, check: fp.balakrishnan_apply(A, F, cfg, check)):
+            calls.clear()
+            got = call(A, cfg, check=check)
+            assert len(calls) > (2 if check else 1)
+            with monkeypatch.context() as m:
+                m.setattr(fp, "_integral", integral_by_shift)
+                want = call(A, cfg, check=check)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+class TestSetupMemo:
+    """Consecutive calls on a byte-identical matrix share one solver set-up."""
+
+    @pytest.mark.parametrize("kind", ["shift", "gauss", "poisson"])
+    def test_vectors_one_after_another_set_up_once(self, kind, monkeypatch):
+        A, cfg = generator(kind, 96), fp.BalakrishnanConfig(0.6)
+        F = np.random.default_rng(13).standard_normal((96, 4))
+        setups = count_setups(monkeypatch)
+        got = [fp.balakrishnan_apply(A, f, cfg, check=True) for f in F.T]
+        assert len(setups) == 1
+        # the same numbers as a set-up of its own for each vector
+        for f, y in zip(F.T, got):
+            monkeypatch.setattr(fp, "_last", (None, None))
+            assert np.array_equal(y, fp.balakrishnan_apply(A, f, cfg, check=True))
+        assert len(setups) == 5
+
+    def test_shift_power_and_negative_power_share_the_transpose(self, monkeypatch):
+        A, cfg = generator("shift", 96), fp.BalakrishnanConfig(0.5)
+        setups = count_setups(monkeypatch)
+        fp.balakrishnan_power(A, cfg, check=True)
+        solver = fp._last[1]
+        fp.negative_power(A, cfg, check=True)
+        assert len(setups) == 1 and fp._last[1] is solver
+        assert fp._last[0] == (A.shape, A.dtype, A.T.tobytes())
+        # A^a f solves with A itself, not with its transpose
+        fp.balakrishnan_apply(A, np.ones(96), cfg)
+        assert len(setups) == 2
+
+    @pytest.mark.parametrize("kind", ["gauss", "poisson", "dense"])
+    def test_matrix_changed_in_place_gets_a_new_setup(self, kind, monkeypatch):
+        A = spd_matrix(24, 5) if kind == "dense" else generator(kind, 64).copy()
+        cfg = fp.BalakrishnanConfig(0.5)
+        setups = count_setups(monkeypatch)
+        before = fp.balakrishnan_power(A, cfg, check=True)
+        A *= 2.0
+        after = fp.balakrishnan_power(A, cfg, check=True)
+        assert len(setups) == 2 and not np.array_equal(after, before)
+        monkeypatch.setattr(fp, "_last", (None, None))
+        assert np.array_equal(after, fp.balakrishnan_power(A.copy(), cfg, check=True))
+
+    def test_nan_is_rejected_after_a_good_call(self, monkeypatch):
+        A0, cfg = generator("poisson", 64), fp.BalakrishnanConfig(0.5)
+        A = A0.copy()
+        setups = count_setups(monkeypatch)
+        want = fp.balakrishnan_power(A, cfg)
+        A[3, 3] = np.nan
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            fp.balakrishnan_power(A, cfg)
+        # the set-up on the NaN raised and replaced nothing: A restored
+        # reuses the first call's solver
+        A[3, 3] = A0[3, 3]
+        assert np.array_equal(fp.balakrishnan_power(A, cfg), want)
+        assert len(setups) == 2
+
+    def test_gate_runs_on_every_call(self, monkeypatch):
+        A, cfg = generator("gauss", 64), fp.BalakrishnanConfig(0.5)
+        fp.balakrishnan_power(A, cfg)
+        # a floor above herm_min / ||A|| rejects the A whose solver is kept
+        monkeypatch.setattr(fp, "DEFAULT", dataclasses.replace(fp.DEFAULT, accretive_floor_rel=-1.0))
+        with pytest.raises(NotAccretive):
+            fp.balakrishnan_power(A, cfg)
 
 
 class TestNonFiniteInput:

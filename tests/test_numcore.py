@@ -185,3 +185,21 @@ class TestHermPower:
         lhs = nc.herm_power(M, a) @ nc.herm_power(M, b)
         rhs = nc.herm_power(M, a + b)
         assert np.linalg.norm(lhs - rhs) <= 1e-9 * max(np.linalg.norm(rhs), 1.0)
+
+
+class TestScipyWrappers:
+    """Every raw scipy wrapper fracspec calls, fetched as at the declared
+    scipy floor (1.10) and at the newest release."""
+
+    def test_raw_wrappers_exist(self):
+        import scipy.linalg
+
+        lapack = scipy.linalg.lapack
+        for name in ("zhetrd", "zhetrd_lwork", "zunmqr"):
+            assert callable(getattr(lapack, name))
+        for name in ("tbtrs", "gbsv"):
+            for dtype, prefix in ((np.float64, "d"), (np.complex128, "z")):
+                driver = scipy.linalg.get_lapack_funcs(name, (np.zeros(1, dtype),))
+                assert driver.typecode == prefix and callable(getattr(lapack, prefix + name))
+        A = np.diag([1.0, 2.0, 3.0]) + np.eye(3, k=-2) + np.eye(3, k=1)
+        assert scipy.linalg.bandwidth(A) == (2, 1)
