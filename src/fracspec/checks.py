@@ -32,7 +32,6 @@ class Context:
     grid: object
     config: dict
     seed: int = 0
-    semigroup_spec: object = None  # by semigroup-suite
     axioms: object = None          # by semigroup-suite
     svals: object = None           # resolvent singular values, by resolvent-spectrum
     evals: object = None           # resolvent eigenvalues, by resolvent-spectrum
@@ -50,28 +49,19 @@ class Context:
         return diagnostics.sectorial_factorize(self.model.L)
 
 
-def semigroup_spec_for(config, grid):
-    """The semigroup whose generator the model is built on; None for custom-matrix."""
-    if config["model"] == "difference":
-        mu = config["mu"] if config["mu"] is not None else 4 * grid.h
-        return semigroup.SemigroupSpec("poisson", grid, lam=config["lambda"], mu=mu)
-    kind = {"kipriyanov1d": "shift", "riesz": "gauss"}.get(config["model"])
-    return kind and semigroup.SemigroupSpec(kind, grid)
-
-
 def _verdict(ok):
     return "pass" if ok else "fail"
 
 
 def _axioms(ctx):
-    spec = semigroup_spec_for(ctx.config, ctx.grid)
+    spec = ctx.model.semigroup
     if spec is None:
         return "info", {"message": "no semigroup attached to custom-matrix"}
-    ctx.semigroup_spec, ctx.axioms = spec, semigroup.verify_axioms(spec, seed=ctx.seed)
+    ctx.axioms = semigroup.verify_axioms(spec, seed=ctx.seed)
 
 
 def _law(ctx):
-    tol = 1e-12 if ctx.semigroup_spec.kind == "poisson" else 10 * ctx.grid.h
+    tol = 1e-12 if ctx.model.semigroup.kind == "poisson" else 10 * ctx.grid.h
     return (_verdict(ctx.axioms.law_defect <= tol),
             {"max_defect": ctx.axioms.law_defect, "tolerance": tol})
 
@@ -87,12 +77,12 @@ def _identity(ctx):
 
 
 def _yosida(ctx):
-    spec = ctx.semigroup_spec
+    spec = ctx.model.semigroup
     if spec.kind != "gauss":
         return None
     f = np.exp(-(ctx.grid.nodes**2))
     via_kernel = semigroup.yosida_resolvent(spec, 1.0, f)
-    via_solve = np.linalg.solve(np.eye(ctx.grid.n) + semigroup.generator_matrix(spec), f)
+    via_solve = np.linalg.solve(np.eye(ctx.grid.n) + ctx.model.spec.J, f)
     return "info", {"rel_l2": float(np.linalg.norm(via_kernel - via_solve)
                                     / np.linalg.norm(via_solve))}
 

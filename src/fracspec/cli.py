@@ -153,8 +153,8 @@ def _build_model(config, doc=None):
         elif config["model"] == "riesz":
             model = transform.build_riesz_model(grid, a11, rho, sigma, alpha, config["delta"])
         else:
-            mu = checks.semigroup_spec_for(config, grid).mu
-            model = transform.build_difference_model(grid, a11, rho, config["lambda"], mu, alpha)
+            model = transform.build_difference_model(grid, a11, rho, config["lambda"],
+                                                     config["mu"], alpha)
         data = {"coefficients": {"a11": _complex_doc(a11), "rho": _complex_doc(rho)}}
     for what, m in (("matrix", model.L), ("J", model.spec.J), ("G", model.spec.G),
                     ("F", model.spec.F), ("hplus", model.hplus)):

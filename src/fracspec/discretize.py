@@ -233,6 +233,4 @@ def weighted_h2_matrix(grid):
     Realizes the weighted Sobolev H_0^(2,5) norm as a positive definite
     matrix N with ||f||_+^2 = (N f, f) under the grid inner product.
     """
-    w = (1.0 + np.abs(grid.nodes)) ** 5
-    D2 = second_derivative(grid)
-    return np.eye(grid.n) + D2.T @ (w[:, None] * D2)
+    return np.eye(grid.n) + fourth_order_weighted(grid, (1.0 + np.abs(grid.nodes)) ** 5)

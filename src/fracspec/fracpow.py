@@ -14,18 +14,18 @@ Routes implemented:
    (the Gauss generator) is diagonalized once; every resolvent is then
    1/(l + w) in that basis, so the rule runs on a vector of ones. Every other
    A is solved in LAPACK band storage, its band widths read by
-   scipy.linalg.bandwidth and a real A kept real. Each pass of the rule
-   solves all its shifts at once: the shifted copies of A are the diagonal
-   blocks of one band matrix, solved by substitution (tbtrs) when A is
-   triangular, else by one gbsv, and as many copies share a call as a fixed
-   cap on its entries allows (a wide general band, whose LU would do more
-   work in a shared call, takes one shift to a call). Each call's block of
-   stacked solutions is scaled by its weights and summed in one reduction, in
-   node order. The accretivity gate reads the smallest eigenvalue of the
-   Hermitian part from w or from the same band. The set-up (the band, or V
-   and w) of the latest call is kept with the bytes of its matrix, and a call
-   on a byte-identical matrix reuses it: a caller that applies A^a to one
-   vector after another sets up once.
+   scipy.linalg.bandwidth; a real A takes a complex right-hand side once, as
+   its real view. Each pass of the rule solves all its shifts at once: the
+   shifted copies of A are the diagonal blocks of one band matrix, solved by
+   substitution (tbtrs) when A is triangular, else by one gbsv, and as many
+   copies share a call as a cap on its entries allows (a wide general band,
+   whose LU would do more work in a shared call, takes one shift to a call).
+   Each call's block of stacked solutions is scaled by its weights and summed
+   in one reduction, in node order. The accretivity gate reads the smallest
+   eigenvalue of the Hermitian part from w, else numcore.min_hermitian_eig.
+   The set-up (the band, or V and w) of the latest call is kept with the
+   bytes of its matrix, and a call on a byte-identical matrix reuses it: a
+   caller that applies A^a to one vector after another sets up once.
 2. Spectral calculus for Hermitian positive matrices (numcore.herm_power).
 3. Grunwald-type series for the Poisson-difference generator.
 4. Closed-form singular-integral matrices (Marchaud derivative for the shift
@@ -35,7 +35,7 @@ Routes implemented:
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import bandwidth, eigh_tridiagonal, eigvals_banded, get_lapack_funcs, toeplitz
+from scipy.linalg import bandwidth, eigh_tridiagonal, get_lapack_funcs, toeplitz
 from scipy.special import gamma, gammaln, roots_jacobi
 
 from .config import DEFAULT
@@ -46,6 +46,7 @@ from .discretize import (
     second_derivative,
 )
 from .errors import BadAlpha, NoConvergence, NotAccretive, QuadratureNotConverged
+from .numcore import min_hermitian_eig
 from .semigroup import SemigroupSpec, generator_matrix
 
 
@@ -78,16 +79,16 @@ _COUPLED_WORK = 2**14
 
 class _ResolventSolver:
     """Solves (l I + A) X = B for shifts l > 0, all the shifts of one call at
-    once; a real A stays real.  A real symmetric tridiagonal A = V diag(w) V^T
-    is diagonalized once, and then ``solve`` works in that basis: it divides B
-    by l + w, and the caller transforms with ``V``.  Any other A is solved in
-    LAPACK band storage, its band widths read by ``bandwidth``, and ``V`` is
-    None: the shifted copies of A are the diagonal blocks of one band matrix,
-    solved by substitution (``tbtrs``) when A is triangular, else by ``gbsv``.
-    ``herm_min`` is the smallest eigenvalue of A's Hermitian part; ``rows`` is
-    the number of band rows a shift adds to a call (0 in the eigenbasis), and
-    ``batched`` says whether shifts may share a call (see _COUPLED_WORK).
-    Nothing changes a solver after ``__init__``, so calls may share one."""
+    once; a real A takes a real B.  A real symmetric tridiagonal A = V diag(w)
+    V^T is diagonalized once, and ``solve`` divides B by l + w in that basis;
+    the caller transforms with ``V``.  Any other A is solved in LAPACK band
+    storage, its band widths read by ``bandwidth``, and ``V`` is None: the
+    shifted copies of A are the diagonal blocks of one band matrix, solved by
+    substitution (``tbtrs``) when A is triangular, else by ``gbsv``.
+    ``herm_min`` is the smallest eigenvalue of A's Hermitian part, w[0] or by
+    ``min_hermitian_eig``; ``rows`` is the number of band rows a shift adds to
+    a call (0 in the eigenbasis); ``batched`` says whether shifts may share a
+    call (see _COUPLED_WORK). A solver is read-only after ``__init__``."""
 
     def __init__(self, A):
         # checked once here, so the solves need not check each shift
@@ -97,21 +98,14 @@ class _ResolventSolver:
         lo, up = bandwidth(A)
         self.real = not np.iscomplexobj(A)
         self.diag, self.V = np.diagonal(A).copy(), None
-        try:
-            if self.real and lo == up == 1 and np.array_equal(np.diagonal(A, -1), np.diagonal(A, 1)):
+        if self.real and lo == up == 1 and np.array_equal(np.diagonal(A, -1), np.diagonal(A, 1)):
+            try:
                 self.w, self.V = eigh_tridiagonal(self.diag, np.diagonal(A, 1), check_finite=False)
-                self.herm_min = float(self.w[0])
-                self.rows, self.batched = 0, True
-                return
-            # else the smallest eigenvalue of the Hermitian part, from its band
-            k = max(lo, up)
-            hb = np.zeros((k + 1, n), dtype=A.dtype)
-            for d in range(k + 1):
-                hb[k - d, d:] = (np.diagonal(A, d) + np.diagonal(A, -d).conj()) / 2
-            w = eigvals_banded(hb, select="i", select_range=(0, 0), check_finite=False)
-            self.herm_min = float(w[0])
-        except np.linalg.LinAlgError as exc:
-            raise NoConvergence(str(exc)) from exc
+            except np.linalg.LinAlgError as exc:
+                raise NoConvergence(str(exc)) from exc
+            self.herm_min, self.rows, self.batched = float(self.w[0]), 0, True
+            return
+        self.herm_min = min_hermitian_eig(A)
         # a triangular band needs no factorization; a general one has lo more
         # rows on top for the fill-in of its LU
         self.triangular = lo == 0 or up == 0
@@ -134,11 +128,8 @@ class _ResolventSolver:
         if self.V is not None:
             d = lams[:, None] + self.w
             return B / d[(...,) + (None,) * (B.ndim - 1)]
-        # a real band solves a complex B as the real columns [Re B, Im B]
-        split = self.real and np.iscomplexobj(B)
-        rhs = np.stack([B.real, B.imag], -1) if split else B
         n, K = B.shape[0], lams.size
-        cols = rhs.reshape(n, -1)
+        cols = B.reshape(n, -1)
         # copy k of A, shifted by lams[k], is diagonal block k of one K n x K n
         # band, and copy k of B is block k of its right-hand side; (rows, n, K)
         # and (n, K, cols) in Fortran order are those Fortran-ordered arrays
@@ -157,8 +148,7 @@ class _ResolventSolver:
             raise np.linalg.LinAlgError("singular matrix")
         if info < 0:
             raise ValueError(f"illegal value in argument {-info} of the band solver")
-        x = np.moveaxis(x.reshape((n, K, -1), order="F"), 1, 0).reshape((K,) + rhs.shape)
-        return x[..., 0] + 1j * x[..., 1] if split else x
+        return np.moveaxis(x.reshape((n, K, -1), order="F"), 1, 0).reshape((K,) + B.shape)
 
 
 # The key of the latest call's matrix (shape, dtype and bytes) and its solver
@@ -241,19 +231,21 @@ def _balakrishnan(A, B, cfg, check, negative=False):
         X = np.eye(n) if negative else A
     else:
         X = B if negative else A @ B
-    if solver.V is None:
-        return _integral(solver, X, e, check)
-    # the rule runs on ones, entry i weighed by the norm of row i of Y = V^T X
-    # (V is orthogonal: the gate measures V diag(col) Y). A complex X enters as
-    # its real view, Re and Im side by side, so every product is real
-    cplx = np.iscomplexobj(X)
+    # a real solver takes a complex X as its real view, Re and Im side by
+    # side, so every solve and product is real
+    cplx = solver.real and np.iscomplexobj(X)
     X2 = (np.ascontiguousarray(X).view(float) if cplx else X).reshape(n, -1)
-    # V^T I is V^T: the negative power of I needs no product
-    Y = solver.V.T.copy() if B is None and negative else solver.V.T @ X2
-    col = _integral(solver, np.ones(n), e, check, weight=np.sqrt(np.einsum("ij,ij->i", Y, Y)))
-    Y *= col[:, None]
-    Y = solver.V @ Y
-    return (Y.view(complex) if cplx else Y).reshape(X.shape)
+    if solver.V is None:
+        Y = _integral(solver, X2, e, check)
+    else:
+        # the rule runs on ones, entry i weighed by the norm of row i of
+        # Y = V^T X (V is orthogonal: the gate measures V diag(col) Y); V^T I
+        # is V^T, so the negative power of I needs no product
+        Y = solver.V.T.copy() if B is None and negative else solver.V.T @ X2
+        col = _integral(solver, np.ones(n), e, check, weight=np.sqrt(np.einsum("ij,ij->i", Y, Y)))
+        Y *= col[:, None]
+        Y = solver.V @ Y
+    return (np.ascontiguousarray(Y).view(complex) if cplx else Y).reshape(X.shape)
 
 
 def _blocks(solver, lams, X):

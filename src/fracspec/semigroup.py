@@ -25,7 +25,7 @@ from scipy.linalg import toeplitz
 from scipy.special import gammaln, pdtr, pdtrik, xlogy
 
 from .config import DEFAULT
-from .discretize import Grid1D
+from .discretize import Grid1D, second_derivative
 from .errors import (
     IncommensurateShift,
     NegativeParameter,
@@ -121,7 +121,7 @@ def generator_matrix(spec):
     if spec.kind == "shift":
         return (np.eye(n) - np.diag(np.full(n - 1, 1.0), 1)) / h
     if spec.kind == "gauss":
-        return -(np.diag(np.full(n - 1, 1.0), -1) - 2.0 * np.eye(n) + np.diag(np.full(n - 1, 1.0), 1)) / (2 * h**2)
+        return -0.5 * second_derivative(spec.grid)
     m = spec.shift_steps
     return spec.lam * (np.eye(n) - np.diag(np.full(n - m, 1.0), -m))
 

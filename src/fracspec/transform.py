@@ -82,13 +82,15 @@ class Model:
 
     L is the directly assembled matrix; spec describes the same operator as a
     transform Z^a_(G,F)(J); hplus is the positive definite norm matrix of the
-    embedded space h+ used by the H1/H2 diagnostics. Every matrix is float64
-    when the model's data are real, complex128 otherwise.
+    embedded space h+ used by the H1/H2 diagnostics; semigroup is the one J
+    generates (None for a custom matrix). Every matrix is float64 when the
+    model's data are real, complex128 otherwise.
     """
 
     L: np.ndarray
     spec: TransformSpec
     hplus: np.ndarray
+    semigroup: SemigroupSpec = None
     delta: float = 0.0
     sigma_const: float = float("nan")
     gamma_N: float = float("nan")
@@ -111,12 +113,13 @@ def build_kipriyanov_1d(grid, a11, rho, sigma, alpha):
         raise BadAlpha(f"sigma must lie in [0, 1), got {sigma}")
     if not 0.0 < alpha < 1.0:
         raise BadAlpha(f"alpha must lie in (0, 1), got {alpha}")
-    J = generator_matrix(SemigroupSpec("shift", grid))
+    spec_sg = SemigroupSpec("shift", grid)
+    J = generator_matrix(spec_sg)
     G = multiply(grid, a11)
     frac_in = rl_integral_left(grid, sigma) if sigma > 0 else np.eye(grid.n)
     F = frac_in @ multiply(grid, rho)
     L = elliptic_1d(grid, a11) + F @ marchaud_right_derivative(grid, alpha)
-    return Model(L, TransformSpec(J, G, F, alpha), J.conj().T @ J)
+    return Model(L, TransformSpec(J, G, F, alpha), J.conj().T @ J, spec_sg)
 
 
 def build_riesz_model(grid, a, rho, sigma, alpha, delta=1.0):
@@ -137,22 +140,25 @@ def build_riesz_model(grid, a, rho, sigma, alpha, delta=1.0):
     P = frac_in @ multiply(grid, rho)
     L = T + P @ riesz_potential(grid, 2.0 * (1.0 - alpha)) @ second_derivative(grid) \
         + delta * np.eye(n)
-    J = generator_matrix(SemigroupSpec("gauss", grid))
+    spec_sg = SemigroupSpec("gauss", grid)
+    J = generator_matrix(spec_sg)
     G = multiply(grid, 4.0 * sample_coefficient(a, grid))
     # J^alpha realizes K_a B_a x (|s|^(1-2a) kernel on f''); the model's
     # fractional term uses the I^(2(1-a)) normalization B_(2-2a) instead.
     conv = riesz_constant(2.0 - 2.0 * alpha) / (riesz_power_constant(alpha) * riesz_constant(alpha))
-    return Model(L, TransformSpec(J, G, conv * P, alpha), weighted_h2_matrix(grid), delta=delta)
+    return Model(L, TransformSpec(J, G, conv * P, alpha), weighted_h2_matrix(grid), spec_sg,
+                 delta=delta)
 
 
 def build_difference_model(grid, a, b, lam, mu, alpha, nu=1.0):
     """Perturbed difference model L = Z^a_(aI,bI)(A) + Q*NQ with the
-    Poisson-difference generator A, N = nu I and Q the backward difference.
+    Poisson-difference generator A of shift mu (None: 4h), N = nu I and Q the
+    backward difference.
 
     sigma_const is the paper's perturbation bound 4 lam ||a|| + ||b|| sum|C_k|;
     the H2 hypothesis requires gamma_N > sigma_const ||Q^-1||^2.
     """
-    spec_sg = SemigroupSpec("poisson", grid, lam=lam, mu=mu)
+    spec_sg = SemigroupSpec("poisson", grid, lam=lam, mu=4 * grid.h if mu is None else mu)
     A = generator_matrix(spec_sg)
     av = sample_coefficient(a, grid)
     bv = sample_coefficient(b, grid)
@@ -162,5 +168,5 @@ def build_difference_model(grid, a, b, lam, mu, alpha, nu=1.0):
     L = A.conj().T @ G @ A + F @ gl_power_matrix(spec_sg, alpha) + nu * QtQ
     sigma_const = 4.0 * lam * float(np.max(np.abs(av))) \
         + float(np.max(np.abs(bv))) * gl_abs_sum(alpha, lam)
-    return Model(L, TransformSpec(A, G, F, alpha), QtQ, sigma_const=sigma_const,
+    return Model(L, TransformSpec(A, G, F, alpha), QtQ, spec_sg, sigma_const=sigma_const,
                  gamma_N=float(nu), norm_Q_inv=inverse_norm(Q))

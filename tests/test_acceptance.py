@@ -77,12 +77,18 @@ def test_02_balakrishnan_vs_spectral():
 def test_03_semigroup_axioms():
     # law within 1e-12 (poisson) or 10h; contraction <= 1+1e-10 on 100 probes; T0 exact
     law = {}
-    for model, grid in (("difference", Grid1D(0.0, 1.0, 127)), ("riesz", Grid1D(-10.0, 10.0, 512)),
-                        ("kipriyanov1d", Grid1D(0.0, 1.0, 255))):
-        ctx = checks.Context(None, grid, {"model": model, "mu": None, "lambda": 1.0})
+    for name, grid, build in (
+            ("difference", Grid1D(0.0, 1.0, 127),
+             lambda g: tf.build_difference_model(g, "const:1", "const:0", 1.0, None, 0.5)),
+            ("riesz", Grid1D(-10.0, 10.0, 512),
+             lambda g: tf.build_riesz_model(g, "const:1", "const:0", 0.25, 0.9)),
+            ("kipriyanov1d", Grid1D(0.0, 1.0, 255),
+             lambda g: tf.build_kipriyanov_1d(g, "const:1", "const:0", 0.25, 0.5))):
+        model = build(grid)
+        ctx = checks.Context(model, grid, {"model": name})
         entries = {e["name"]: e for e in checks.run(ctx, ["semigroup"])}
         assert [e["status"] for e in entries.values() if e["status"] != "info"] == ["pass"] * 3
-        law[ctx.semigroup_spec.kind] = entries["semigroup-law"]["numbers"]["max_defect"]
+        law[model.semigroup.kind] = entries["semigroup-law"]["numbers"]["max_defect"]
     _report(3, f"law defects poisson {law['poisson']:.1e}, gauss {law['gauss']:.1e}; "
                f"contraction <= 1+1e-10 on 100 probes; T0 exact")
 

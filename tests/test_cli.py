@@ -9,6 +9,7 @@ import pytest
 
 from fracspec import checks
 from fracspec.cli import _build_model, _config_doc, _json, _load_artifact, _make_parser, main
+from fracspec.semigroup import generator_matrix
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
@@ -426,6 +427,34 @@ class TestCustomMatrix:
         assert entry["numbers"]["message"]
 
 
+class TestModelSemigroup:
+    """Each builder stores the semigroup whose generator is its J."""
+
+    @staticmethod
+    def build(model, *flags):
+        argv = ["build", "--model", model, *flags, "--out", "unused.json"]
+        return _build_model(_config_doc(_make_parser().parse_args(argv)))[:2]
+
+    @pytest.mark.parametrize("model, kind", [
+        ("kipriyanov1d", "shift"), ("riesz", "gauss"), ("difference", "poisson")])
+    def test_generator_of_the_semigroup_is_J(self, model, kind):
+        built, grid = self.build(model, *SMALL_BUILDS[model])
+        assert built.semigroup.kind == kind and built.semigroup.grid == grid
+        J = generator_matrix(built.semigroup)
+        assert J.dtype == built.spec.J.dtype and J.tobytes() == built.spec.J.tobytes()
+
+    def test_custom_matrix_has_no_semigroup(self, tmp_path):
+        np.savetxt(tmp_path / "m.csv", np.diag([1.0, 2.0, 3.0, 4.0]), delimiter=",")
+        built, _ = self.build("custom-matrix", "--a11", str(tmp_path / "m.csv"))
+        assert built.semigroup is None
+
+    def test_difference_shift_is_4h_unless_given(self):
+        built, grid = self.build("difference", "--grid-n", "24", "--lambda", "2.5")
+        assert (built.semigroup.lam, built.semigroup.mu) == (2.5, 4 * grid.h)
+        built, grid = self.build("difference", "--grid-n", "24", "--mu", repr(2 * grid.h))
+        assert built.semigroup.mu == 2 * grid.h and built.semigroup.shift_steps == 2
+
+
 class TestArtifactInputs:
     """Verify re-assembles the model from the artifact's config and samples."""
 
@@ -455,6 +484,21 @@ class TestArtifactInputs:
         # its stored blocks are not read
         v1["matrix"]["re"][0][0] = "nan"
         v1["transform"]["J"]["im"][1][1] = 1e300
+        v1_path.write_text(json.dumps(v1))
+        assert self.verify(v1_path, tmp_path / "r1.json") == want
+
+    def test_schema_1_difference_artifact_gives_the_same_report(self, tmp_path, capsys):
+        # a schema-1 artifact stores no samples and no mu when --mu was not
+        # given, so verify assembles the default shift of 4h from the config
+        v2 = tmp_path / "v2.json"
+        assert main(["build", "--model", "difference", *SMALL_BUILDS["difference"],
+                     "--out", str(v2)]) == 0
+        want = self.verify(v2, tmp_path / "r2.json")
+        v1 = json.loads(v2.read_text())
+        assert v1["config"]["mu"] is None
+        v1["schema"] = "fracspec-artifact-1"
+        del v1["coefficients"]
+        v1_path = tmp_path / "v1.json"
         v1_path.write_text(json.dumps(v1))
         assert self.verify(v1_path, tmp_path / "r1.json") == want
 

@@ -218,7 +218,9 @@ class TestH1H2:
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("eigenvalues did not converge")
 
+        # J is read from its band, the whitened W by a dense eigensolve
         monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        monkeypatch.setattr(numcore.scipy.linalg, "eigvals_banded", fail)
         entries = checks.run(checks.Context(model, grid, {"model": "kipriyanov1d"}), ("spectrum",))
         got = {e["name"]: (e["status"], e["numbers"].get("exception")) for e in entries}
         assert got["generator-m-accretive"] == ("error", "NoConvergence")
@@ -439,6 +441,23 @@ class TestCompletenessAndMAccretive:
     def test_maccretive_fail(self):
         status, numbers = run_check("generator-m-accretive", matrix_context(-np.eye(3) * 0.001))
         assert status == "fail" and np.isclose(numbers["min_herm_eig"], -0.001)
+
+    def test_maccretive_fail_on_a_banded_generator(self, monkeypatch):
+        # the Gauss generator shifted below zero: Re J has an eigenvalue of
+        # about -0.007, read from J's band, with no dense eigensolve
+        from fracspec.semigroup import SemigroupSpec, generator_matrix
+
+        J = generator_matrix(SemigroupSpec("gauss", Grid1D(-20.0, 20.0, 64))) - 0.01 * np.eye(64)
+        exact = np.linalg.eigvalsh(J)[0]
+        assert -0.0075 < exact < -0.0065
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense eigensolve called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        status, numbers = run_check("generator-m-accretive", matrix_context(J))
+        assert status == "fail"
+        assert abs(numbers["min_herm_eig"] - exact) <= 64 * np.finfo(float).eps * np.linalg.norm(J, 2)
 
     def test_generator_is_maccretive(self):
         from fracspec.discretize import Grid1D

@@ -224,6 +224,13 @@ class TestEllipticAndForms:
         assert np.allclose(N, N.T)
         assert np.linalg.eigvalsh(N)[0] >= 1.0 - 1e-10
 
+    def test_weighted_h2_is_identity_plus_weighted_fourth_order(self):
+        # the same bits as I + D2^T diag((1+|x|)^5) D2 assembled on its own
+        g = dz.Grid1D(-20.0, 20.0, 64)
+        D2 = dz.second_derivative(g)
+        w = (1.0 + np.abs(g.nodes)) ** 5
+        assert dz.weighted_h2_matrix(g).tobytes() == (np.eye(64) + D2.T @ (w[:, None] * D2)).tobytes()
+
     def test_multiply(self):
         g = unit_grid(8)
         assert np.allclose(dz.multiply(g, "const:3.0"), 3.0 * np.eye(8))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from fracspec import numcore as nc
@@ -187,13 +188,78 @@ class TestHermPower:
         assert np.linalg.norm(lhs - rhs) <= 1e-9 * max(np.linalg.norm(rhs), 1.0)
 
 
+def band_of_width(n, k, complex_, seed):
+    """An n x n matrix, not Hermitian, with k diagonals on either side of the main one."""
+    rng = np.random.default_rng(seed)
+    M = np.zeros((n, n), complex if complex_ else float)
+    for d in range(-k, k + 1):
+        v = rng.standard_normal(n - abs(d))
+        M += np.diag(v + 1j * rng.standard_normal(n - abs(d)) if complex_ else v, d)
+    return M
+
+
+def failing(*args, **kwargs):
+    raise np.linalg.LinAlgError("eigenvalues did not converge")
+
+
+class TestMinHermitianEig:
+    """The smallest eigenvalue of Re M, read from the band of a narrow M and
+    by a dense eigensolve of a wide one."""
+
+    N = 64  # the routes meet at band width k = N / 8
+
+    @staticmethod
+    def routes(monkeypatch):
+        calls = []
+        band, dense = scipy.linalg.eigvals_banded, np.linalg.eigvalsh
+        monkeypatch.setattr(nc.scipy.linalg, "eigvals_banded",
+                            lambda *a, **kw: calls.append("band") or band(*a, **kw))
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a, **kw: calls.append("dense") or dense(*a, **kw))
+        return calls
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("k, route", [
+        (0, "band"), (1, "band"), (4, "band"), (7, "band"), (8, "dense"), (63, "dense")])
+    def test_band_and_dense_routes_agree(self, k, route, complex_, monkeypatch):
+        M = band_of_width(self.N, k, complex_, seed=k)
+        H = (M + M.conj().T) / 2
+        dense = np.linalg.eigvalsh(H)[0]
+        # the band of H in the lower form: row d holds diagonal -d
+        hb = np.array([np.concatenate((np.diagonal(H, -d), np.zeros(d))) for d in range(k + 1)])
+        band = scipy.linalg.eigvals_banded(hb, lower=True, select="i", select_range=(0, 0))[0]
+        calls = self.routes(monkeypatch)
+        got = nc.min_hermitian_eig(M)
+        assert calls == [route]
+        tol = self.N * np.finfo(float).eps * np.linalg.norm(M, 2)
+        assert abs(got - dense) <= tol and abs(got - band) <= tol
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_diagonal_gives_min_real_part_exactly(self, complex_):
+        rng = np.random.default_rng(3)
+        d = rng.standard_normal(self.N) * 10.0 ** rng.uniform(-6, 6, self.N)
+        G = np.diag(d + 1j * rng.standard_normal(self.N) if complex_ else d)
+        assert nc.min_hermitian_eig(G) == d.min()
+
+    @pytest.mark.parametrize("k", [1, 63])
+    def test_non_finite_entry_raises(self, k):
+        M = band_of_width(self.N, k, False, seed=1)
+        M[0, k] = np.nan
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            nc.min_hermitian_eig(M)
+
+    @pytest.mark.parametrize("k", [1, 63])
+    def test_lapack_failure_is_no_convergence(self, k, monkeypatch):
+        monkeypatch.setattr(nc.scipy.linalg, "eigvals_banded", failing)
+        monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+        with pytest.raises(NoConvergence):
+            nc.min_hermitian_eig(band_of_width(self.N, k, False, seed=2))
+
+
 class TestScipyWrappers:
     """Every raw scipy wrapper fracspec calls, fetched as at the declared
     scipy floor (1.10) and at the newest release."""
 
     def test_raw_wrappers_exist(self):
-        import scipy.linalg
-
         lapack = scipy.linalg.lapack
         for name in ("zhetrd", "zhetrd_lwork", "zunmqr"):
             assert callable(getattr(lapack, name))

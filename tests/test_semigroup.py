@@ -174,6 +174,14 @@ class TestGenerator:
         lam = (2.0 - 2.0 * np.cos(np.pi * g.h)) / (2 * g.h**2)
         assert np.max(np.abs(A @ v - lam * v)) <= 1e-10 * lam
 
+    def test_gauss_stencil_bits(self):
+        # -D2 / 2 has the bits of the stencil -(1, -2, 1) / (2 h^2), signed zeros included
+        for g in (unit_grid(63), Grid1D(-20.0, 20.0, 64)):
+            n = g.n
+            stencil = np.diag(np.ones(n - 1), -1) - 2.0 * np.eye(n) + np.diag(np.ones(n - 1), 1)
+            A = sg.generator_matrix(sg.SemigroupSpec("gauss", g))
+            assert A.tobytes() == (-stencil / (2 * g.h**2)).tobytes()
+
     def test_generator_matches_time_derivative(self):
         # -A f = lim (T_t f - f)/t, first order in t (Richardson pair)
         g = Grid1D(-8.0, 8.0, 511)
