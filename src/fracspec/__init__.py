@@ -13,7 +13,7 @@ from .config import DEFAULT, Tolerances
 from .discretize import Grid1D
 from .fracpow import BalakrishnanConfig
 from .semigroup import SemigroupSpec
-from .transform import ClassReport, Model, TransformSpec
+from .transform import Model, TransformSpec
 
 __all__ = [
     "DEFAULT",
@@ -21,7 +21,6 @@ __all__ = [
     "Grid1D",
     "BalakrishnanConfig",
     "SemigroupSpec",
-    "ClassReport",
     "Model",
     "TransformSpec",
 ]

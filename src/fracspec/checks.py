@@ -1,6 +1,8 @@
 """The checks ``fracspec verify`` runs: one table, in report order.
 
-Each entry is ``(suite, name, paper_anchor, fn, gate)``. ``fn(ctx)`` returns
+``Context(model, seed)`` is the whole input: each check reads the parts it
+needs from the ``Model``, and reports ``info`` when the model lacks them. Each
+entry is ``(suite, name, paper_anchor, fn, gate)``. ``fn(ctx)`` returns
 ``(status, numbers)``, status pass | fail | info, with its verdict and
 threshold written inside it; or None when the check does not apply to the
 model, which writes no entry. ``run`` turns an exception into an ``error``
@@ -9,7 +11,7 @@ entry, the rest of its suite is skipped.
 """
 
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -24,14 +26,13 @@ Entry = namedtuple("Entry", "suite name paper_anchor fn gate", defaults=(False,)
 
 @dataclass
 class Context:
-    """The model, its grid, config and seed, what earlier entries stored, and
+    """The model and seed, what earlier entries stored (keyword-only), and
     the factorizations of L that several entries read, each made on first use
     (an exception is not kept: the next reader raises it again)."""
 
     model: transform.Model
-    grid: object
-    config: dict
     seed: int = 0
+    _: KW_ONLY
     axioms: object = None          # by semigroup-suite
     svals: object = None           # resolvent singular values, by resolvent-spectrum
     evals: object = None           # resolvent eigenvalues, by resolvent-spectrum
@@ -61,7 +62,8 @@ def _axioms(ctx):
 
 
 def _law(ctx):
-    tol = 1e-12 if ctx.model.semigroup.kind == "poisson" else 10 * ctx.grid.h
+    spec = ctx.model.semigroup
+    tol = 1e-12 if spec.kind == "poisson" else 10 * spec.grid.h
     return (_verdict(ctx.axioms.law_defect <= tol),
             {"max_defect": ctx.axioms.law_defect, "tolerance": tol})
 
@@ -80,18 +82,18 @@ def _yosida(ctx):
     spec = ctx.model.semigroup
     if spec.kind != "gauss":
         return None
-    f = np.exp(-(ctx.grid.nodes**2))
+    f = np.exp(-(spec.grid.nodes**2))
     via_kernel = semigroup.yosida_resolvent(spec, 1.0, f)
-    via_solve = np.linalg.solve(np.eye(ctx.grid.n) + ctx.model.spec.J, f)
+    via_solve = np.linalg.solve(np.eye(spec.grid.n) + ctx.model.spec.J, f)
     return "info", {"rel_l2": float(np.linalg.norm(via_kernel - via_solve)
                                     / np.linalg.norm(via_solve))}
 
 
 def _alpha_lambda(ctx):
-    """The model's alpha (0.5 outside (0, 1)) and lambda (1 but for difference)."""
-    c = ctx.config
-    return (c["alpha"] if 0 < c["alpha"] < 1 else 0.5,
-            c["lambda"] if c["model"] == "difference" else 1.0)
+    """The transform's alpha > 0 and a Poisson semigroup's lambda; else 0.5 and 1.0."""
+    spec, sg = ctx.model.spec, ctx.model.semigroup
+    return (spec.alpha if spec is not None and spec.alpha > 0 else 0.5,
+            sg.lam if sg is not None and sg.kind == "poisson" else 1.0)
 
 
 def _gl_identity(ctx):
@@ -131,6 +133,8 @@ def _balakrishnan_oracle(ctx):
 
 
 def _maccretive(ctx):
+    if ctx.model.spec is None:
+        return "info", {"message": "no generator J attached to custom-matrix"}
     J = ctx.model.spec.J
     herm_min, slack = diagnostics.maccretive_check(J)
     ok = (herm_min >= -DEFAULT.accretive_floor_rel * np.linalg.norm(J)
@@ -167,6 +171,8 @@ def _numerical_range(ctx):
 
 
 def _h1_h2(ctx):
+    if ctx.model.hplus is None:
+        return "info", {"message": "no h+ norm matrix attached to custom-matrix"}
     C1, C2 = diagnostics.verify_H1_H2(ctx.model.L, ctx.model.hplus)
     return _verdict(C2 > 0.0), {"C1": C1, "C2": C2}
 
@@ -202,21 +208,24 @@ def _asymptotics(ctx):
 
 
 def _class_membership(ctx):
-    if ctx.config["model"] == "custom-matrix":
+    if ctx.model.spec is None:
         return "info", {"message": "no transform description for custom-matrix"}
-    rep = transform.check_class(ctx.model.spec)
-    return _verdict(rep.member), {"gamma_G": rep.gamma_G, "C_alpha": rep.C_alpha,
-                                  "norm_J_inv": rep.norm_J_inv, "norm_F": rep.norm_F,
-                                  "margin": rep.margin, "member": rep.member}
+    gamma_G, C_alpha, norm_J_inv, norm_F = transform.check_class(ctx.model.spec)
+    threshold = C_alpha * norm_J_inv * norm_F
+    member = bool(gamma_G > threshold)
+    return _verdict(member), {"gamma_G": gamma_G, "C_alpha": C_alpha,
+                              "norm_J_inv": norm_J_inv, "norm_F": norm_F,
+                              "margin": float(gamma_G - threshold), "member": member}
 
 
 def _h2_threshold(ctx):
-    if ctx.config["model"] != "difference":
-        return None
     m = ctx.model
-    return _verdict(m.gamma_N > m.h2_threshold), {
+    if m.gamma_N is None:
+        return None
+    threshold = m.sigma_const * m.norm_Q_inv**2
+    return _verdict(m.gamma_N > threshold), {
         "gamma_N": m.gamma_N, "sigma_const": m.sigma_const,
-        "norm_Q_inv": m.norm_Q_inv, "threshold": m.h2_threshold}
+        "norm_Q_inv": m.norm_Q_inv, "threshold": threshold}
 
 
 ENTRIES = (

@@ -23,7 +23,7 @@ import numpy as np
 from . import checks, transform
 from .discretize import Grid1D, real_or_complex, sample_coefficient
 from .errors import FracspecError
-from .transform import Model, TransformSpec
+from .transform import Model
 
 SCHEMA_ARTIFACT, SCHEMA_ARTIFACT_1 = "fracspec-artifact-2", "fracspec-artifact-1"
 SCHEMA_REPORT = "fracspec-report-1"
@@ -31,8 +31,7 @@ SCHEMA_REPORT = "fracspec-report-1"
 MODELS = ("kipriyanov1d", "riesz", "difference", "custom-matrix")
 SUITES = (*checks.SUITES, "full")
 
-_GRID_ENDPOINTS = {"kipriyanov1d": (0.0, 1.0), "riesz": (-20.0, 20.0),
-                   "difference": (0.0, 1.0), "custom-matrix": (0.0, 1.0)}
+_GRID_ENDPOINTS = {"kipriyanov1d": (0.0, 1.0), "riesz": (-20.0, 20.0), "difference": (0.0, 1.0)}
 
 # --- strict JSON (RFC 8259 has no NaN or Infinity tokens) ------------------
 
@@ -130,20 +129,18 @@ def _config_doc(args):
 
 
 def _build_model(config, doc=None):
-    """The model and grid that ``config`` describes, and the artifact's data:
-    the a11 and rho samples, or the custom matrix. They are taken from ``doc``
-    (a loaded artifact) when it holds them, else from the config's specs."""
+    """The model that ``config`` describes, and the artifact's data: the a11
+    and rho samples, or the custom matrix. They are taken from ``doc`` (a
+    loaded artifact) when it holds them, else from the config's specs."""
     doc = doc or {}
-    a, b = _GRID_ENDPOINTS[config["model"]]
     if config["model"] == "custom-matrix":
         m = (_complex_from_doc(doc["matrix"]) if "matrix" in doc
              else real_or_complex(np.loadtxt(config["a11"], delimiter=",", dtype=complex, ndmin=2)))
-        grid = Grid1D(a, b, m.shape[0])
-        if m.shape != (grid.n, grid.n):
-            raise ValueError("matrix shape must match grid size")
-        model, data = Model(m, TransformSpec(m, m, m, 0.0), m), {"matrix": _complex_doc(m)}
+        if not m.size or m.shape != (len(m), len(m)):
+            raise ValueError("matrix must be square and non-empty")
+        model, data = Model(m), {"matrix": _complex_doc(m)}
     else:
-        grid = Grid1D(a, b, config["grid_n"])
+        grid = Grid1D(*_GRID_ENDPOINTS[config["model"]], config["grid_n"])
         stored = doc.get("coefficients", {})
         a11, rho = (_complex_from_doc(stored[k]) if k in stored
                     else sample_coefficient(config[k], grid) for k in ("a11", "rho"))
@@ -156,17 +153,20 @@ def _build_model(config, doc=None):
             model = transform.build_difference_model(grid, a11, rho, config["lambda"],
                                                      config["mu"], alpha)
         data = {"coefficients": {"a11": _complex_doc(a11), "rho": _complex_doc(rho)}}
-    for what, m in (("matrix", model.L), ("J", model.spec.J), ("G", model.spec.G),
-                    ("F", model.spec.F), ("hplus", model.hplus)):
+    parts = [("matrix", model.L)]
+    if model.spec is not None:
+        parts += [("J", model.spec.J), ("G", model.spec.G), ("F", model.spec.F),
+                  ("hplus", model.hplus)]
+    for what, m in parts:
         if not np.isfinite(m).all():
             raise ValueError(f"{what} holds non-finite entries")
-    return model, grid, data
+    return model, data
 
 
 def cmd_build(args):
     config = _config_doc(args)
     try:
-        _, _, data = _build_model(config)
+        _, data = _build_model(config)
         text = _json({"schema": SCHEMA_ARTIFACT, "config": config, **data}, separators=(",", ":"))
     except (FracspecError, ValueError, OSError) as exc:
         print(f"assembly failed: {exc}", file=sys.stderr)
@@ -189,27 +189,27 @@ def _write(path, text):
 
 
 def _load_artifact(path):
-    """Model, grid and config of the artifact at ``path``, re-assembled. A schema-1
+    """Model and config of the artifact at ``path``, re-assembled. A schema-1
     artifact stores no samples (its matrices are not read), so a CSV path in its
     config must still exist."""
     with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict) or doc.get("schema") not in (SCHEMA_ARTIFACT, SCHEMA_ARTIFACT_1):
         raise ValueError("not a fracspec artifact")
-    model, grid, _ = _build_model(doc["config"], doc)
-    return model, grid, doc["config"]
+    model, _ = _build_model(doc["config"], doc)
+    return model, doc["config"]
 
 
 def cmd_verify(args):
     try:
-        model, grid, config = _load_artifact(args.out)
+        model, config = _load_artifact(args.out)
     except (OSError, KeyError, TypeError, ValueError, FracspecError) as exc:
         print(f"cannot read artifact: {exc}", file=sys.stderr)
         return 2
     if args.report and not _write(args.report, ""):  # fail before the checks run
         return 2
 
-    ctx = checks.Context(model, grid, config, args.seed)
+    ctx = checks.Context(model, args.seed)
     entries = checks.run(ctx, checks.SUITES if args.suite == "full" else (args.suite,))
     text = _json({"schema": SCHEMA_REPORT, "suite": args.suite, "seed": args.seed,
                   "config": config, "checks": entries}, indent=2)

@@ -21,11 +21,13 @@ Routes implemented:
    copies share a call as a cap on its entries allows (a wide general band,
    whose LU would do more work in a shared call, takes one shift to a call).
    Each call's block of stacked solutions is scaled by its weights and summed
-   in one reduction, in node order. The accretivity gate reads the smallest
-   eigenvalue of the Hermitian part from w, else numcore.min_hermitian_eig.
-   The set-up (the band, or V and w) of the latest call is kept with the
-   bytes of its matrix, and a call on a byte-identical matrix reuses it: a
-   caller that applies A^a to one vector after another sets up once.
+   in one reduction, in node order; the nodes and weights of each (order,
+   step) are built once and kept read-only. The accretivity gate reads the
+   smallest eigenvalue of the Hermitian part from w, else
+   numcore.min_hermitian_eig. The set-up (the band, or V and w) of the
+   latest call is kept with the bytes of its matrix, and a call on a
+   byte-identical matrix reuses it: a caller that applies A^a to one vector
+   after another sets up once.
 2. Spectral calculus for Hermitian positive matrices (numcore.herm_power).
 3. Grunwald-type series for the Poisson-difference generator.
 4. Closed-form singular-integral matrices (Marchaud derivative for the shift
@@ -33,6 +35,7 @@ Routes implemented:
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import bandwidth, eigh_tridiagonal, get_lapack_funcs, toeplitz
@@ -167,8 +170,9 @@ def _solver(A):
     return solver
 
 
+@lru_cache(maxsize=12)  # the three steps of a checked call, for four orders e
 def _weights(e, m):
-    """Nodes l_k and weights c_k of the rule of step _STEP / m, with
+    """Nodes l_k and weights c_k of the rule of step _STEP / m, read-only, with
     sum_k c_k (l_k + A)^(-1) X ~ (sin e pi / pi) int_0^inf l^(e-1) (l+A)^(-1) X dl.
 
     In s = log l the integrand decays only like e^(e s) as s -> -inf and like
@@ -186,6 +190,7 @@ def _weights(e, m):
     low, high = np.sum(c * damp), np.sum(c * l * damp)
     c[0] += (1.0 - e) - low
     c[-1] += (e - high) * l[-1]
+    l.flags.writeable = c.flags.writeable = False
     return l, c
 
 

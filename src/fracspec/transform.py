@@ -1,4 +1,5 @@
-"""The transform Z^a_(G,F)(J) = J*GJ + FJ^a and the three model operators."""
+"""The transform Z^a_(G,F)(J) = J*GJ + FJ^a, the numbers of its class hypothesis
+(``fracspec.checks`` writes the verdict) and the three model operators."""
 
 from dataclasses import dataclass
 
@@ -45,16 +46,6 @@ class TransformSpec:
             raise BadAlpha(f"transform order must lie in [0, 1), got {self.alpha}")
 
 
-@dataclass(frozen=True)
-class ClassReport:
-    gamma_G: float
-    C_alpha: float
-    norm_J_inv: float
-    norm_F: float
-    member: bool
-    margin: float
-
-
 def assemble(spec):
     """Z = J^H G J + F J^alpha; alpha = 0 uses J^0 = I."""
     J, G, F = spec.J, spec.G, spec.F
@@ -66,39 +57,33 @@ def assemble(spec):
 
 
 def check_class(spec):
-    """Theorem-style membership test: gamma_G > C_alpha ||J^-1|| ||F||."""
+    """(gamma_G, C_alpha, ||J^-1||, ||F||) of the hypothesis gamma_G > C_alpha ||J^-1|| ||F||."""
     gamma_G = min_hermitian_eig(spec.G)
     norm_J_inv = inverse_norm(spec.J)
     norm_F = op_norm(spec.F)
     C_alpha = lemma_constant(1.0 - spec.alpha, norm_J_inv) if spec.alpha > 0 else 1.0
-    threshold = C_alpha * norm_J_inv * norm_F
-    return ClassReport(gamma_G, C_alpha, norm_J_inv, norm_F,
-                       bool(gamma_G > threshold), float(gamma_G - threshold))
+    return gamma_G, C_alpha, norm_J_inv, norm_F
 
 
 @dataclass(frozen=True)
 class Model:
-    """Assembled model operator with its transform description.
+    """Assembled model operator with the parts it is built from.
 
     L is the directly assembled matrix; spec describes the same operator as a
     transform Z^a_(G,F)(J); hplus is the positive definite norm matrix of the
     embedded space h+ used by the H1/H2 diagnostics; semigroup is the one J
-    generates (None for a custom matrix). Every matrix is float64 when the
-    model's data are real, complex128 otherwise.
+    generates; sigma_const, gamma_N and norm_Q_inv are the H2 constants of the
+    perturbed difference model. A part the model does not have is None. Every
+    matrix is float64 when the model's data are real, complex128 otherwise.
     """
 
     L: np.ndarray
-    spec: TransformSpec
-    hplus: np.ndarray
+    spec: TransformSpec = None
+    hplus: np.ndarray = None
     semigroup: SemigroupSpec = None
-    delta: float = 0.0
-    sigma_const: float = float("nan")
-    gamma_N: float = float("nan")
-    norm_Q_inv: float = float("nan")
-
-    @property
-    def h2_threshold(self):
-        return self.sigma_const * self.norm_Q_inv**2
+    sigma_const: float = None
+    gamma_N: float = None
+    norm_Q_inv: float = None
 
 
 def build_kipriyanov_1d(grid, a11, rho, sigma, alpha):
@@ -146,8 +131,7 @@ def build_riesz_model(grid, a, rho, sigma, alpha, delta=1.0):
     # J^alpha realizes K_a B_a x (|s|^(1-2a) kernel on f''); the model's
     # fractional term uses the I^(2(1-a)) normalization B_(2-2a) instead.
     conv = riesz_constant(2.0 - 2.0 * alpha) / (riesz_power_constant(alpha) * riesz_constant(alpha))
-    return Model(L, TransformSpec(J, G, conv * P, alpha), weighted_h2_matrix(grid), spec_sg,
-                 delta=delta)
+    return Model(L, TransformSpec(J, G, conv * P, alpha), weighted_h2_matrix(grid), spec_sg)
 
 
 def build_difference_model(grid, a, b, lam, mu, alpha, nu=1.0):

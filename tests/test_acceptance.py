@@ -31,9 +31,8 @@ def _run(ctx, *names):
 
 def _matrix_context(M):
     """The check context verify builds for a custom matrix M."""
-    config = {"model": "custom-matrix"}
-    model, grid, _ = _build_model(config, {"matrix": {"re": M.real, "im": M.imag}})
-    return checks.Context(model, grid, config)
+    model, _ = _build_model({"model": "custom-matrix"}, {"matrix": {"re": M.real, "im": M.imag}})
+    return checks.Context(model)
 
 
 def test_01_gl_coefficient_identity():
@@ -41,7 +40,9 @@ def test_01_gl_coefficient_identity():
     worst = 0.0
     for alpha in (0.25, 0.5, 0.75):
         for lam in (0.5, 1.0, 2.0):
-            ctx = checks.Context(None, None, {"model": "difference", "alpha": alpha, "lambda": lam})
+            model = tf.build_difference_model(Grid1D(0.0, 1.0, 8), "const:1", "const:0", lam,
+                                              None, alpha)
+            ctx = checks.Context(model)
             status, numbers = _run(ctx, "gl-coefficient-identity")["gl-coefficient-identity"]
             assert status == "pass" and (numbers["alpha"], numbers["lambda"]) == (alpha, lam)
             first = numbers["table"][0]
@@ -77,15 +78,15 @@ def test_02_balakrishnan_vs_spectral():
 def test_03_semigroup_axioms():
     # law within 1e-12 (poisson) or 10h; contraction <= 1+1e-10 on 100 probes; T0 exact
     law = {}
-    for name, grid, build in (
-            ("difference", Grid1D(0.0, 1.0, 127),
+    for grid, build in (
+            (Grid1D(0.0, 1.0, 127),
              lambda g: tf.build_difference_model(g, "const:1", "const:0", 1.0, None, 0.5)),
-            ("riesz", Grid1D(-10.0, 10.0, 512),
+            (Grid1D(-10.0, 10.0, 512),
              lambda g: tf.build_riesz_model(g, "const:1", "const:0", 0.25, 0.9)),
-            ("kipriyanov1d", Grid1D(0.0, 1.0, 255),
+            (Grid1D(0.0, 1.0, 255),
              lambda g: tf.build_kipriyanov_1d(g, "const:1", "const:0", 0.25, 0.5))):
         model = build(grid)
-        ctx = checks.Context(model, grid, {"model": name})
+        ctx = checks.Context(model)
         entries = {e["name"]: e for e in checks.run(ctx, ["semigroup"])}
         assert [e["status"] for e in entries.values() if e["status"] != "info"] == ["pass"] * 3
         law[model.semigroup.kind] = entries["semigroup-law"]["numbers"]["max_defect"]
@@ -143,20 +144,19 @@ def test_06_order_and_schatten():
 
 
 def _eigenvalue_model(n):
-    g = Grid1D(0.0, 1.0, n)
-    return g, tf.build_kipriyanov_1d(g, "const:10.0", "const:0.1", 0.25, 0.5)
+    return tf.build_kipriyanov_1d(Grid1D(0.0, 1.0, n), "const:10.0", "const:0.1", 0.25, 0.5)
 
 
 def test_07_eigenvalue_inequality():
     sups = []
     for n in (128, 256, 512):
-        g, m = _eigenvalue_model(n)
+        m = _eigenvalue_model(n)
         R_W, _ = nc.inverse(m.L)
         R_H, _ = nc.inverse(nc.hermitian_part(m.L))
         _, sup = dg.eigenvalue_inequality(R_W, R_H, p=1.0)
         assert np.isfinite(sup)
         sups.append(sup)
-        ctx = checks.Context(m, g, {"model": "kipriyanov1d"})
+        ctx = checks.Context(m)
         got = _run(ctx, "resolvent-spectrum", "order-estimate", "eigenvalue-asymptotics")
         assert got["eigenvalue-asymptotics"][0] == "pass"
     spread = (max(sups) - min(sups)) / max(sups)
@@ -169,8 +169,8 @@ _COMPLETENESS = ("resolvent-spectrum", "order-estimate", "numerical-range", "com
 
 
 def test_08_completeness_criterion():
-    g, m = _eigenvalue_model(256)
-    status, good = _run(checks.Context(m, g, {"model": "kipriyanov1d"}),
+    m = _eigenvalue_model(256)
+    status, good = _run(checks.Context(m),
                         *_COMPLETENESS)["completeness-criterion"]
     assert status == "pass"
     assert good["mu"] >= 1.9
@@ -195,7 +195,7 @@ def test_09_class_membership_flip():
 
     def membership(scale):
         m = tf.build_kipriyanov_1d(g, "const:1.0", f"const:{0.1 * scale}", 0.3, 0.6)
-        return _run(checks.Context(m, g, {"model": "kipriyanov1d"}),
+        return _run(checks.Context(m),
                     "class-membership")["class-membership"]
 
     status, base = membership(1.0)
@@ -225,12 +225,12 @@ def test_10_difference_model_sigma():
     rel = abs(m.sigma_const - direct) / direct
     assert rel <= 1e-8
 
-    thresh = m.h2_threshold / m.gamma_N  # = sigma ||Q^-1||^2 at nu = 1
+    thresh = m.sigma_const * m.norm_Q_inv**2  # the H2 threshold on gamma_N = nu
     hi = tf.build_difference_model(g, "const:0.0", "const:1.0", lam, 4 * g.h, alpha,
                                    nu=1.02 * thresh)
     lo = tf.build_difference_model(g, "const:0.0", "const:1.0", lam, 4 * g.h, alpha,
                                    nu=0.98 * thresh)
-    verdicts = [_run(checks.Context(model, g, {"model": "difference"}),
+    verdicts = [_run(checks.Context(model),
                      "difference-h2-threshold")["difference-h2-threshold"][0] for model in (hi, lo)]
     assert verdicts == ["pass", "fail"]
     _report(10, f"sigma_const {m.sigma_const:.12f} vs direct {direct:.12f} "

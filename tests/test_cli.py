@@ -9,6 +9,7 @@ import pytest
 
 from fracspec import checks
 from fracspec.cli import _build_model, _config_doc, _json, _load_artifact, _make_parser, main
+from fracspec.discretize import Grid1D
 from fracspec.semigroup import generator_matrix
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
@@ -90,19 +91,19 @@ class TestArtifactFormat:
     def test_build_load_lossless(self, tmp_path, capsys, model):
         argv = ["build", "--model", model, *SMALL_BUILDS[model], "--out", str(tmp_path / "a.json")]
         assert main(argv) == 0
-        built, built_grid, _ = _build_model(_config_doc(_make_parser().parse_args(argv)))
-        loaded, grid, config = _load_artifact(str(tmp_path / "a.json"))
-        assert config["model"] == model and grid.n == 24 and grid == built_grid
+        built, _ = _build_model(_config_doc(_make_parser().parse_args(argv)))
+        loaded, config = _load_artifact(str(tmp_path / "a.json"))
+        assert config["model"] == model and loaded.semigroup.grid.n == 24
+        assert loaded.semigroup == built.semigroup
         pairs = [(built.L, loaded.L), (built.spec.J, loaded.spec.J), (built.spec.G, loaded.spec.G),
                  (built.spec.F, loaded.spec.F), (built.hplus, loaded.hplus)]
         for want, got in pairs:
             # every paper model has real coefficients, so all its matrices are real
             assert got.dtype == want.dtype == np.float64 and np.array_equal(want, got)
         assert loaded.spec.alpha == built.spec.alpha
-        for key in ("delta", "sigma_const", "gamma_N", "norm_Q_inv"):
-            assert np.array_equal(getattr(built, key), getattr(loaded, key), equal_nan=True)
-        if model != "difference":
-            assert np.isnan(loaded.sigma_const)
+        for key in ("sigma_const", "gamma_N", "norm_Q_inv"):
+            assert getattr(built, key) == getattr(loaded, key)
+            assert (getattr(loaded, key) is None) == (model != "difference")
 
     def test_complex_data_stay_complex(self, tmp_path, capsys, monkeypatch):
         # a complex a11 and a complex custom matrix keep complex128 through the
@@ -116,14 +117,15 @@ class TestArtifactFormat:
         for model, flags in builds.items():
             argv = ["build", "--model", model, *flags, "--out", "a.json"]
             assert main(argv) == 0
-            built, _, _ = _build_model(_config_doc(_make_parser().parse_args(argv)))
-            loaded, _, _ = _load_artifact("a.json")
+            built, _ = _build_model(_config_doc(_make_parser().parse_args(argv)))
+            loaded, _ = _load_artifact("a.json")
             assert built.L.dtype == loaded.L.dtype == np.complex128
             assert np.array_equal(built.L, loaded.L)
-            assert np.array_equal(built.spec.G, loaded.spec.G)
             if model == "custom-matrix":
                 assert np.array_equal(loaded.L, M)
+                assert loaded.spec is loaded.hplus is loaded.semigroup is None
             else:
+                assert np.array_equal(built.spec.G, loaded.spec.G)
                 assert loaded.spec.G.dtype == np.complex128
                 assert loaded.spec.J.dtype == np.float64  # the shift generator has no data
 
@@ -342,17 +344,28 @@ class TestCustomMatrix:
         np.savetxt(path, m, delimiter=",")
 
     def test_full_suite_on_spd_matrix(self, tmp_path, capsys):
+        # a custom matrix is L alone: the entries that read a semigroup, J,
+        # the h+ norm matrix or the transform say so, and the fracpow suite
+        # runs at alpha = 0.5 and lambda = 1 whatever --alpha was
         mpath = tmp_path / "m.csv"
         self.write_matrix(mpath, np.diag(np.arange(1.0, 21.0) ** 2))
         out = tmp_path / "art.json"
-        assert main(["build", "--model", "custom-matrix", "--a11", str(mpath),
+        assert main(["build", "--model", "custom-matrix", "--a11", str(mpath), "--alpha", "0.8",
                      "--out", str(out)]) == 0
         code = main(["verify", "--out", str(out),
                      "--suite", "full", "--report", str(tmp_path / "rep.json")])
         assert code == 0
         doc = json.loads((tmp_path / "rep.json").read_text())
         by_name = {c["name"]: c for c in doc["checks"]}
-        assert by_name["semigroup-suite"]["status"] == "info"
+        assert {name: c["numbers"]["message"] for name, c in by_name.items()
+                if c["status"] == "info" and "message" in c["numbers"]} == {
+            "semigroup-suite": "no semigroup attached to custom-matrix",
+            "generator-m-accretive": "no generator J attached to custom-matrix",
+            "h1-h2-bounds": "no h+ norm matrix attached to custom-matrix",
+            "class-membership": "no transform description for custom-matrix"}
+        gl = by_name["gl-coefficient-identity"]["numbers"]
+        assert (gl["alpha"], gl["lambda"]) == (0.5, 1.0)
+        assert "difference-h2-threshold" not in by_name
         assert by_name["order-estimate"]["numbers"]["mu"] == pytest.approx(2.0, abs=0.05)
 
     def test_failing_check_exit_1(self, tmp_path, capsys):
@@ -391,7 +404,7 @@ class TestCustomMatrix:
         out = tmp_path / "art.json"
         assert main(["build", "--model", "custom-matrix", "--a11", str(mpath),
                      "--out", str(out)]) == 3
-        assert "assembly failed: matrix shape must match grid size" in capsys.readouterr().err
+        assert "assembly failed: matrix must be square and non-empty" in capsys.readouterr().err
         assert not out.exists()
 
     def test_indefinite_hermitian_part_is_error_entry(self, tmp_path, capsys):
@@ -433,26 +446,27 @@ class TestModelSemigroup:
     @staticmethod
     def build(model, *flags):
         argv = ["build", "--model", model, *flags, "--out", "unused.json"]
-        return _build_model(_config_doc(_make_parser().parse_args(argv)))[:2]
+        return _build_model(_config_doc(_make_parser().parse_args(argv)))[0]
 
     @pytest.mark.parametrize("model, kind", [
         ("kipriyanov1d", "shift"), ("riesz", "gauss"), ("difference", "poisson")])
     def test_generator_of_the_semigroup_is_J(self, model, kind):
-        built, grid = self.build(model, *SMALL_BUILDS[model])
-        assert built.semigroup.kind == kind and built.semigroup.grid == grid
+        built = self.build(model, *SMALL_BUILDS[model])
+        ends = (-20.0, 20.0) if model == "riesz" else (0.0, 1.0)
+        assert built.semigroup.kind == kind and built.semigroup.grid == Grid1D(*ends, 24)
         J = generator_matrix(built.semigroup)
         assert J.dtype == built.spec.J.dtype and J.tobytes() == built.spec.J.tobytes()
 
     def test_custom_matrix_has_no_semigroup(self, tmp_path):
         np.savetxt(tmp_path / "m.csv", np.diag([1.0, 2.0, 3.0, 4.0]), delimiter=",")
-        built, _ = self.build("custom-matrix", "--a11", str(tmp_path / "m.csv"))
-        assert built.semigroup is None
+        assert self.build("custom-matrix", "--a11", str(tmp_path / "m.csv")).semigroup is None
 
     def test_difference_shift_is_4h_unless_given(self):
-        built, grid = self.build("difference", "--grid-n", "24", "--lambda", "2.5")
-        assert (built.semigroup.lam, built.semigroup.mu) == (2.5, 4 * grid.h)
-        built, grid = self.build("difference", "--grid-n", "24", "--mu", repr(2 * grid.h))
-        assert built.semigroup.mu == 2 * grid.h and built.semigroup.shift_steps == 2
+        h = Grid1D(0.0, 1.0, 24).h
+        built = self.build("difference", "--grid-n", "24", "--lambda", "2.5")
+        assert (built.semigroup.lam, built.semigroup.mu) == (2.5, 4 * h)
+        built = self.build("difference", "--grid-n", "24", "--mu", repr(2 * h))
+        assert built.semigroup.mu == 2 * h and built.semigroup.shift_steps == 2
 
 
 class TestArtifactInputs:

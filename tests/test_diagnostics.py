@@ -28,11 +28,45 @@ def run_check(name, ctx):
 
 
 def matrix_context(L, hplus=None):
-    """The check context verify builds for a custom matrix L, with the norm
-    matrix ``hplus`` (default L) and no grid, which the spectrum checks do not
-    read."""
-    model = Model(L, TransformSpec(L, L, L, 0.0), L if hplus is None else hplus)
-    return checks.Context(model, None, {"model": "custom-matrix"})
+    """The check context of a model with the matrix L, and the h+ norm matrix
+    ``hplus`` if given (verify builds a custom matrix as L alone)."""
+    return checks.Context(Model(L, hplus=hplus))
+
+
+def generator_context(J):
+    """The check context of a model L = J whose transform has the generator J."""
+    return checks.Context(Model(J, TransformSpec(J, J, J, 0.0)))
+
+
+class TestModelParts:
+    """The checks read each part they need from the Model alone."""
+
+    def test_only_the_readers_of_a_missing_part_change(self):
+        # L alone, as verify builds a custom matrix, against L with the
+        # stand-in parts J = G = F = hplus = L and alpha = 0: the entries that
+        # read J, the h+ norm matrix or the transform are info, every other
+        # entry is the same
+        k = np.arange(1.0, 21.0)
+        L = np.diag(k**2) + 0.3 * (np.eye(20, k=1) - np.eye(20, k=-1))
+        bare = {e["name"]: e for e in checks.run(matrix_context(L), checks.SUITES)}
+        stand_in = checks.Context(Model(L, TransformSpec(L, L, L, 0.0), L))
+        full = {e["name"]: e for e in checks.run(stand_in, checks.SUITES)}
+        readers = {"generator-m-accretive", "h1-h2-bounds", "class-membership"}
+        assert list(bare) == list(full) and "difference-h2-threshold" not in bare
+        for name in bare:
+            if name in readers:
+                assert bare[name]["status"] == "info" and "message" in bare[name]["numbers"]
+                assert full[name]["status"] != "info"
+            else:
+                assert bare[name] == full[name]
+
+    def test_context_takes_the_model_and_seed_alone(self):
+        # the fields entries store are keyword-only, so a stale
+        # Context(model, grid, config) raises instead of binding them
+        model = Model(np.eye(4))
+        with pytest.raises(TypeError):
+            checks.Context(model, None, {"model": "custom-matrix"})
+        assert checks.Context(model, 3).seed == 3
 
 
 class TestNumericalRange:
@@ -97,9 +131,8 @@ class TestNumericalRange:
 
     @staticmethod
     def kipriyanov(n):
-        grid = Grid1D(0.0, 1.0, n)
-        return grid, build_kipriyanov_1d(grid, a11="const:1.0", rho="const:0.1",
-                                         sigma=0.3, alpha=0.6)
+        return build_kipriyanov_1d(Grid1D(0.0, 1.0, n), a11="const:1.0", rho="const:0.1",
+                                   sigma=0.3, alpha=0.6)
 
     @staticmethod
     def difference(n):
@@ -114,7 +147,7 @@ class TestNumericalRange:
         # triple top eigenvalue at phi = pi/2 and 3 pi/2 (flat edges of W(L)),
         # where the mirrored point is another point of the same edge
         if which == "kipriyanov1d-48":
-            M = self.kipriyanov(48)[1].L
+            M = self.kipriyanov(48).L
         elif which == "difference-24":
             M = self.difference(24).L
         else:
@@ -128,7 +161,7 @@ class TestNumericalRange:
 
     @pytest.mark.parametrize("n_angles", [64, 18])
     def test_real_matrix_boundary_is_conjugate_symmetric(self, n_angles):
-        b = dg.numerical_range(self.kipriyanov(32)[1].L, n_angles=n_angles).boundary
+        b = dg.numerical_range(self.kipriyanov(32).L, n_angles=n_angles).boundary
         j = np.arange(1, n_angles // 2)  # all but phi = 0 and pi
         assert np.array_equal(b[n_angles - j], b[j].conj())
 
@@ -145,7 +178,7 @@ class TestNumericalRange:
 
     @pytest.mark.parametrize("n_angles, reductions", [(64, 17), (18, 5)])
     def test_real_matrix_solves_half_the_angles(self, monkeypatch, n_angles, reductions):
-        M = self.kipriyanov(32)[1].L
+        M = self.kipriyanov(32).L
         calls = self.count_reductions(monkeypatch)
         dg.numerical_range(M, n_angles=n_angles)
         assert len(calls) == reductions
@@ -189,7 +222,7 @@ class TestNumericalRange:
             dg.numerical_range(np.diag([1.0, 2.0]), n_angles=17)
 
     def test_does_not_run_full_eigh(self, monkeypatch):
-        M = self.kipriyanov(32)[1].L
+        M = self.kipriyanov(32).L
         want = dg.numerical_range(M, n_angles=64).boundary
 
         def refuse(*args, **kwargs):
@@ -205,15 +238,15 @@ class TestNumericalRange:
         monkeypatch.setattr(numcore.scipy.linalg, "eigh_tridiagonal", fail)
         with pytest.raises(NoConvergence):
             dg.numerical_range(np.diag([1.0, 2.0]), n_angles=16)
-        grid, model = self.kipriyanov(24)
-        entries = checks.run(checks.Context(model, grid, {"model": "kipriyanov1d"}), ("spectrum",))
+        model = self.kipriyanov(24)
+        entries = checks.run(checks.Context(model), ("spectrum",))
         entry = next(e for e in entries if e["name"] == "numerical-range")
         assert (entry["status"], entry["numbers"]["exception"]) == ("error", "NoConvergence")
 
 
 class TestH1H2:
     def test_lapack_failure_is_no_convergence_error_entry(self, monkeypatch):
-        grid, model = TestNumericalRange.kipriyanov(24)
+        model = TestNumericalRange.kipriyanov(24)
 
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("eigenvalues did not converge")
@@ -221,13 +254,13 @@ class TestH1H2:
         # J is read from its band, the whitened W by a dense eigensolve
         monkeypatch.setattr(np.linalg, "eigvalsh", fail)
         monkeypatch.setattr(numcore.scipy.linalg, "eigvals_banded", fail)
-        entries = checks.run(checks.Context(model, grid, {"model": "kipriyanov1d"}), ("spectrum",))
+        entries = checks.run(checks.Context(model), ("spectrum",))
         got = {e["name"]: (e["status"], e["numbers"].get("exception")) for e in entries}
         assert got["generator-m-accretive"] == ("error", "NoConvergence")
         assert got["h1-h2-bounds"] == ("error", "NoConvergence")
 
     def test_identity_pair(self):
-        status, numbers = run_check("h1-h2-bounds", matrix_context(np.eye(6)))
+        status, numbers = run_check("h1-h2-bounds", matrix_context(np.eye(6), hplus=np.eye(6)))
         assert status == "pass"
         assert np.isclose(numbers["C1"], 1.0) and np.isclose(numbers["C2"], 1.0)
 
@@ -260,7 +293,7 @@ class TestH1H2:
         argv = ["build", "--model", "riesz", "--grid-n", "512", "--alpha", "0.9",
                 "--rho", "const:0.1", "--out", "unused.json"]
         model = _build_model(_config_doc(_make_parser().parse_args(argv)))[0]
-        ctx = checks.Context(model, None, {"model": "riesz"})
+        ctx = checks.Context(model)
         status, numbers = run_check("h1-h2-bounds", ctx)
         assert status == "pass"
         assert numbers["C1"] == pytest.approx(0.99691, rel=1e-4)
@@ -273,7 +306,7 @@ class TestFactorizationCache:
         # one Cholesky factor of I - C^2, and seven SVDs: L's (which also gives
         # the resolvent's singular values), W's in h1-h2-bounds and five in
         # generator-m-accretive
-        grid, model = TestNumericalRange.kipriyanov(32)
+        model = TestNumericalRange.kipriyanov(32)
         calls = {"eigh": 0, "inv": 0, "cholesky": 0, "svd": 0}
         eigh, inv = numcore._eigh, np.linalg.inv
         cho_factor, svdvals = scipy.linalg.cho_factor, scipy.linalg.svdvals
@@ -288,7 +321,7 @@ class TestFactorizationCache:
         monkeypatch.setattr(np.linalg, "inv", counted("inv", inv))
         monkeypatch.setattr(scipy.linalg, "cho_factor", counted("cholesky", cho_factor))
         monkeypatch.setattr(scipy.linalg, "svdvals", counted("svd", svdvals))
-        entries = checks.run(checks.Context(model, grid, {"model": "kipriyanov1d"}), ("spectrum",))
+        entries = checks.run(checks.Context(model), ("spectrum",))
         assert "error" not in {e["status"] for e in entries}
         assert calls == {"eigh": 2, "inv": 1, "cholesky": 1, "svd": 7}
 
@@ -389,7 +422,7 @@ class TestOrderAndSchatten:
         s = np.arange(1, 65, dtype=float) ** -0.2
         mu = 2 / 15.204212141599925
         got = [run_check("schatten-classification",
-                         checks.Context(None, None, {}, svals=s, mu=m))[1]
+                         checks.Context(None, svals=s, mu=m))[1]
                for m in (mu, float(np.nextafter(mu, 1.0)))]
         assert got[0]["predicted_p"] != got[1]["predicted_p"]
         assert list(got[0]["sums"]) == list(got[1]["sums"]) == ["1.0", "15.2042121416"]
@@ -414,10 +447,10 @@ class TestEigenvalueInequalityAndAsymptotics:
         # the check takes eps = 0.1
         i = np.arange(1, 201, dtype=float)
         status, good = run_check("eigenvalue-asymptotics",
-                                 checks.Context(None, None, {}, evals=i**-2.0, mu=2.0))
+                                 checks.Context(None, evals=i**-2.0, mu=2.0))
         assert status == "pass" and good["trend_slope"] < 0
         status, bad = run_check("eigenvalue-asymptotics",
-                                checks.Context(None, None, {}, evals=i**-1.0, mu=2.0))
+                                checks.Context(None, evals=i**-1.0, mu=2.0))
         assert status == "fail" and bad["trend_slope"] > 0
 
 
@@ -425,7 +458,7 @@ class TestCompletenessAndMAccretive:
     def test_completeness_criterion(self):
         def status(theta, mu):
             sector = dg.SectorEstimate(0.0, theta, np.array([1.0 + 0.0j]))
-            ctx = checks.Context(None, None, {}, sector=sector, mu=mu)
+            ctx = checks.Context(None, sector=sector, mu=mu)
             return run_check("completeness-criterion", ctx)[0]
 
         assert status(0.1, 2.0) == "pass"
@@ -435,11 +468,11 @@ class TestCompletenessAndMAccretive:
 
     def test_maccretive_pass(self):
         A = rand_accretive(8, 5)
-        status, numbers = run_check("generator-m-accretive", matrix_context(A))
+        status, numbers = run_check("generator-m-accretive", generator_context(A))
         assert status == "pass" and numbers["min_herm_eig"] > 0
 
     def test_maccretive_fail(self):
-        status, numbers = run_check("generator-m-accretive", matrix_context(-np.eye(3) * 0.001))
+        status, numbers = run_check("generator-m-accretive", generator_context(-np.eye(3) * 0.001))
         assert status == "fail" and np.isclose(numbers["min_herm_eig"], -0.001)
 
     def test_maccretive_fail_on_a_banded_generator(self, monkeypatch):
@@ -455,7 +488,7 @@ class TestCompletenessAndMAccretive:
             raise AssertionError("dense eigensolve called")
 
         monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
-        status, numbers = run_check("generator-m-accretive", matrix_context(J))
+        status, numbers = run_check("generator-m-accretive", generator_context(J))
         assert status == "fail"
         assert abs(numbers["min_herm_eig"] - exact) <= 64 * np.finfo(float).eps * np.linalg.norm(J, 2)
 
@@ -466,4 +499,4 @@ class TestCompletenessAndMAccretive:
         g = Grid1D(0.0, 1.0, 31)
         for kind, kw in (("shift", {}), ("gauss", {}), ("poisson", {"lam": 2.0, "mu": 2 * g.h})):
             A = generator_matrix(SemigroupSpec(kind, g, **kw))
-            assert run_check("generator-m-accretive", matrix_context(A))[0] == "pass"
+            assert run_check("generator-m-accretive", generator_context(A))[0] == "pass"

@@ -12,6 +12,7 @@ from fracspec.discretize import Grid1D
 from fracspec.errors import BadAlpha, NotAccretive, QuadratureNotConverged
 from fracspec.numcore import herm_power
 from fracspec.semigroup import SemigroupSpec, generator_matrix
+from fracspec.transform import build_difference_model
 
 
 def spd_matrix(n, seed, shift=None):
@@ -544,8 +545,9 @@ class TestEigenbasisRoute:
                 assert calls == {"tbtrs": 2}
 
     def test_oracle_matrix_stays_on_band_solver(self, monkeypatch):
+        model = build_difference_model(Grid1D(0.0, 1.0, 8), "const:1", "const:0", 1.0, None, 0.9)
+        ctx = checks.Context(model, seed=7)
         calls = self.count_routes(monkeypatch)
-        ctx = checks.Context(None, None, {"model": "riesz", "alpha": 0.9}, seed=7)
         status, numbers = checks._balakrishnan_oracle(ctx)
         assert status == "pass" and numbers["rel_frobenius"] <= 1e-8
         assert calls["eigh_tridiagonal"] == 0 and calls["gbsv"] == 2
@@ -777,6 +779,29 @@ class TestSetupMemo:
         monkeypatch.setattr(fp, "DEFAULT", dataclasses.replace(fp.DEFAULT, accretive_floor_rel=-1.0))
         with pytest.raises(NotAccretive):
             fp.balakrishnan_power(A, cfg)
+
+
+class TestRuleMemo:
+    """The quadrature rule is built once per (e, m), as read-only arrays."""
+
+    def test_rule_is_kept_and_read_only(self):
+        lam, w = fp._weights(0.37, 2)
+        again = fp._weights(0.37, 2)
+        assert again[0] is lam and again[1] is w
+        assert not lam.flags.writeable and not w.flags.writeable
+
+    @pytest.mark.parametrize("kind", ["shift", "gauss", "poisson"])
+    def test_kept_rule_gives_the_bits_of_a_fresh_one(self, kind, monkeypatch):
+        A, cfg = generator(kind, 256), fp.BalakrishnanConfig(0.3)
+        f = np.sin(np.arange(256.0))
+        for call in (fp.balakrishnan_power, fp.negative_power,
+                     lambda A, cfg, check: fp.balakrishnan_apply(A, f, cfg, check)):
+            for check in (False, True):
+                got = call(A, cfg, check=check)
+                with monkeypatch.context() as m:
+                    m.setattr(fp, "_weights", fp._weights.__wrapped__)
+                    want = call(A, cfg, check=check)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 class TestNonFiniteInput:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fracspec import checks
 from fracspec import transform as tf
 from fracspec.discretize import Grid1D, multiply
 from fracspec.errors import BadAlpha, CoefficientBoundViolated
@@ -44,6 +45,11 @@ class TestSpecAndAssemble:
         assert np.max(np.abs(Z - expect)) <= 1e-9 * np.max(np.abs(expect))
 
 
+def class_membership(spec):
+    """(status, numbers) of the class-membership check on a model with ``spec``."""
+    return checks._class_membership(checks.Context(tf.Model(None, spec)))
+
+
 class TestCheckClass:
     def test_f_zero_membership(self):
         g = unit_grid(16)
@@ -53,10 +59,12 @@ class TestCheckClass:
             multiply(g, "const:0.0"),
             0.5,
         )
-        rep = tf.check_class(spec)
-        assert rep.member and rep.norm_F == 0.0
-        assert np.isclose(rep.gamma_G, 1.0)
-        assert np.isclose(rep.C_alpha, 2.0 * rep.norm_J_inv / 0.5 + 2.0)
+        gamma_G, C_alpha, norm_J_inv, norm_F = tf.check_class(spec)
+        assert norm_F == 0.0
+        assert np.isclose(gamma_G, 1.0)
+        assert np.isclose(C_alpha, 2.0 * norm_J_inv / 0.5 + 2.0)
+        status, numbers = class_membership(spec)
+        assert status == "pass" and numbers["member"] and numbers["margin"] == gamma_G
 
     def test_margin_linear_in_F_and_flip(self):
         g = unit_grid(16)
@@ -64,16 +72,14 @@ class TestCheckClass:
         G = multiply(g, "const:1.0")
 
         def report(scale):
-            return tf.check_class(
-                tf.TransformSpec(J, G, multiply(g, f"const:{scale}"), 0.5)
-            )
+            return class_membership(tf.TransformSpec(J, G, multiply(g, f"const:{scale}"), 0.5))[1]
 
         r1, r2 = report(0.01), report(0.02)
-        assert np.isclose(r2.norm_F, 2 * r1.norm_F, rtol=1e-10)
-        thresh1 = r1.gamma_G - r1.margin
-        crossing = r1.gamma_G / (thresh1 / 0.01)
-        assert report(crossing * 0.99).member
-        assert not report(crossing * 1.01).member
+        assert np.isclose(r2["norm_F"], 2 * r1["norm_F"], rtol=1e-10)
+        thresh1 = r1["gamma_G"] - r1["margin"]
+        crossing = r1["gamma_G"] / (thresh1 / 0.01)
+        assert report(crossing * 0.99)["member"]
+        assert not report(crossing * 1.01)["member"]
 
 
 class TestKipriyanovModel:
@@ -121,8 +127,8 @@ class TestKipriyanovModel:
     def test_membership_base_config(self):
         g = unit_grid(64)
         m = tf.build_kipriyanov_1d(g, "const:1.0", "const:0.1", 0.3, 0.6)
-        rep = tf.check_class(m.spec)
-        assert rep.member and rep.margin > 0
+        status, numbers = class_membership(m.spec)
+        assert status == "pass" and numbers["member"] and numbers["margin"] > 0
 
 
 class TestRieszModel:
@@ -144,7 +150,7 @@ class TestRieszModel:
     def test_direct_vs_transform(self):
         g = self.grid(256)
         m = tf.build_riesz_model(g, "const:1.0", "const:0.05", 0.1, 0.9, delta=1.0)
-        Z = tf.assemble(m.spec) + m.delta * np.eye(g.n)
+        Z = tf.assemble(m.spec) + 1.0 * np.eye(g.n)  # delta I
         rel = np.linalg.norm(m.L - Z) / np.linalg.norm(m.L)
         assert rel <= 1e-3
 
@@ -170,7 +176,9 @@ class TestDifferenceModel:
 
     def test_h2_threshold(self):
         g, m = self.build()
-        assert np.isclose(m.h2_threshold, m.sigma_const * m.norm_Q_inv**2)
+        status, numbers = checks._h2_threshold(checks.Context(m))
+        assert numbers["threshold"] == m.sigma_const * m.norm_Q_inv**2
+        assert status == ("pass" if m.gamma_N > numbers["threshold"] else "fail")
 
     def test_zero_perturbation_is_quadratic_form(self):
         g, m = self.build(a="const:0.0", b="const:0.0")
