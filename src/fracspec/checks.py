@@ -56,7 +56,7 @@ def _verdict(ok):
 
 def _axioms(ctx):
     spec = ctx.model.semigroup
-    if spec is None:
+    if spec is None:  # of the cli's models, custom-matrix alone has none
         return "info", {"message": "no semigroup attached to custom-matrix"}
     ctx.axioms = semigroup.verify_axioms(spec, seed=ctx.seed)
 
@@ -134,7 +134,7 @@ def _balakrishnan_oracle(ctx):
 
 def _maccretive(ctx):
     if ctx.model.spec is None:
-        return "info", {"message": "no generator J attached to custom-matrix"}
+        return "info", {"message": "model has no generator J"}
     J = ctx.model.spec.J
     herm_min, slack = diagnostics.maccretive_check(J)
     ok = (herm_min >= -DEFAULT.accretive_floor_rel * np.linalg.norm(J)
@@ -172,7 +172,7 @@ def _numerical_range(ctx):
 
 def _h1_h2(ctx):
     if ctx.model.hplus is None:
-        return "info", {"message": "no h+ norm matrix attached to custom-matrix"}
+        return "info", {"message": "model has no h+ norm matrix"}
     C1, C2 = diagnostics.verify_H1_H2(ctx.model.L, ctx.model.hplus)
     return _verdict(C2 > 0.0), {"C1": C1, "C2": C2}
 
@@ -208,7 +208,7 @@ def _asymptotics(ctx):
 
 
 def _class_membership(ctx):
-    if ctx.model.spec is None:
+    if ctx.model.spec is None:  # of the cli's models, custom-matrix alone has none
         return "info", {"message": "no transform description for custom-matrix"}
     gamma_G, C_alpha, norm_J_inv, norm_F = transform.check_class(ctx.model.spec)
     threshold = C_alpha * norm_J_inv * norm_F

@@ -32,6 +32,8 @@ MODELS = ("kipriyanov1d", "riesz", "difference", "custom-matrix")
 SUITES = (*checks.SUITES, "full")
 
 _GRID_ENDPOINTS = {"kipriyanov1d": (0.0, 1.0), "riesz": (-20.0, 20.0), "difference": (0.0, 1.0)}
+_PAPER_FLAG_DEFAULTS = {"--grid-n": 128, "--alpha": 0.5, "--sigma": 0.25, "--lambda": 1.0,
+                        "--mu": None, "--delta": 1.0, "--rho": "const:0"}
 
 # --- strict JSON (RFC 8259 has no NaN or Infinity tokens) ------------------
 
@@ -70,17 +72,17 @@ def _make_parser():
     sub = p.add_subparsers(dest="command", required=True)
     q = sub.add_parser("build")
     q.add_argument("--model", default="kipriyanov1d", choices=MODELS)
-    q.add_argument("--grid-n", type=int, default=128)
-    q.add_argument("--alpha", type=float, default=0.5)
-    q.add_argument("--sigma", type=float, default=0.25)
-    q.add_argument("--lambda", dest="lam", type=float, default=1.0)
-    q.add_argument("--mu", type=float, default=None,
+    q.add_argument("--grid-n", type=int, default=_PAPER_FLAG_DEFAULTS["--grid-n"])
+    q.add_argument("--alpha", type=float, default=_PAPER_FLAG_DEFAULTS["--alpha"])
+    q.add_argument("--sigma", type=float, default=_PAPER_FLAG_DEFAULTS["--sigma"])
+    q.add_argument("--lambda", type=float, default=_PAPER_FLAG_DEFAULTS["--lambda"])
+    q.add_argument("--mu", type=float, default=_PAPER_FLAG_DEFAULTS["--mu"],
                    help="poisson shift length; default 4h, must be a multiple of h")
-    q.add_argument("--delta", type=float, default=1.0)
+    q.add_argument("--delta", type=float, default=_PAPER_FLAG_DEFAULTS["--delta"])
     q.add_argument("--a11", default="const:1",
                    help="coefficient spec (const:c | sin | poly:c0,c1,... | CSV path); "
                         "matrix CSV path for custom-matrix")
-    q.add_argument("--rho", default="const:0")
+    q.add_argument("--rho", default=_PAPER_FLAG_DEFAULTS["--rho"])
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("--out", required=True, help="artifact path to write")
     # verify takes its model configuration from the artifact alone
@@ -100,20 +102,24 @@ def _validate(args):
         if not args.out:
             raise ValueError("verify needs --out pointing at a build artifact")
         return
+    values = {flag: getattr(args, flag[2:].replace("-", "_")) for flag in _PAPER_FLAG_DEFAULTS}
+    for flag in ("--alpha", "--sigma", "--lambda", "--mu", "--delta"):
+        if values[flag] is not None and not math.isfinite(values[flag]):
+            raise ValueError(f"{flag} must be finite")
+    if args.model == "custom-matrix":  # the matrix is the whole model
+        if given := [flag for flag, v in values.items() if v != _PAPER_FLAG_DEFAULTS[flag]]:
+            raise ValueError(f"custom-matrix takes no {', '.join(given)}")
+        return
     if args.grid_n < 4:
         raise ValueError("--grid-n must be at least 4")
-    for flag, value in (("--alpha", args.alpha), ("--sigma", args.sigma), ("--lambda", args.lam),
-                        ("--mu", args.mu), ("--delta", args.delta)):
-        if value is not None and not math.isfinite(value):
-            raise ValueError(f"{flag} must be finite")
     if args.model == "riesz":
         if not args.sigma / 2 + 0.75 < args.alpha < 1.0:
             raise ValueError("--alpha must satisfy sigma/2 + 3/4 < alpha < 1 for the riesz model")
-    elif args.model != "custom-matrix" and not 0.0 < args.alpha < 1.0:
+    elif not 0.0 < args.alpha < 1.0:
         raise ValueError("--alpha must lie in (0, 1)")
     if not 0.0 <= args.sigma < 1.0:
         raise ValueError("--sigma must lie in [0, 1)")
-    if args.lam <= 0:
+    if values["--lambda"] <= 0:
         raise ValueError("--lambda must be positive")
     if args.mu is not None and args.mu <= 0:
         raise ValueError("--mu must be positive")
@@ -122,10 +128,8 @@ def _validate(args):
 
 
 def _config_doc(args):
-    return {"model": args.model, "grid_n": args.grid_n, "alpha": args.alpha,
-            "sigma": args.sigma, "lambda": args.lam, "mu": args.mu,
-            "delta": args.delta, "a11": args.a11, "rho": args.rho,
-            "seed": args.seed}
+    return {key: getattr(args, key) for key in ("model", "grid_n", "alpha", "sigma", "lambda",
+                                                "mu", "delta", "a11", "rho", "seed")}
 
 
 def _build_model(config, doc=None):
@@ -155,10 +159,9 @@ def _build_model(config, doc=None):
         data = {"coefficients": {"a11": _complex_doc(a11), "rho": _complex_doc(rho)}}
     parts = [("matrix", model.L)]
     if model.spec is not None:
-        parts += [("J", model.spec.J), ("G", model.spec.G), ("F", model.spec.F),
-                  ("hplus", model.hplus)]
-    for what, m in parts:
-        if not np.isfinite(m).all():
+        parts += [("J", model.spec.J), ("G", model.spec.G), ("F", model.spec.F)]
+    for what, m in [*parts, ("hplus", model.hplus)]:
+        if m is not None and not np.isfinite(m).all():
             raise ValueError(f"{what} holds non-finite entries")
     return model, data
 

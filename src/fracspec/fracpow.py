@@ -21,13 +21,12 @@ Routes implemented:
    copies share a call as a cap on its entries allows (a wide general band,
    whose LU would do more work in a shared call, takes one shift to a call).
    Each call's block of stacked solutions is scaled by its weights and summed
-   in one reduction, in node order; the nodes and weights of each (order,
-   step) are built once and kept read-only. The accretivity gate reads the
-   smallest eigenvalue of the Hermitian part from w, else
-   numcore.min_hermitian_eig. The set-up (the band, or V and w) of the
-   latest call is kept with the bytes of its matrix, and a call on a
-   byte-identical matrix reuses it: a caller that applies A^a to one vector
-   after another sets up once.
+   in one reduction, in node order; the rule of each (order, step) is built
+   once, read-only. The accretivity gate reads the smallest eigenvalue of the
+   Hermitian part from w, else numcore.min_hermitian_eig. The set-up (the
+   band, or V and w) of the latest call is kept with the bytes of its matrix,
+   and a call on a byte-identical matrix reuses it: a caller that applies A^a
+   to one vector after another sets up once.
 2. Spectral calculus for Hermitian positive matrices (numcore.herm_power).
 3. Grunwald-type series for the Poisson-difference generator.
 4. Closed-form singular-integral matrices (Marchaud derivative for the shift
@@ -170,7 +169,7 @@ def _solver(A):
     return solver
 
 
-@lru_cache(maxsize=12)  # the three steps of a checked call, for four orders e
+@lru_cache(maxsize=15)  # 3 steps m for e = a, 1 - a at a = 0.6, 0.9 and e = 0.5
 def _weights(e, m):
     """Nodes l_k and weights c_k of the rule of step _STEP / m, read-only, with
     sum_k c_k (l_k + A)^(-1) X ~ (sin e pi / pi) int_0^inf l^(e-1) (l+A)^(-1) X dl.

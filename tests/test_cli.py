@@ -344,13 +344,17 @@ class TestCustomMatrix:
         np.savetxt(path, m, delimiter=",")
 
     def test_full_suite_on_spd_matrix(self, tmp_path, capsys):
-        # a custom matrix is L alone: the entries that read a semigroup, J,
-        # the h+ norm matrix or the transform say so, and the fracpow suite
-        # runs at alpha = 0.5 and lambda = 1 whatever --alpha was
+        # a custom matrix is L alone: build refuses the paper-model flags, the
+        # entries that read a semigroup, J, the h+ norm matrix or the
+        # transform say so, and the fracpow suite runs at alpha = 0.5 and lambda = 1
         mpath = tmp_path / "m.csv"
         self.write_matrix(mpath, np.diag(np.arange(1.0, 21.0) ** 2))
         out = tmp_path / "art.json"
         assert main(["build", "--model", "custom-matrix", "--a11", str(mpath), "--alpha", "0.8",
+                     "--out", str(out)]) == 2
+        assert "custom-matrix takes no --alpha" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["build", "--model", "custom-matrix", "--a11", str(mpath),
                      "--out", str(out)]) == 0
         code = main(["verify", "--out", str(out),
                      "--suite", "full", "--report", str(tmp_path / "rep.json")])
@@ -360,13 +364,26 @@ class TestCustomMatrix:
         assert {name: c["numbers"]["message"] for name, c in by_name.items()
                 if c["status"] == "info" and "message" in c["numbers"]} == {
             "semigroup-suite": "no semigroup attached to custom-matrix",
-            "generator-m-accretive": "no generator J attached to custom-matrix",
-            "h1-h2-bounds": "no h+ norm matrix attached to custom-matrix",
+            "generator-m-accretive": "model has no generator J",
+            "h1-h2-bounds": "model has no h+ norm matrix",
             "class-membership": "no transform description for custom-matrix"}
         gl = by_name["gl-coefficient-identity"]["numbers"]
         assert (gl["alpha"], gl["lambda"]) == (0.5, 1.0)
         assert "difference-h2-threshold" not in by_name
         assert by_name["order-estimate"]["numbers"]["mu"] == pytest.approx(2.0, abs=0.05)
+
+    def test_paper_model_flags_refused(self, tmp_path, capsys):
+        # every flag set off its default is named; one at its default is harmless
+        mpath = tmp_path / "m.csv"
+        self.write_matrix(mpath, np.eye(4))
+        out = tmp_path / "art.json"
+        assert main(["build", "--model", "custom-matrix", "--a11", str(mpath), "--grid-n", "24",
+                     "--mu", "0.1", "--rho", "sin", "--out", str(out)]) == 2
+        assert "custom-matrix takes no --grid-n, --mu, --rho" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["build", "--model", "custom-matrix", "--a11", str(mpath), "--alpha", "0.5",
+                     "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["config"]["alpha"] == 0.5
 
     def test_failing_check_exit_1(self, tmp_path, capsys):
         # slowly decaying modulus (mu = 1/2) with a wide sector angle breaks

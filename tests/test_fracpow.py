@@ -790,6 +790,14 @@ class TestRuleMemo:
         assert again[0] is lam and again[1] is w
         assert not lam.flags.writeable and not w.flags.writeable
 
+    def test_five_orders_at_three_steps_stay_kept(self):
+        # A^a, A^-a and A^a f at a = 0.5, 0.6, 0.9 in turn read these 15 rules
+        fp._weights.cache_clear()
+        keys = [(e, m) for e in (0.1, 0.4, 0.5, 0.6, 0.9) for m in (1, 2, 4)]
+        for key in keys * 2:
+            fp._weights(*key)
+        assert fp._weights.cache_info().misses == len(keys)
+
     @pytest.mark.parametrize("kind", ["shift", "gauss", "poisson"])
     def test_kept_rule_gives_the_bits_of_a_fresh_one(self, kind, monkeypatch):
         A, cfg = generator(kind, 256), fp.BalakrishnanConfig(0.3)
