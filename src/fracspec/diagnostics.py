@@ -149,7 +149,6 @@ def order_estimate(svals, fraction=None):
 
 @dataclass(frozen=True)
 class SchattenClassification:
-    mu: float
     predicted_p: float
     trace_class: bool
     sums: dict
@@ -167,7 +166,7 @@ def schatten_classify(svals, mu):
     predicted = 1.0 if mu > 1.0 else 2.0 / mu
     ps = sorted({predicted, 1.0})
     sums = {p: schatten_sum(svals, p) for p in ps}
-    return SchattenClassification(float(mu), float(predicted), bool(mu > 1.0), sums)
+    return SchattenClassification(float(predicted), bool(mu > 1.0), sums)
 
 
 def eigenvalue_inequality(R_W, R_H, p=1.0):

@@ -12,19 +12,19 @@ Routes implemented:
    A^(+-a) is integrated on its first column (A e_1, or e_1 for the negative
    power) and then expanded. A real symmetric tridiagonal A = V diag(w) V^T
    (the Gauss generator) is diagonalized once; every resolvent is then
-   1/(l + w) in that basis, so the rule runs on a vector of ones. Every other
-   A is solved in LAPACK band storage, its band widths read by
-   scipy.linalg.bandwidth; a real A takes a complex right-hand side once, as
-   its real view. Each pass of the rule solves all its shifts at once: the
-   shifted copies of A are the diagonal blocks of one band matrix, solved by
-   substitution (tbtrs) when A is triangular, else by one gbsv, and as many
-   copies share a call as a cap on its entries allows (a wide general band,
-   whose LU would do more work in a shared call, takes one shift to a call).
-   Each call's block of stacked solutions is scaled by its weights and summed
-   in one reduction, in node order; the rule of each (order, step) is built
-   once, read-only. The accretivity gate reads the smallest eigenvalue of the
-   Hermitian part from w, else numcore.min_hermitian_eig. The set-up (the
-   band, or V and w) of the latest call is kept with the bytes of its matrix,
+   1/(l + w) in that basis, so the rule runs on a vector of ones. A
+   triangular band, its band widths read by scipy.linalg.bandwidth, is solved
+   in LAPACK band storage: the shifted copies of A are the diagonal blocks of
+   one band matrix, solved by substitution (tbtrs). Any other A is solved as
+   n x n dense copies l I + A by one stacked np.linalg.solve. The route is
+   read from A's structure alone; a real A takes a complex right-hand side
+   once, as its real view. Each pass of the rule solves its shifts together,
+   as many to a call as a cap on the call's entries allows. Each call's block
+   of stacked solutions is scaled by its weights and summed in one reduction,
+   in node order; the rule of each (order, step) is built once, read-only.
+   The accretivity gate reads the smallest eigenvalue of the Hermitian part
+   from w, else numcore.min_hermitian_eig. The set-up (V and w, the band, or
+   the dense A) of the latest call is kept with the bytes of its matrix,
    and a call on a byte-identical matrix reuses it: a caller that applies A^a
    to one vector after another sets up once.
 2. Spectral calculus for Hermitian positive matrices (numcore.herm_power).
@@ -65,32 +65,27 @@ class BalakrishnanConfig:
 # the doubling check adds the odd nodes of step _STEP / 2, and if need be of _STEP / 4.
 _STEP = 0.1
 _NODES = 48
-# Entries of one call of the shifted solver: (band rows + right-hand-side
-# columns) x n x shifts. 2^18 float64 entries are 2 MB: one pass of the rule
-# on a banded generator and a few columns is one call, a matrix right-hand
-# side takes several
+# Entries of one call of the shifted solver: (rows + right-hand-side columns)
+# x n x shifts, where a shift adds the band rows of a triangular A, or the n
+# rows of a dense copy. 2^18 float64 entries are 2 MB: one pass of the rule on
+# a banded generator and a few columns is one call, a matrix right-hand side
+# or a dense A takes several
 _CALL_ENTRIES = 2**18
-# The shifted copies of a general band in one call are coupled through the
-# window of its LU: at its far edge each copy does the whole lo x (lo + up)
-# window that a lone copy truncates, about lo (lo + up) min(lo + up, n) more
-# multiply-adds. Copies share a call while that stays under 2^14, about the
-# cost of a call of its own; a wider band (a dense A of n > 20) is solved one
-# shift to a call
-_COUPLED_WORK = 2**14
 
 
 class _ResolventSolver:
     """Solves (l I + A) X = B for shifts l > 0, all the shifts of one call at
-    once; a real A takes a real B.  A real symmetric tridiagonal A = V diag(w)
-    V^T is diagonalized once, and ``solve`` divides B by l + w in that basis;
-    the caller transforms with ``V``.  Any other A is solved in LAPACK band
-    storage, its band widths read by ``bandwidth``, and ``V`` is None: the
-    shifted copies of A are the diagonal blocks of one band matrix, solved by
-    substitution (``tbtrs``) when A is triangular, else by ``gbsv``.
-    ``herm_min`` is the smallest eigenvalue of A's Hermitian part, w[0] or by
-    ``min_hermitian_eig``; ``rows`` is the number of band rows a shift adds to
-    a call (0 in the eigenbasis); ``batched`` says whether shifts may share a
-    call (see _COUPLED_WORK). A solver is read-only after ``__init__``."""
+    once; a real A takes a real B. The route is read from A's structure:
+    a real symmetric tridiagonal A = V diag(w) V^T is diagonalized once, and
+    ``solve`` divides B by l + w in that basis (the caller transforms with
+    ``V``); a triangular band, its band widths read by ``bandwidth``, is held
+    in LAPACK band storage, and the shifted copies of A are the diagonal
+    blocks of one band matrix, solved by substitution (``tbtrs``); any other
+    A is solved as n x n dense copies l I + A by one stacked
+    ``np.linalg.solve``. ``herm_min`` is the smallest eigenvalue of A's
+    Hermitian part, w[0] or by ``min_hermitian_eig``; ``rows`` is the number
+    of rows a shift adds to a call (0 in the eigenbasis, n for a dense copy).
+    A solver is read-only after ``__init__``."""
 
     def __init__(self, A):
         # checked once here, so the solves need not check each shift
@@ -99,31 +94,28 @@ class _ResolventSolver:
         n = A.shape[0]
         lo, up = bandwidth(A)
         self.real = not np.iscomplexobj(A)
-        self.diag, self.V = np.diagonal(A).copy(), None
+        self.V = self.ab = None
         if self.real and lo == up == 1 and np.array_equal(np.diagonal(A, -1), np.diagonal(A, 1)):
             try:
-                self.w, self.V = eigh_tridiagonal(self.diag, np.diagonal(A, 1), check_finite=False)
+                self.w, self.V = eigh_tridiagonal(np.diagonal(A), np.diagonal(A, 1), check_finite=False)
             except np.linalg.LinAlgError as exc:
                 raise NoConvergence(str(exc)) from exc
-            self.herm_min, self.rows, self.batched = float(self.w[0]), 0, True
+            self.herm_min, self.rows = float(self.w[0]), 0
             return
         self.herm_min = min_hermitian_eig(A)
-        # a triangular band needs no factorization; a general one has lo more
-        # rows on top for the fill-in of its LU
-        self.triangular = lo == 0 or up == 0
-        self.lo, self.up = lo, up
-        fill = 0 if self.triangular else lo
-        self.diag_row = fill + up
+        if lo and up:
+            # a copy: the caller may change A in place once the call returns
+            self.A, self.rows = A.copy(), n
+            return
         # LAPACK band storage of one copy of A, built once. Diagonal d fills
         # n - |d| of its row; the |d| entries left over are the corners that
         # would couple one shifted copy to the next when the copies are laid
         # side by side, and they stay zero
-        self.ab = np.zeros((fill + lo + up + 1, n), dtype=A.dtype)
+        self.ab = np.zeros((lo + up + 1, n), dtype=A.dtype)
         for d in range(-lo, up + 1):
-            self.ab[fill + up - d, max(d, 0) : n + min(d, 0)] = np.diagonal(A, d)
-        self.rows = self.ab.shape[0]
-        self.batched = self.triangular or lo * (lo + up) * min(lo + up, n) <= _COUPLED_WORK
-        self.driver = get_lapack_funcs("tbtrs" if self.triangular else "gbsv", (A,))
+            self.ab[up - d, max(d, 0) : n + min(d, 0)] = np.diagonal(A, d)
+        self.rows, self.diag_row, self.uplo = self.ab.shape[0], up, "U" if lo == 0 else "L"
+        self.tbtrs = get_lapack_funcs("tbtrs", (A,))
 
     def solve(self, lams, B):
         """(l I + A)^(-1) B for each shift l of ``lams``, stacked on a new first axis."""
@@ -132,20 +124,25 @@ class _ResolventSolver:
             return B / d[(...,) + (None,) * (B.ndim - 1)]
         n, K = B.shape[0], lams.size
         cols = B.reshape(n, -1)
+        if self.ab is None:
+            M = np.empty((K, n, n), dtype=self.A.dtype)
+            M[...] = self.A
+            M.reshape(K, -1)[:, :: n + 1] += lams[:, None]
+            # b is (K, n, c) even for one column: numpy 1 and 2 read a b of
+            # ndim one less than M's differently
+            x = np.linalg.solve(M, np.broadcast_to(cols, (K,) + cols.shape))
+            return x.reshape((K,) + B.shape)
         # copy k of A, shifted by lams[k], is diagonal block k of one K n x K n
         # band, and copy k of B is block k of its right-hand side; (rows, n, K)
         # and (n, K, cols) in Fortran order are those Fortran-ordered arrays
         ab = np.empty(self.ab.shape + (K,), dtype=self.ab.dtype, order="F")
         ab[...] = self.ab[..., None]
         ab = ab.reshape((self.rows, n * K), order="F")
-        ab[self.diag_row] = (self.diag + lams[:, None]).ravel()
+        ab[self.diag_row] += np.repeat(lams, n)
         b = np.empty((n, K, cols.shape[1]), dtype=np.result_type(ab, cols), order="F")
         b[...] = cols[:, None, :]
         b = b.reshape((n * K, cols.shape[1]), order="F")
-        if self.triangular:
-            x, info = self.driver(ab, b, uplo="U" if self.lo == 0 else "L", overwrite_b=1)
-        else:
-            *_, x, info = self.driver(self.lo, self.up, ab, b, overwrite_ab=1, overwrite_b=1)
+        x, info = self.tbtrs(ab, b, uplo=self.uplo, overwrite_b=1)
         if info > 0:
             raise np.linalg.LinAlgError("singular matrix")
         if info < 0:
@@ -255,10 +252,10 @@ def _balakrishnan(A, B, cfg, check, negative=False):
 def _blocks(solver, lams, X):
     """(index of its first shift, stacked solutions) for each call of
     ``solver.solve`` that solves (l + A)^(-1) X for the shifts l of ``lams``,
-    in as few calls as keep each within _CALL_ENTRIES entries (one shift to a
-    call where the solver's copies do not share one)."""
+    in as few calls as keep each within _CALL_ENTRIES entries: (rows +
+    columns) x n a shift, a dense copy's rows being n."""
     n = X.shape[0]
-    per_call = max(1, _CALL_ENTRIES // ((solver.rows + X.size // n) * n)) if solver.batched else 1
+    per_call = max(1, _CALL_ENTRIES // ((solver.rows + X.size // n) * n))
     for i in range(0, lams.size, per_call):
         yield i, solver.solve(lams[i : i + per_call], X)
 
@@ -386,24 +383,12 @@ def gl_abs_sum(alpha, lam):
     return float(c[0] - np.sum(c[1:]) + gl_partial_sum(alpha, lam, K))
 
 
-def gl_power(spec, alpha, f):
-    """A^alpha f for the Poisson-difference generator via the Grunwald series
-    A^a f(x) = sum_k C_k f(x - k mu); exact on the grid (zero extension)."""
-    if spec.kind != "poisson":
-        raise ValueError("gl_power applies to the Poisson-difference semigroup")
-    m = spec.shift_steps
-    v = np.asarray(f)
-    n = v.size
-    kmax = (n - 1) // m
-    c = gl_coefficients(alpha, spec.lam, max(kmax, 1))
-    out = c[0] * v
-    for k in range(1, kmax + 1):
-        out[k * m :] += c[k] * v[: n - k * m]
-    return out
-
-
 def gl_power_matrix(spec, alpha):
-    """Matrix of the Grunwald series sum_k C_k S_m^k on the grid."""
+    """Matrix of the Grunwald series sum_k C_k S_m^k on the grid: A^a of the
+    Poisson-difference generator, A^a f(x) = sum_k C_k f(x - k mu), exact on
+    the grid (zero extension)."""
+    if spec.kind != "poisson":
+        raise ValueError("gl_power_matrix applies to the Poisson-difference semigroup")
     m = spec.shift_steps
     n = spec.grid.n
     kmax = (n - 1) // m

@@ -210,8 +210,15 @@ def banded_matrix(lo, up, complex_, hermitian=False, n=96, seed=4):
     return A
 
 
+def route(solver):
+    """The route the solver took: "eigenbasis", "tbtrs" or "dense"."""
+    if solver.V is not None:
+        return "eigenbasis"
+    return "dense" if solver.ab is None else "tbtrs"
+
+
 def real_view(solver, B):
-    """B as the solver takes it: a complex B on a real band as its real view,
+    """B as the solver takes it: a complex B for a real A as its real view,
     Re and Im side by side in n rows, as _balakrishnan passes it."""
     if solver.real and np.iscomplexobj(B):
         return np.ascontiguousarray(B).view(float).reshape(B.shape[0], -1)
@@ -219,8 +226,8 @@ def real_view(solver, B):
 
 
 class TestBandedDrivers:
-    """The band solver against a dense solve per shift, for real and complex A
-    and right-hand sides, every shift of a call solved at once."""
+    """The resolvent solver against a dense solve per shift, for real and
+    complex A and right-hand sides, every shift of a call solved at once."""
 
     SHIFTS = np.array([1e-3, 1.0, 1e3])
 
@@ -232,11 +239,9 @@ class TestBandedDrivers:
         n = A.shape[0]
         solver = fp._ResolventSolver(A)
         # a real symmetric tridiagonal A = V diag(w) V^T is solved in its
-        # eigenbasis; any other triangular band by substitution
+        # eigenbasis, a triangular band by substitution, any other A densely
         eigen = hermitian and not complex_
-        assert (solver.V is not None) == eigen
-        if not eigen:
-            assert solver.triangular == (lo == 0 or up == 0)
+        assert route(solver) == ("eigenbasis" if eigen else "tbtrs" if lo == 0 or up == 0 else "dense")
         rng = np.random.default_rng(5)
         real = rng.standard_normal((n, n))
         cplx = real + 1j * rng.standard_normal((n, n))
@@ -256,12 +261,12 @@ class TestBandedDrivers:
                 assert got.dtype == np.float64
         assert solver.real == (not complex_)
         if not complex_ and not eigen:
-            assert solver.diag.dtype == solver.ab.dtype == np.float64
+            assert (solver.A if solver.ab is None else solver.ab).dtype == np.float64
         herm_min = np.linalg.eigvalsh((A + A.conj().T) / 2)[0]
         assert abs(solver.herm_min - herm_min) <= 1e-12 * np.linalg.norm(A)
 
     @pytest.mark.parametrize("complex_", [False, True])
-    @pytest.mark.parametrize("lo, up", [(4, 0), (0, 1), (2, 1)])
+    @pytest.mark.parametrize("lo, up", [(4, 0), (0, 1)])
     def test_corners_keep_the_shifted_copies_apart(self, lo, up, complex_):
         # the entries of the band storage that no diagonal of A fills would
         # couple copy k to copy k + 1 once the copies lie side by side: a copy
@@ -273,7 +278,6 @@ class TestBandedDrivers:
         corners = np.ones(solver.ab.shape, dtype=bool)
         for d in range(-lo, up + 1):
             corners[solver.diag_row - d, max(d, 0) : n + min(d, 0)] = False
-        corners[: solver.diag_row - up] = False  # the rows of the LU's fill-in
         assert np.count_nonzero(corners) == lo * (lo + 1) // 2 + up * (up + 1) // 2
         assert not np.any(solver.ab[corners])
         want = [np.linalg.solve(A + lam * np.eye(n), B) for lam in self.SHIFTS]
@@ -311,29 +315,19 @@ class TestBandedDrivers:
     @pytest.mark.parametrize("complex_", [False, True])
     def test_singular_shifted_matrix_raises(self, complex_):
         # l = 1 makes the triangular T + l I, whose first diagonal entry is
-        # then 0, and the general band B - I + l I, whose leading 2 x 2 block
-        # is then singular, singular; the other shifted copies of the call do
-        # not hide it
+        # then 0, and the dense copy B - I + l I, whose leading 2 x 2 block is
+        # then singular, singular; the other shifted copies of the call do not
+        # hide it
         shifts = np.array([0.5, 1.0, 2.0])
         c = 1j if complex_ else 1.0
         T = np.diag([-1.0, 2.0, 3.0]) + 0.5 * c * np.eye(3, k=1)
         B = np.array([[1.0, 2.0 * c, 0.0], [0.5 / c, 1.0, 0.0], [0.0, 3.0, 1.0]])
-        for A, triangular in ((T, True), (B - np.eye(3), False)):
+        for A, kind in ((T, "tbtrs"), (B - np.eye(3), "dense")):
             solver = fp._ResolventSolver(A)
-            assert solver.triangular == triangular
-            with pytest.raises(np.linalg.LinAlgError, match="singular"):
+            assert route(solver) == kind
+            with pytest.raises(np.linalg.LinAlgError, match="[Ss]ingular"):
                 solver.solve(shifts, np.ones(3))
             solver.solve(shifts[[0, 2]], np.ones(3))
-
-    @pytest.mark.parametrize("n, batched", [(8, True), (20, True), (21, False), (96, False)])
-    def test_wide_general_band_takes_a_call_per_shift(self, n, batched, monkeypatch):
-        # the copies of a dense A in one call would do n^2 window work each
-        # that a lone copy truncates, so past n = 20 each shift has its call
-        A = 3.0 * np.eye(n) + np.random.default_rng(8).standard_normal((n, n)) / np.sqrt(n)
-        calls = TestEigenbasisRoute.count_routes(monkeypatch)
-        assert fp._ResolventSolver(A).batched == batched
-        fp.negative_power(A, fp.BalakrishnanConfig(0.5), check=True)
-        assert calls == {"gbsv": 2 if batched else 193}
 
     @pytest.mark.parametrize("kind", ["shift", "gauss", "poisson"])
     def test_gate_rejects_nonaccretive_band(self, kind):
@@ -364,7 +358,8 @@ class TestBandedDrivers:
 class TestDtype:
     """Results keep the dtype of A and f; an integer f is taken as float64.
     Between them the cases run every route: one column (powers of shift and
-    poisson), the eigenbasis (real gauss) and the band (the rest)."""
+    poisson), the eigenbasis (real gauss), tbtrs (the rest of shift and
+    poisson) and dense copies (complex gauss)."""
 
     @pytest.mark.parametrize("kind", ["shift", "gauss", "poisson"])
     @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
@@ -388,7 +383,24 @@ class TestDtype:
 
 
 class TestDenseMatrices:
-    """A dense A is the widest band of the one solver."""
+    """An A that is neither a real symmetric tridiagonal nor a triangular band
+    is solved as dense shifted copies, several to a call."""
+
+    @pytest.mark.parametrize("n", [8, 96])
+    def test_pass_takes_capped_calls(self, n, monkeypatch):
+        # A^-a takes X = I: a shift adds (n rows + n columns) n entries, so a
+        # pass of K shifts takes ceil(K / per_call) calls, 2 at n = 8 and 14
+        # at n = 96 for the checked passes of 97 and 96 shifts
+        A = 3.0 * np.eye(n) + np.random.default_rng(8).standard_normal((n, n)) / np.sqrt(n)
+        routes = TestEigenbasisRoute.count_routes(monkeypatch)
+        calls = []
+        solve = fp._ResolventSolver.solve
+        monkeypatch.setattr(fp._ResolventSolver, "solve", lambda self, l, B: calls.append(l.size) or solve(self, l, B))
+        fp.negative_power(A, fp.BalakrishnanConfig(0.5), check=True)
+        assert not routes and route(fp._last[1]) == "dense"
+        per_call = fp._CALL_ENTRIES // (2 * n * n)
+        assert sum(calls) == 193 and max(calls) <= per_call
+        assert len(calls) == -(-97 // per_call) - (-96 // per_call) == (2 if n == 8 else 14)
 
     @pytest.mark.parametrize("complex_", [False, True])
     def test_dense_nonnormal_against_schur_pade(self, complex_):
@@ -544,13 +556,15 @@ class TestEigenbasisRoute:
             else:
                 assert calls == {"tbtrs": 2}
 
-    def test_oracle_matrix_stays_on_band_solver(self, monkeypatch):
+    def test_oracle_matrix_takes_dense_route(self, monkeypatch):
+        # the 8 x 8 complex Hermitian oracle matrix is dense: neither
+        # eigh_tridiagonal nor tbtrs
         model = build_difference_model(Grid1D(0.0, 1.0, 8), "const:1", "const:0", 1.0, None, 0.9)
         ctx = checks.Context(model, seed=7)
         calls = self.count_routes(monkeypatch)
         status, numbers = checks._balakrishnan_oracle(ctx)
         assert status == "pass" and numbers["rel_frobenius"] <= 1e-8
-        assert calls["eigh_tridiagonal"] == 0 and calls["gbsv"] == 2
+        assert not calls and route(fp._last[1]) == "dense"
 
 
 class TestToeplitzColumnRoute:
@@ -675,16 +689,16 @@ class TestBlockedSum:
             "eigenbasis": (generator("gauss", 64), f[:64]),
             # tbtrs: the Toeplitz column, and the full vector route
             "tbtrs": (generator("poisson", 96), f),
-            # one gbsv for the shifts of a pass, real and complex
-            "gbsv": (banded_matrix(2, 1, False), f),
-            "gbsv-complex": (banded_matrix(2, 1, True), f.real),
-            # a dense A of n > 20: one gbsv per shift
+            # a general band takes the dense route, real and complex
+            "general": (banded_matrix(2, 1, False), f),
+            "general-complex": (banded_matrix(2, 1, True), f.real),
+            # a dense A, several shifts to a call
             "dense": (spd_matrix(24, 3), f[:24]),
             # a 1 x 1 A, whose blocks are summed in turn by cumsum
             "scalar": (np.array([[2.5]]), f[:1]),
         }
 
-    @pytest.mark.parametrize("case", ["eigenbasis", "tbtrs", "gbsv", "gbsv-complex", "dense", "scalar"])
+    @pytest.mark.parametrize("case", ["eigenbasis", "tbtrs", "general", "general-complex", "dense", "scalar"])
     @pytest.mark.parametrize("check", [False, True])
     def test_bit_identical_to_a_sum_by_shift(self, case, check, monkeypatch):
         A, f = self.cases()[case]
@@ -700,8 +714,8 @@ class TestBlockedSum:
     @pytest.mark.parametrize("complex_", [False, True])
     @pytest.mark.parametrize("check", [False, True])
     def test_matrix_right_hand_side_split_over_calls(self, complex_, check, monkeypatch):
-        # A^-a of a 96 x 96 band takes X = I, and A^a f an n x n f: a pass
-        # of 97 shifts goes to several calls under the entry cap
+        # A^-a of a 96 x 96 general band takes X = I, and A^a f an n x n f: a
+        # pass of 97 shifts goes to several calls under the entry cap
         A = banded_matrix(2, 1, complex_)
         F = np.random.default_rng(12).standard_normal((96, 96)) * (1 + 1j)
         cfg = fp.BalakrishnanConfig(0.7)
@@ -915,23 +929,16 @@ class TestGLPower:
         g, spec = self.make_spec()
         f = np.zeros(63)
         f[0] = 1.0
-        out = fp.gl_power(spec, 0.5, f)
+        out = fp.gl_power_matrix(spec, 0.5) @ f
         c = fp.gl_coefficients(0.5, 1.0, 62)
         assert np.allclose(out.real, c, atol=1e-14)
-
-    def test_matrix_matches_apply(self):
-        g, spec = self.make_spec(n=40, m=2, lam=2.0)
-        rng = np.random.default_rng(8)
-        f = rng.standard_normal(40)
-        M = fp.gl_power_matrix(spec, 0.4)
-        assert np.allclose(M @ f, fp.gl_power(spec, 0.4, f), atol=1e-12)
 
     def test_matches_balakrishnan(self):
         g, spec = self.make_spec(n=48, m=1, lam=1.5)
         A = generator_matrix(spec)
         rng = np.random.default_rng(9)
         f = rng.standard_normal(48)
-        gl = fp.gl_power(spec, 0.5, f)
+        gl = fp.gl_power_matrix(spec, 0.5) @ f
         bk = fp.balakrishnan_apply(A, f, fp.BalakrishnanConfig(0.5))
         assert np.max(np.abs(gl - bk)) <= 1e-8 * np.max(np.abs(gl))
 
@@ -939,15 +946,15 @@ class TestGLPower:
         g, spec = self.make_spec(n=32)
         A = generator_matrix(spec)
         f = np.sin(g.nodes)
-        out = fp.gl_power(spec, 0.999, f)
-        # A is lam (I - S); gl_power carries no 1/h scaling, compare to h*A
+        out = fp.gl_power_matrix(spec, 0.999) @ f
+        # A is lam (I - S); gl_power_matrix carries no 1/h scaling, compare to h*A
         target = g.h * 0 + (np.eye(32) * 1.0 - np.diag(np.ones(31), -1)) @ f
         assert np.max(np.abs(out - target)) <= 5e-3 * np.max(np.abs(target))
 
     def test_rejects_wrong_kind(self):
         g = Grid1D(0.0, 1.0, 8)
         with pytest.raises(ValueError):
-            fp.gl_power(SemigroupSpec("shift", g), 0.5, np.ones(8))
+            fp.gl_power_matrix(SemigroupSpec("shift", g), 0.5)
 
 
 class TestClosedFormRoutes:
