@@ -37,7 +37,7 @@ class Context:
     svals: object = None           # resolvent singular values, by resolvent-spectrum
     evals: object = None           # resolvent eigenvalues, by resolvent-spectrum
     mu: float = None               # by order-estimate
-    sector: object = None          # numerical range about 0, by numerical-range
+    boundary: object = None        # numerical-range boundary points, by numerical-range
 
     @cached_property
     def resolvent(self):
@@ -157,17 +157,18 @@ def _order(ctx):
 def _schatten(ctx):
     if ctx.mu is None:
         return "info", {"message": "order unavailable"}
-    cls = diagnostics.schatten_classify(ctx.svals, ctx.mu)
-    # p = 2/mu is keyed at 12 decimals, so a last-digit move of mu keeps the key
-    return "info", {"predicted_p": cls.predicted_p, "trace_class": cls.trace_class,
-                    "sums": {repr(round(p, 12)): v for p, v in cls.sums.items()}}
+    # the classification theorem: p = 1 for mu > 1, else any p > 2/mu. p = 2/mu
+    # is keyed at 12 decimals, so a last-digit move of mu keeps the key
+    p = 1.0 if ctx.mu > 1.0 else 2.0 / ctx.mu
+    sums = {repr(round(q, 12)): float(np.sum(ctx.svals ** q)) for q in sorted({p, 1.0})}
+    return "info", {"predicted_p": float(p), "trace_class": bool(ctx.mu > 1.0), "sums": sums}
 
 
 def _numerical_range(ctx):
-    est = diagnostics.numerical_range(ctx.model.L, 256)
-    ctx.sector = diagnostics.refit_sector(est, 0.0)
-    return "info", {"vertex": est.vertex, "semi_angle": est.semi_angle,
-                    "semi_angle_origin": ctx.sector.semi_angle}
+    ctx.boundary = pts = diagnostics.numerical_range(ctx.model.L)
+    vertex = float(np.min(pts.real))
+    return "info", {"vertex": vertex, "semi_angle": diagnostics.sector_angle(pts, vertex),
+                    "semi_angle_origin": diagnostics.sector_angle(pts, 0.0)}
 
 
 def _h1_h2(ctx):
@@ -193,11 +194,15 @@ def _realpart(ctx):
 
 
 def _completeness(ctx):
-    est, mu = ctx.sector, ctx.mu  # the criterion's sector has vertex 0
-    if est is None or mu is None:
+    pts, mu = ctx.boundary, ctx.mu  # the criterion's sector has vertex 0
+    if pts is None or mu is None:
         return "info", {"message": "sector or order unavailable"}
     bound = float(np.pi * mu / 2)
-    return _verdict(est.semi_angle < bound), {"theta": est.semi_angle, "mu": mu, "bound": bound}
+    # W(L) reaching Re z <= 0 lies in no sector about 0: fail, with the widest arg z
+    inside = bool(np.min(pts.real) > 0)
+    theta = (diagnostics.sector_angle(pts, 0.0) if inside
+             else float(np.max(np.abs(np.angle(pts[pts != 0])), initial=0.0)))
+    return _verdict(inside and theta < bound), {"theta": theta, "mu": mu, "bound": bound}
 
 
 def _asymptotics(ctx):

@@ -235,7 +235,8 @@ def _sidecars(report, ctx):
     if ctx.evals is None:
         return []
     rows = [f"{i},{z.real:.17g},{z.imag:.17g},{abs(z):.17g}\n" for i, z in enumerate(ctx.evals)]
-    points = [f"{z.real:.17g},{z.imag:.17g}\n" for z in (ctx.sector.boundary if ctx.sector else ())]
+    boundary = () if ctx.boundary is None else ctx.boundary  # None when numerical-range erred
+    points = [f"{z.real:.17g},{z.imag:.17g}\n" for z in boundary]
     return [(report + ".spectrum.csv", "".join(["index,re,im,modulus\n", *rows])),
             (report + ".boundary.csv", "".join(["re,im\n", *points]))]
 

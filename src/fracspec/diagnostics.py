@@ -1,11 +1,9 @@
-"""Spectral diagnostics: numerical range, form bounds, sectorial
-factorization, resolvent identity, order, Schatten classification, eigenvalue
-inequality, asymptotics, m-accretivity.
+"""Spectral diagnostics: numerical range and sector angle, form bounds,
+sectorial factorization, resolvent identity, order, eigenvalue inequality,
+asymptotics, m-accretivity.
 
 Every routine returns numbers; the verdicts on them are made in ``checks``.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -24,37 +22,25 @@ from .numcore import (
 )
 
 
-@dataclass(frozen=True)
-class SectorEstimate:
-    """Sector |arg(z - vertex)| <= semi_angle fitted around sampled boundary
-    points of the numerical range."""
-
-    vertex: float
-    semi_angle: float
-    boundary: np.ndarray
+N_ANGLES = 256  # the boundary's angle grid, phi_j = 2 pi j / N_ANGLES
 
 
-def numerical_range(M, n_angles=256):
-    """Boundary of the numerical range by the support-function method.
-
-    For each angle phi the extreme point of Theta(M) in direction e^(i phi)
-    is the Rayleigh quotient at the top eigenvector of H = Re(e^(i phi) M).
-    The fitted sector's vertex is the minimal real part of the boundary
-    (``refit_sector`` takes another).
+def numerical_range(M):
+    """Boundary of the numerical range at the N_ANGLES angles phi_j, by the
+    support-function method: point j is the Rayleigh quotient at the top
+    eigenvector of H = Re(e^(i phi_j) M), the extreme point of Theta(M) in
+    direction e^(i phi_j).
 
     Re(e^(i (phi + pi)) M) = -H, so the bottom eigenvector of H, from the
     same reduction, gives the point at phi + pi: only angles 0..pi are
-    reduced, and ``n_angles`` must be even.  A real M also has
-    Re(e^(i (pi - phi)) M) = -conj(H), so the point at pi - phi is the
-    conjugate of the bottom one and the point at 2 pi - phi the conjugate of
-    the one at phi: only angles 0..pi/2 are reduced.
+    reduced. A real M also has Re(e^(i (pi - phi)) M) = -conj(H), so the point
+    at pi - phi is the conjugate of the bottom one and the point at 2 pi - phi
+    the conjugate of the one at phi: only angles 0..pi/2 are reduced.
     """
-    if n_angles < 16 or n_angles % 2:
-        raise ValueError("need an even n_angles >= 16")
-    phis = np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False)
-    half = n_angles // 2
+    phis = np.linspace(0.0, 2.0 * np.pi, N_ANGLES, endpoint=False)
+    half = N_ANGLES // 2
     real = np.isrealobj(M)
-    pts = np.empty(n_angles, dtype=complex)
+    pts = np.empty(N_ANGLES, dtype=complex)
     Mc = M.astype(complex, copy=False)  # cast once, not in each Rayleigh product
     # every angle forms H in the same two buffers, and the reduction overwrites
     # H, so no angle allocates (or makes the allocator trim and regrow) n x n
@@ -72,23 +58,18 @@ def numerical_range(M, n_angles=256):
             pts[half - j] = (bottom.conj() @ Mc @ bottom).conj()
     if real:
         j = np.arange(1, half)
-        pts[n_angles - j] = pts[j].conj()
-    return _fit_sector(pts, np.min(pts.real))
+        pts[N_ANGLES - j] = pts[j].conj()
+    return pts
 
 
-def refit_sector(estimate, vertex):
-    """Refit the sector of an existing boundary sample about a given vertex
-    (e.g. the origin, as in the completeness criterion's sector)."""
-    return _fit_sector(np.asarray(estimate.boundary), vertex)
-
-
-def _fit_sector(pts, vertex):
-    """Smallest sector about ``vertex`` holding the boundary points ``pts``."""
+def sector_angle(pts, vertex):
+    """Half-angle of the smallest sector |arg(z - vertex)| <= theta holding
+    the boundary points ``pts``; points with Re(z - vertex) at or below a
+    rounding floor are left out."""
     rel = pts - float(vertex)
     spread = max(float(np.max(np.abs(rel))), 1.0)
     keep = rel.real > DEFAULT.sector_guard_rel * spread
-    theta = float(np.max(np.abs(np.angle(rel[keep])))) if np.any(keep) else 0.0
-    return SectorEstimate(float(vertex), theta, pts)
+    return float(np.max(np.abs(np.angle(rel[keep])))) if np.any(keep) else 0.0
 
 
 def verify_H1_H2(L, hplus):
@@ -145,28 +126,6 @@ def order_estimate(svals, fraction=None):
     ss_res = float(res[0]) if res.size else float(np.sum((A @ [slope, intercept] - y) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     return float(-slope), float(r2)
-
-
-@dataclass(frozen=True)
-class SchattenClassification:
-    predicted_p: float
-    trace_class: bool
-    sums: dict
-
-
-def schatten_sum(svals, p):
-    return float(np.sum(np.asarray(svals, dtype=float) ** p))
-
-
-def schatten_classify(svals, mu):
-    """Predicted minimal Schatten exponent per the classification theorem:
-    p = 1 for mu > 1, else any p > 2/mu; with the sums at p = 1 and p."""
-    if mu <= 0:
-        raise ValueError("mu must be positive")
-    predicted = 1.0 if mu > 1.0 else 2.0 / mu
-    ps = sorted({predicted, 1.0})
-    sums = {p: schatten_sum(svals, p) for p in ps}
-    return SchattenClassification(float(predicted), bool(mu > 1.0), sums)
 
 
 def eigenvalue_inequality(R_W, R_H, p=1.0):

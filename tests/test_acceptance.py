@@ -135,10 +135,11 @@ def test_06_order_and_schatten():
     mu, r2 = dg.order_estimate(svals)
     assert 1.9 <= mu <= 2.1
     assert r2 >= 0.999
-    cls = dg.schatten_classify(svals, mu)
-    assert cls.predicted_p == 1.0 and cls.trace_class
-    coarse = dg.schatten_sum(_kipriyanov_resolvent_svals(256), 1.0)
-    fine = dg.schatten_sum(svals, 1.0)
+    _, cls = _run(checks.Context(None, svals=svals, mu=mu),
+                  "schatten-classification")["schatten-classification"]
+    assert cls["predicted_p"] == 1.0 and cls["trace_class"]
+    coarse = float(np.sum(_kipriyanov_resolvent_svals(256)))
+    fine = cls["sums"]["1.0"]
     assert abs(fine - coarse) <= 0.05 * abs(fine)  # two-point refinement
     _report(6, f"mu {mu:.4f}, r2 {r2:.5f}, p=1, trace sums {coarse:.6f} -> {fine:.6f}")
 

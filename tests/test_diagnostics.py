@@ -71,17 +71,17 @@ class TestModelParts:
 
 class TestNumericalRange:
     def test_hermitian_diagonal_is_segment(self):
-        est = dg.numerical_range(np.diag([1.0, 3.0]), n_angles=64)
-        assert np.isclose(est.vertex, 1.0, atol=1e-10)
-        assert est.semi_angle <= 1e-8
-        assert np.max(est.boundary.real) <= 3.0 + 1e-10
-        assert np.max(np.abs(est.boundary.imag)) <= 1e-10
+        b = dg.numerical_range(np.diag([1.0, 3.0]))
+        vertex = float(np.min(b.real))
+        assert np.isclose(vertex, 1.0, atol=1e-10)
+        assert dg.sector_angle(b, vertex) <= 1e-8
+        assert np.max(b.real) <= 3.0 + 1e-10
+        assert np.max(np.abs(b.imag)) <= 1e-10
 
     def test_nilpotent_disk(self):
         # numerical range of the 2x2 Jordan block is the disk of radius 1/2
         N = np.array([[0.0, 1.0], [0.0, 0.0]])
-        est = dg.numerical_range(N, n_angles=128)
-        assert np.allclose(np.abs(est.boundary), 0.5, atol=1e-10)
+        assert np.allclose(np.abs(dg.numerical_range(N)), 0.5, atol=1e-10)
         # Rayleigh-quotient sampling stays inside
         rng = np.random.default_rng(0)
         for _ in range(200):
@@ -92,9 +92,9 @@ class TestNumericalRange:
     def test_shift_equivariance(self):
         rng = np.random.default_rng(1)
         M = rng.standard_normal((4, 4))
-        e1 = dg.numerical_range(M, n_angles=64)
-        e2 = dg.numerical_range(M + 2.0 * np.eye(4), n_angles=64)
-        assert np.allclose(e2.boundary, e1.boundary + 2.0, atol=1e-8)
+        b1 = dg.numerical_range(M)
+        b2 = dg.numerical_range(M + 2.0 * np.eye(4))
+        assert np.allclose(b2, b1 + 2.0, atol=1e-8)
 
     def test_convexity_of_boundary_hull(self):
         # all Rayleigh samples lie in the hull of the support points
@@ -102,9 +102,8 @@ class TestNumericalRange:
 
         rng = np.random.default_rng(2)
         M = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-        est = dg.numerical_range(M, n_angles=256)
-        pts = np.column_stack([est.boundary.real, est.boundary.imag])
-        hull = ConvexHull(pts)
+        b = dg.numerical_range(M)
+        hull = ConvexHull(np.column_stack([b.real, b.imag]))
         eqs = hull.equations
         for _ in range(100):
             v = rng.standard_normal(5) + 1j * rng.standard_normal(5)
@@ -115,19 +114,12 @@ class TestNumericalRange:
     def test_sector_angle_known(self):
         # diag(e^(i pi/4), e^(-i pi/4), 1): sector about 0 has theta = pi/4
         M = np.diag([np.exp(1j * np.pi / 4), np.exp(-1j * np.pi / 4), 1.0])
-        est = dg.refit_sector(dg.numerical_range(M, n_angles=512), 0.0)
-        assert abs(est.semi_angle - np.pi / 4) <= 1e-3
+        assert abs(dg.sector_angle(dg.numerical_range(M), 0.0) - np.pi / 4) <= 1e-3
 
     def test_refit_sector(self):
+        # the vertex of W(M) is 1; about the origin its sector has theta = pi/4
         M = np.diag([1.0 + 1.0j, 1.0 - 1.0j, 2.0])
-        est = dg.numerical_range(M, n_angles=256)
-        about_origin = dg.refit_sector(est, 0.0)
-        assert abs(about_origin.semi_angle - np.pi / 4) <= 1e-3
-        assert about_origin.vertex == 0.0
-
-    def test_rejects_few_angles(self):
-        with pytest.raises(ValueError):
-            dg.numerical_range(np.eye(2), n_angles=4)
+        assert abs(dg.sector_angle(dg.numerical_range(M), 0.0) - np.pi / 4) <= 1e-3
 
     @staticmethod
     def kipriyanov(n):
@@ -153,17 +145,17 @@ class TestNumericalRange:
         else:
             rng = np.random.default_rng(5)
             M = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
-        est = dg.numerical_range(M, n_angles=256)
+        b = dg.numerical_range(M)
+        assert b.shape == (dg.N_ANGLES,) == (256,)
         phis = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
-        for phi, p in zip(phis, est.boundary):
+        for phi, p in zip(phis, b):
             top = np.linalg.eigvalsh(numcore.hermitian_part(np.exp(1j * phi) * M))[-1]
             assert abs((np.exp(1j * phi) * p).real - top) <= 1e-12 * np.linalg.norm(M, 2)
 
-    @pytest.mark.parametrize("n_angles", [64, 18])
-    def test_real_matrix_boundary_is_conjugate_symmetric(self, n_angles):
-        b = dg.numerical_range(self.kipriyanov(32).L, n_angles=n_angles).boundary
-        j = np.arange(1, n_angles // 2)  # all but phi = 0 and pi
-        assert np.array_equal(b[n_angles - j], b[j].conj())
+    def test_real_matrix_boundary_is_conjugate_symmetric(self):
+        b = dg.numerical_range(self.kipriyanov(32).L)
+        j = np.arange(1, 128)  # all but phi = 0 and pi
+        assert np.array_equal(b[256 - j], b[j].conj())
 
     @staticmethod
     def count_reductions(monkeypatch):
@@ -176,22 +168,23 @@ class TestNumericalRange:
         monkeypatch.setattr(dg, "extreme_eigvecs", counting)
         return calls
 
-    @pytest.mark.parametrize("n_angles, reductions", [(64, 17), (18, 5)])
-    def test_real_matrix_solves_half_the_angles(self, monkeypatch, n_angles, reductions):
+    def test_real_matrix_solves_half_the_angles(self, monkeypatch):
+        # angles 0..pi/2 of 256 for a real L, 0..pi for a complex one
         M = self.kipriyanov(32).L
         calls = self.count_reductions(monkeypatch)
-        dg.numerical_range(M, n_angles=n_angles)
-        assert len(calls) == reductions
+        dg.numerical_range(M)
+        assert len(calls) == 65
         calls.clear()
-        dg.numerical_range(M + 1e-3j * np.eye(len(M)), n_angles=n_angles)
-        assert len(calls) == n_angles // 2
+        dg.numerical_range(M + 1e-3j * np.eye(len(M)))
+        assert len(calls) == 128
 
     @staticmethod
-    def dense_support_points(M, n_angles):
-        """Support point at each angle from a full ``np.linalg.eigh`` of
-        Re(e^(i phi) M): the Rayleigh quotient at its top eigenvector."""
+    def dense_support_points(M):
+        """Support point at each of the 256 angles from a full
+        ``np.linalg.eigh`` of Re(e^(i phi) M): the Rayleigh quotient at its
+        top eigenvector."""
         want = []
-        for phi in np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False):
+        for phi in np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False):
             v = np.linalg.eigh(numcore.hermitian_part(np.exp(1j * phi) * M))[1][:, -1]
             want.append(v.conj() @ M @ v)
         return np.array(want)
@@ -199,37 +192,30 @@ class TestNumericalRange:
     def test_complex_matrix_boundary_is_the_full_loop(self):
         rng = np.random.default_rng(6)
         M = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
-        want = self.dense_support_points(M, 64)
-        got = dg.numerical_range(M, n_angles=64).boundary
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.linalg.norm(M, 2)
+        got = dg.numerical_range(M)
+        assert np.max(np.abs(got - self.dense_support_points(M))) <= 1e-12 * np.linalg.norm(M, 2)
 
     @pytest.mark.parametrize("kind", ["real", "complex"])
-    @pytest.mark.parametrize("n_angles", [64, 18])
-    def test_paired_points_match_dense_eigh_at_every_angle(self, kind, n_angles):
+    def test_paired_points_match_dense_eigh_at_every_angle(self, kind):
         # each reduction fills two rows (phi + pi, or pi - phi for a real M);
-        # a pairing index off by one puts a point at the wrong angle.
-        # N = 18 is 2 mod 4, where no angle pairs with itself
+        # a pairing index off by one puts a point at the wrong angle. The
+        # angle pi/2 pairs with itself
         rng = np.random.default_rng(7)
         M = np.triu(rng.standard_normal((10, 10)), -1)  # non-normal
         if kind == "complex":
             M = M + 1j * np.triu(rng.standard_normal((10, 10)))
-        want = self.dense_support_points(M, n_angles)
-        got = dg.numerical_range(M, n_angles=n_angles).boundary
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.linalg.norm(M, 2)
-
-    def test_rejects_odd_angle_count(self):
-        with pytest.raises(ValueError):
-            dg.numerical_range(np.diag([1.0, 2.0]), n_angles=17)
+        got = dg.numerical_range(M)
+        assert np.max(np.abs(got - self.dense_support_points(M))) <= 1e-12 * np.linalg.norm(M, 2)
 
     def test_does_not_run_full_eigh(self, monkeypatch):
         M = self.kipriyanov(32).L
-        want = dg.numerical_range(M, n_angles=64).boundary
+        want = dg.numerical_range(M)
 
         def refuse(*args, **kwargs):
             raise AssertionError("full eigendecomposition called")
 
         monkeypatch.setattr(np.linalg, "eigh", refuse)
-        assert np.array_equal(dg.numerical_range(M, n_angles=64).boundary, want)
+        assert np.array_equal(dg.numerical_range(M), want)
 
     def test_lapack_failure_is_no_convergence_error_entry(self, monkeypatch):
         def fail(*args, **kwargs):
@@ -237,7 +223,7 @@ class TestNumericalRange:
 
         monkeypatch.setattr(numcore.scipy.linalg, "eigh_tridiagonal", fail)
         with pytest.raises(NoConvergence):
-            dg.numerical_range(np.diag([1.0, 2.0]), n_angles=16)
+            dg.numerical_range(np.diag([1.0, 2.0]))
         model = self.kipriyanov(24)
         entries = checks.run(checks.Context(model), ("spectrum",))
         entry = next(e for e in entries if e["name"] == "numerical-range")
@@ -409,13 +395,11 @@ class TestOrderAndSchatten:
 
     def test_schatten_classification(self):
         s = np.arange(1, 65, dtype=float) ** -2.0
-        rep = dg.schatten_classify(s, 2.0)
-        assert rep.trace_class and rep.predicted_p == 1.0
-        assert list(rep.sums) == [1.0] and np.isclose(rep.sums[1.0], np.sum(s))
-        rep2 = dg.schatten_classify(s, 0.5)
-        assert not rep2.trace_class and np.isclose(rep2.predicted_p, 4.0)
-        with pytest.raises(ValueError):
-            dg.schatten_classify(s, 0.0)
+        status, rep = run_check("schatten-classification", checks.Context(None, svals=s, mu=2.0))
+        assert status == "info" and rep["trace_class"] and rep["predicted_p"] == 1.0
+        assert list(rep["sums"]) == ["1.0"] and np.isclose(rep["sums"]["1.0"], np.sum(s))
+        _, rep2 = run_check("schatten-classification", checks.Context(None, svals=s, mu=0.5))
+        assert not rep2["trace_class"] and np.isclose(rep2["predicted_p"], 4.0)
 
     def test_schatten_key_survives_one_ulp_of_mu(self):
         # riesz n=24: 2/mu and 2/nextafter(mu) differ in the last digit
@@ -456,15 +440,30 @@ class TestEigenvalueInequalityAndAsymptotics:
 
 class TestCompletenessAndMAccretive:
     def test_completeness_criterion(self):
-        def status(theta, mu):
-            sector = dg.SectorEstimate(0.0, theta, np.array([1.0 + 0.0j]))
-            ctx = checks.Context(None, sector=sector, mu=mu)
-            return run_check("completeness-criterion", ctx)[0]
+        def run(point, mu):
+            # W(L) = the segment [1, point]: its sector about 0 has theta = arg(point)
+            ctx = checks.Context(None, boundary=np.array([1.0 + 0.0j, point]), mu=mu)
+            return run_check("completeness-criterion", ctx)
 
-        assert status(0.1, 2.0) == "pass"
-        assert status(np.pi / 3, 0.5) == "fail"
+        assert run(np.exp(0.1j), 2.0)[0] == "pass"
+        assert run(np.exp(1j * np.pi / 3), 0.5)[0] == "fail"
         # boundary is strict
-        assert status(np.pi / 4, 0.5) == "fail"
+        status, numbers = run(1.0 + 1.0j, 0.5)
+        assert numbers["theta"] == numbers["bound"] == np.pi / 4 and status == "fail"
+
+    def test_completeness_fails_when_w_reaches_the_left_half_plane(self):
+        # Re L = diag(-0.5, 1..50) plus a skew part: W(L) reaches Re z = -0.5,
+        # so no sector about 0 holds it, though a fit to the points with
+        # Re z > 0 gives theta = 1.52 < pi mu / 2 = 3.31
+        rng = np.random.default_rng(0)
+        B = rng.standard_normal((24, 24))
+        L = np.diag([-0.5, *np.linspace(1, 50, 23)]) + (B - B.T) / 2
+        got = {e["name"]: e for e in checks.run(matrix_context(L), ("spectrum",))}
+        assert got["numerical-range"]["numbers"]["vertex"] == pytest.approx(-0.5, rel=1e-12)
+        entry = got["completeness-criterion"]
+        assert entry["status"] == "fail"
+        assert entry["numbers"]["theta"] == pytest.approx(np.pi, rel=1e-12)
+        assert entry["numbers"]["theta"] < entry["numbers"]["bound"]
 
     def test_maccretive_pass(self):
         A = rand_accretive(8, 5)
