@@ -152,10 +152,14 @@ class TestNumericalRange:
             top = np.linalg.eigvalsh(numcore.hermitian_part(np.exp(1j * phi) * M))[-1]
             assert abs((np.exp(1j * phi) * p).real - top) <= 1e-12 * np.linalg.norm(M, 2)
 
-    def test_real_matrix_boundary_is_conjugate_symmetric(self):
+    # the pairing holds on any even grid: 256 is N_ANGLES, where pi/2 pairs
+    # with itself; 18 is 2 mod 4, where no angle pairs with itself
+    @pytest.mark.parametrize("n_angles", [256, 64, 18])
+    def test_real_matrix_boundary_is_conjugate_symmetric(self, monkeypatch, n_angles):
+        monkeypatch.setattr(dg, "N_ANGLES", n_angles)
         b = dg.numerical_range(self.kipriyanov(32).L)
-        j = np.arange(1, 128)  # all but phi = 0 and pi
-        assert np.array_equal(b[256 - j], b[j].conj())
+        j = np.arange(1, n_angles // 2)  # all but phi = 0 and pi
+        assert np.array_equal(b[n_angles - j], b[j].conj())
 
     @staticmethod
     def count_reductions(monkeypatch):
@@ -168,23 +172,24 @@ class TestNumericalRange:
         monkeypatch.setattr(dg, "extreme_eigvecs", counting)
         return calls
 
-    def test_real_matrix_solves_half_the_angles(self, monkeypatch):
-        # angles 0..pi/2 of 256 for a real L, 0..pi for a complex one
+    @pytest.mark.parametrize("n_angles, reductions", [(256, 65), (64, 17), (18, 5)])
+    def test_real_matrix_solves_half_the_angles(self, monkeypatch, n_angles, reductions):
+        # angles 0..pi/2 for a real L, 0..pi for a complex one
+        monkeypatch.setattr(dg, "N_ANGLES", n_angles)
         M = self.kipriyanov(32).L
         calls = self.count_reductions(monkeypatch)
         dg.numerical_range(M)
-        assert len(calls) == 65
+        assert len(calls) == reductions
         calls.clear()
         dg.numerical_range(M + 1e-3j * np.eye(len(M)))
-        assert len(calls) == 128
+        assert len(calls) == n_angles // 2
 
     @staticmethod
-    def dense_support_points(M):
-        """Support point at each of the 256 angles from a full
-        ``np.linalg.eigh`` of Re(e^(i phi) M): the Rayleigh quotient at its
-        top eigenvector."""
+    def dense_support_points(M, n_angles=256):
+        """Support point at each angle from a full ``np.linalg.eigh`` of
+        Re(e^(i phi) M): the Rayleigh quotient at its top eigenvector."""
         want = []
-        for phi in np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False):
+        for phi in np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False):
             v = np.linalg.eigh(numcore.hermitian_part(np.exp(1j * phi) * M))[1][:, -1]
             want.append(v.conj() @ M @ v)
         return np.array(want)
@@ -196,16 +201,19 @@ class TestNumericalRange:
         assert np.max(np.abs(got - self.dense_support_points(M))) <= 1e-12 * np.linalg.norm(M, 2)
 
     @pytest.mark.parametrize("kind", ["real", "complex"])
-    def test_paired_points_match_dense_eigh_at_every_angle(self, kind):
+    @pytest.mark.parametrize("n_angles", [256, 64, 18])
+    def test_paired_points_match_dense_eigh_at_every_angle(self, monkeypatch, kind, n_angles):
         # each reduction fills two rows (phi + pi, or pi - phi for a real M);
-        # a pairing index off by one puts a point at the wrong angle. The
-        # angle pi/2 pairs with itself
+        # a pairing index off by one puts a point at the wrong angle. At 256
+        # and 64 the angle pi/2 pairs with itself; at 18 (2 mod 4) none does
+        monkeypatch.setattr(dg, "N_ANGLES", n_angles)
         rng = np.random.default_rng(7)
         M = np.triu(rng.standard_normal((10, 10)), -1)  # non-normal
         if kind == "complex":
             M = M + 1j * np.triu(rng.standard_normal((10, 10)))
         got = dg.numerical_range(M)
-        assert np.max(np.abs(got - self.dense_support_points(M))) <= 1e-12 * np.linalg.norm(M, 2)
+        want = self.dense_support_points(M, n_angles)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.linalg.norm(M, 2)
 
     def test_does_not_run_full_eigh(self, monkeypatch):
         M = self.kipriyanov(32).L
