@@ -34,6 +34,11 @@ SUITES = (*checks.SUITES, "full")
 _GRID_ENDPOINTS = {"kipriyanov1d": (0.0, 1.0), "riesz": (-20.0, 20.0), "difference": (0.0, 1.0)}
 _PAPER_FLAG_DEFAULTS = {"--grid-n": 128, "--alpha": 0.5, "--sigma": 0.25, "--lambda": 1.0,
                         "--mu": None, "--delta": 1.0, "--rho": "const:0"}
+# the paper flags each model reads; build refuses any other set off its default
+_MODEL_FLAGS = {"kipriyanov1d": ("--grid-n", "--alpha", "--sigma", "--rho"),
+                "riesz": ("--grid-n", "--alpha", "--sigma", "--delta", "--rho"),
+                "difference": ("--grid-n", "--alpha", "--lambda", "--mu", "--rho"),
+                "custom-matrix": ()}
 
 # --- strict JSON (RFC 8259 has no NaN or Infinity tokens) ------------------
 
@@ -106,9 +111,10 @@ def _validate(args):
     for flag in ("--alpha", "--sigma", "--lambda", "--mu", "--delta"):
         if values[flag] is not None and not math.isfinite(values[flag]):
             raise ValueError(f"{flag} must be finite")
+    if given := [flag for flag, v in values.items()
+                 if flag not in _MODEL_FLAGS[args.model] and v != _PAPER_FLAG_DEFAULTS[flag]]:
+        raise ValueError(f"{args.model} takes no {', '.join(given)}")
     if args.model == "custom-matrix":  # the matrix is the whole model
-        if given := [flag for flag, v in values.items() if v != _PAPER_FLAG_DEFAULTS[flag]]:
-            raise ValueError(f"custom-matrix takes no {', '.join(given)}")
         return
     if args.grid_n < 4:
         raise ValueError("--grid-n must be at least 4")

@@ -104,18 +104,18 @@ def realpart_resolvent_check(R, S, C):
     return float(np.linalg.norm(X - Y) / scale), float(np.linalg.norm(X - Y / 2) / scale)
 
 
-def order_estimate(svals, fraction=None):
+def order_estimate(svals):
     """Order mu from the log-log slope of the leading singular values.
 
-    Only the first ``fraction`` of the spectrum is used; the discrete tail is
-    polluted by the discretization and excluded.
+    Only the leading ``DEFAULT.fit_fraction`` of ``svals`` is used; the discrete
+    tail is polluted by the discretization and excluded.
     """
     s = np.asarray(svals, dtype=float)
     if s.size < 16:
         raise ValueError("need at least 16 singular values")
     if np.any(s <= 0):
         raise ValueError("singular values must be positive")
-    m = max(8, int(s.size * (fraction if fraction is not None else DEFAULT.fit_fraction)))
+    m = max(8, int(s.size * DEFAULT.fit_fraction))
     y = np.log(s[:m])
     if np.ptp(y) < 1e-12:
         raise DegenerateFit("singular values carry no decay to fit")

@@ -10,27 +10,18 @@ Routes implemented:
    Toeplitz A (the shift and Poisson-difference generators, the first through
    its transpose) has lower-triangular Toeplitz resolvents and powers, so
    A^(+-a) is integrated on its first column (A e_1, or e_1 for the negative
-   power) and then expanded. A real symmetric tridiagonal A = V diag(w) V^T
-   (the Gauss generator) is diagonalized once; every resolvent is then
-   1/(l + w) in that basis, so the rule runs on a vector of ones. A
-   triangular band, its band widths read by scipy.linalg.bandwidth, is solved
-   in LAPACK band storage: the shifted copies of A are the diagonal blocks of
-   one band matrix, solved by substitution (tbtrs). Any other A is solved as
-   n x n dense copies l I + A by one stacked np.linalg.solve. The route is
-   read from A's structure alone; a real A takes a complex right-hand side
-   once, as its real view. Each pass of the rule solves its shifts together,
-   as many to a call as a cap on the call's entries allows. Each call's block
-   of stacked solutions is scaled by its weights and summed in one reduction,
-   in node order; the rule of each (order, step) is built once, read-only.
-   The accretivity gate reads the smallest eigenvalue of the Hermitian part
-   from w, else numcore.min_hermitian_eig. The set-up (V and w, the band, or
-   the dense A) of the latest call is kept with the bytes of its matrix,
-   and a call on a byte-identical matrix reuses it: a caller that applies A^a
-   to one vector after another sets up once.
+   power) and then expanded. The shifted solves are made by
+   ``_ResolventSolver``, all the shifts of a pass together, as many to a call
+   as a cap on the call's entries allows; each call's block of solutions is
+   scaled by its weights and summed in one reduction, in node order. The
+   rule of each (order, step) is built once, read-only, and the solver of the
+   latest call is kept with the bytes of its matrix: a caller that applies
+   A^a to one vector after another sets up once.
 2. Spectral calculus for Hermitian positive matrices (numcore.herm_power).
 3. Grunwald-type series for the Poisson-difference generator.
-4. Closed-form singular-integral matrices (Marchaud derivative for the shift
-   generator, |s|^(1-2a) kernel on f'' for the Gauss generator).
+
+The closed-form routes that cross-check route 1 on the models' generators
+live in ``fracspec.transform``.
 """
 
 from dataclasses import dataclass
@@ -38,18 +29,11 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import bandwidth, eigh_tridiagonal, get_lapack_funcs, toeplitz
-from scipy.special import gamma, gammaln, roots_jacobi
+from scipy.special import gammaln, roots_jacobi
 
 from .config import DEFAULT
-from .discretize import (
-    axis_kernel_both,
-    marchaud_right_derivative,
-    riesz_constant,
-    second_derivative,
-)
 from .errors import BadAlpha, NoConvergence, NotAccretive, QuadratureNotConverged
 from .numcore import min_hermitian_eig
-from .semigroup import SemigroupSpec, generator_matrix
 
 
 @dataclass(frozen=True)
@@ -396,38 +380,3 @@ def gl_power_matrix(spec, alpha):
     col = np.zeros(n)
     col[: kmax * m + 1 : m] = c[: kmax + 1]
     return toeplitz(col, np.zeros(n))
-
-
-def riesz_power_constant(alpha):
-    """K_a = -Gamma(2a-1) cos(a pi/2) / (2^(a-1) Gamma(1-a)), for a in (1/2, 1)."""
-    if not 0.5 < alpha < 1.0:
-        raise BadAlpha(f"K_alpha needs alpha in (1/2, 1), got {alpha}")
-    return -gamma(2 * alpha - 1) * np.cos(alpha * np.pi / 2) / (2 ** (alpha - 1) * gamma(1 - alpha))
-
-
-def _rel_l2(u, v):
-    return float(np.linalg.norm(u - v) / np.linalg.norm(v))
-
-
-def marchaud_power_check(alpha, grid, f):
-    """Relative l2 distance of the shift-generator Balakrishnan power from the
-    truncated Marchaud right derivative (eps = h, analytic first cell)."""
-    A = generator_matrix(SemigroupSpec("shift", grid))
-    via_balak = balakrishnan_apply(A, f, BalakrishnanConfig(alpha))
-    via_closed = marchaud_right_derivative(grid, alpha) @ f
-    return _rel_l2(via_balak, via_closed)
-
-
-def riesz_power_check(alpha, grid, f):
-    """Relative l2 distance, away from the ends (a tenth of the grid each), of
-    the Gauss-generator Balakrishnan power from K_a times the |s|^(1-2a) kernel
-    (B_alpha normalization) applied to f''; valid for alpha in (3/4, 1)."""
-    if not 0.75 < alpha < 1.0:
-        raise BadAlpha(f"riesz power route needs alpha in (3/4, 1), got {alpha}")
-    A = generator_matrix(SemigroupSpec("gauss", grid))
-    via_balak = balakrishnan_apply(A, f, BalakrishnanConfig(alpha))
-    kernel = axis_kernel_both(grid, 1.0 - 2.0 * alpha)
-    const = riesz_power_constant(alpha) * riesz_constant(alpha)
-    via_closed = const * (kernel @ (second_derivative(grid) @ f))
-    margin = int(np.ceil(0.1 * grid.n))
-    return _rel_l2(via_balak[margin : grid.n - margin], via_closed[margin : grid.n - margin])

@@ -13,22 +13,15 @@ from .config import DEFAULT
 from .errors import IllConditioned, NoConvergence, NotHermitian, NotPositiveDefinite
 
 
-def hermitian_defect(M):
-    """Relative departure of M from self-adjointness."""
-    scale = np.linalg.norm(M)
-    if scale == 0:
-        return 0.0
-    return float(np.linalg.norm(M - M.conj().T) / scale)
-
-
 def hermitian_part(M):
     """Hermitian part (M + M^H) / 2."""
     return (M + M.conj().T) / 2
 
 
 def _check_hermitian(M):
-    """M, once it is checked to be self-adjoint."""
-    defect = hermitian_defect(M)
+    """M, once its relative departure from self-adjointness is checked."""
+    scale = np.linalg.norm(M)
+    defect = float(np.linalg.norm(M - M.conj().T) / scale) if scale != 0 else 0.0
     if defect > DEFAULT.hermitian_rel:
         raise NotHermitian(f"adjoint defect {defect:.3e} exceeds {DEFAULT.hermitian_rel:.1e}")
     return M

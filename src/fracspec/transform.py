@@ -1,17 +1,19 @@
 """The transform Z^a_(G,F)(J) = J*GJ + FJ^a, the numbers of its class hypothesis
-(``fracspec.checks`` writes the verdict) and the three model operators."""
+(``fracspec.checks`` writes the verdict), the three model operators, and the
+closed forms that tie J^a to the shift and Gauss generators' kernels."""
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gamma
 
 from .discretize import (
+    axis_kernel_both,
     elliptic_1d,
     first_difference,
     fourth_order_weighted,
     marchaud_right_derivative,
     multiply,
-    one_sided_potential,
     rl_integral_left,
     riesz_constant,
     riesz_potential,
@@ -22,11 +24,11 @@ from .discretize import (
 from .errors import BadAlpha
 from .fracpow import (
     BalakrishnanConfig,
+    balakrishnan_apply,
     balakrishnan_power,
     gl_abs_sum,
     gl_power_matrix,
     lemma_constant,
-    riesz_power_constant,
 )
 from .numcore import inverse_norm, min_hermitian_eig, op_norm
 from .semigroup import SemigroupSpec, generator_matrix
@@ -96,8 +98,6 @@ def build_kipriyanov_1d(grid, a11, rho, sigma, alpha):
     """
     if not 0.0 <= sigma < 1.0:
         raise BadAlpha(f"sigma must lie in [0, 1), got {sigma}")
-    if not 0.0 < alpha < 1.0:
-        raise BadAlpha(f"alpha must lie in (0, 1), got {alpha}")
     spec_sg = SemigroupSpec("shift", grid)
     J = generator_matrix(spec_sg)
     G = multiply(grid, a11)
@@ -121,7 +121,8 @@ def build_riesz_model(grid, a, rho, sigma, alpha, delta=1.0):
         raise BadAlpha(f"riesz model needs sigma/2 + 3/4 < alpha < 1, got alpha = {alpha}")
     n = grid.n
     T = fourth_order_weighted(grid, a)
-    frac_in = one_sided_potential(grid, sigma, "plus") if sigma > 0 else np.eye(n)
+    # I^sigma_+ integrates f(x + s): the transpose of the left RL integral
+    frac_in = rl_integral_left(grid, sigma).T if sigma > 0 else np.eye(n)
     P = frac_in @ multiply(grid, rho)
     L = T + P @ riesz_potential(grid, 2.0 * (1.0 - alpha)) @ second_derivative(grid) \
         + delta * np.eye(n)
@@ -130,7 +131,7 @@ def build_riesz_model(grid, a, rho, sigma, alpha, delta=1.0):
     G = multiply(grid, 4.0 * sample_coefficient(a, grid))
     # J^alpha realizes K_a B_a x (|s|^(1-2a) kernel on f''); the model's
     # fractional term uses the I^(2(1-a)) normalization B_(2-2a) instead.
-    conv = riesz_constant(2.0 - 2.0 * alpha) / (riesz_power_constant(alpha) * riesz_constant(alpha))
+    conv = riesz_constant(2.0 - 2.0 * alpha) / _riesz_power_scale(alpha)
     return Model(L, TransformSpec(J, G, conv * P, alpha), weighted_h2_matrix(grid), spec_sg)
 
 
@@ -154,3 +155,42 @@ def build_difference_model(grid, a, b, lam, mu, alpha, nu=1.0):
         + float(np.max(np.abs(bv))) * gl_abs_sum(alpha, lam)
     return Model(L, TransformSpec(A, G, F, alpha), QtQ, spec_sg, sigma_const=sigma_const,
                  gamma_N=float(nu), norm_Q_inv=inverse_norm(Q))
+
+
+def riesz_power_constant(alpha):
+    """K_a = -Gamma(2a-1) cos(a pi/2) / (2^(a-1) Gamma(1-a)), for a in (1/2, 1)."""
+    if not 0.5 < alpha < 1.0:
+        raise BadAlpha(f"K_alpha needs alpha in (1/2, 1), got {alpha}")
+    return -gamma(2 * alpha - 1) * np.cos(alpha * np.pi / 2) / (2 ** (alpha - 1) * gamma(1 - alpha))
+
+
+def _riesz_power_scale(alpha):
+    """K_a B_a: the Gauss generator's J^alpha is this times the |s|^(1-2a) kernel on f''."""
+    return riesz_power_constant(alpha) * riesz_constant(alpha)
+
+
+def _rel_l2(u, v):
+    return float(np.linalg.norm(u - v) / np.linalg.norm(v))
+
+
+def marchaud_power_check(alpha, grid, f):
+    """Relative l2 distance of the shift-generator Balakrishnan power from the
+    truncated Marchaud right derivative (eps = h, analytic first cell)."""
+    A = generator_matrix(SemigroupSpec("shift", grid))
+    via_balak = balakrishnan_apply(A, f, BalakrishnanConfig(alpha))
+    via_closed = marchaud_right_derivative(grid, alpha) @ f
+    return _rel_l2(via_balak, via_closed)
+
+
+def riesz_power_check(alpha, grid, f):
+    """Relative l2 distance, away from the ends (a tenth of the grid each), of
+    the Gauss-generator Balakrishnan power from K_a times the |s|^(1-2a) kernel
+    (B_alpha normalization) applied to f''; valid for alpha in (3/4, 1)."""
+    if not 0.75 < alpha < 1.0:
+        raise BadAlpha(f"riesz power route needs alpha in (3/4, 1), got {alpha}")
+    A = generator_matrix(SemigroupSpec("gauss", grid))
+    via_balak = balakrishnan_apply(A, f, BalakrishnanConfig(alpha))
+    kernel = axis_kernel_both(grid, 1.0 - 2.0 * alpha)
+    via_closed = _riesz_power_scale(alpha) * (kernel @ (second_derivative(grid) @ f))
+    margin = int(np.ceil(0.1 * grid.n))
+    return _rel_l2(via_balak[margin : grid.n - margin], via_closed[margin : grid.n - margin])

@@ -97,10 +97,10 @@ def test_03_semigroup_axioms():
 def test_04_closed_form_powers():
     g = Grid1D(0.0, 1.0, 1024)
     f = g.nodes**2 * (1.0 - g.nodes) ** 2
-    march = fp.marchaud_power_check(0.5, g, f)
+    march = tf.marchaud_power_check(0.5, g, f)
     assert march <= 0.02
     ga = Grid1D(-20.0, 20.0, 1024)
-    riesz = fp.riesz_power_check(0.85, ga, np.exp(-ga.nodes**2))
+    riesz = tf.riesz_power_check(0.85, ga, np.exp(-ga.nodes**2))
     assert riesz <= 0.02
     _report(4, f"Marchaud rel {march:.2e}, Riesz-kernel rel {riesz:.2e}")
 

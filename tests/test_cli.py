@@ -32,6 +32,15 @@ SMALL_BUILDS = {
     "difference": ["--grid-n", "24", "--rho", "const:0.1"],
 }
 
+# the paper flags each paper model does not read, set off their defaults, and
+# the same flags at their defaults (--mu's default, None, has no spelling)
+UNREAD_FLAGS = {
+    "kipriyanov1d": (["--lambda", "2", "--mu", "0.1", "--delta", "2"],
+                     ["--lambda", "1", "--delta", "1"]),
+    "riesz": (["--lambda", "2", "--mu", "0.1"], ["--lambda", "1"]),
+    "difference": (["--sigma", "0.5", "--delta", "2"], ["--sigma", "0.25", "--delta", "1"]),
+}
+
 
 # (name, status) of each check of a full verify, by suite
 SEMIGROUP_OK = [("semigroup-law", "pass"), ("semigroup-contraction", "pass"),
@@ -153,6 +162,18 @@ class TestBuild:
         assert doc["schema"] == "fracspec-artifact-2"
         assert len(doc["coefficients"]["a11"]["re"]) == 24
         assert doc["config"]["model"] == "kipriyanov1d"
+
+    @pytest.mark.parametrize("model", list(UNREAD_FLAGS))
+    def test_unread_flags_refused(self, model, tmp_path, capsys):
+        # each flag the model does not read is named when set off its default;
+        # at its default it is harmless
+        off, at_default = UNREAD_FLAGS[model]
+        out = tmp_path / "art.json"
+        assert main(["build", "--model", model, *SMALL_BUILDS[model], *off, "--out", str(out)]) == 2
+        assert f"{model} takes no {', '.join(off[::2])}" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["build", "--model", model, *SMALL_BUILDS[model], *at_default,
+                     "--out", str(out)]) == 0
 
     def test_invalid_alpha_exit_2(self, tmp_path, capsys):
         out = tmp_path / "art.json"

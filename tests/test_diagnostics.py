@@ -397,7 +397,7 @@ class TestOrderAndSchatten:
         g = Grid1D(0.0, 1.0, 255)
         R = np.linalg.inv(-second_derivative(g))
         s = singular_values(R)
-        mu, r2 = dg.order_estimate(s, fraction=0.25)
+        mu, r2 = dg.order_estimate(s[:127])  # the fit's half: the leading 63
         assert abs(mu - 2.0) <= 0.02
         assert r2 >= 0.9999
 

@@ -121,8 +121,8 @@ class TestAxisKernels:
         g = dz.Grid1D(-5.0, 5.0, 40)
         beta = 0.6
         both = dz.riesz_potential(g, beta)
-        plus = dz.one_sided_potential(g, beta, "plus")
-        minus = dz.one_sided_potential(g, beta, "minus")
+        minus = dz.rl_integral_left(g, beta)
+        plus = minus.T  # f(x + s): the right-sided integral
         recon = dz.riesz_constant(beta) * gamma(beta) * (plus + minus)
         assert np.max(np.abs(both - recon)) <= 1e-12 * np.max(np.abs(both))
 
@@ -146,22 +146,12 @@ class TestAxisKernels:
         exact = dz.riesz_constant(beta) * 2.0 * half
         assert abs(out[i] - exact) <= 2e-3 * abs(exact)
 
-    def test_one_sided_potential_sides_are_rl_integrals(self):
-        # "plus" integrates f(x + s): the right-sided RL integral, upper-triangular
-        g = dz.Grid1D(-5.0, 5.0, 40)
-        for beta in (0.3, 0.8):
-            plus = dz.one_sided_potential(g, beta, "plus")
-            assert np.array_equal(plus, dz.rl_integral_left(g, beta).T)
-            assert np.array_equal(plus, np.triu(plus))
-            assert np.array_equal(dz.one_sided_potential(g, beta, "minus"),
-                                  dz.rl_integral_left(g, beta))
-
     def test_rejects_beta_one(self):
         g = unit_grid(8)
         with pytest.raises(BadAlpha):
             dz.riesz_potential(g, 1.0)
         with pytest.raises(BadAlpha):
-            dz.one_sided_potential(g, 0.0)
+            dz.rl_integral_left(g, 0.0)
 
 
 class TestDifferenceOperators:
@@ -199,7 +189,7 @@ class TestEllipticAndForms:
         vals = np.ones(10)
         vals[7] = -0.5
         with pytest.raises(CoefficientBoundViolated) as ei:
-            dz.elliptic_1d(g, vals, gamma_a=0.0)
+            dz.elliptic_1d(g, vals)
         assert ei.value.node == 7
 
     def test_fourth_order_form_identity(self):
@@ -216,7 +206,7 @@ class TestEllipticAndForms:
     def test_fourth_order_growth_bound(self):
         g = dz.Grid1D(-2.0, 2.0, 16)
         with pytest.raises(CoefficientBoundViolated):
-            dz.fourth_order_weighted(g, "const:1.0", gamma_a=0.1)
+            dz.fourth_order_weighted(g, "const:-1.0")
 
     def test_weighted_h2_positive_definite(self):
         g = dz.Grid1D(-2.0, 2.0, 20)

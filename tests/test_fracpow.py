@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 from collections import Counter
 
@@ -12,7 +13,12 @@ from fracspec.discretize import Grid1D
 from fracspec.errors import BadAlpha, NotAccretive, QuadratureNotConverged
 from fracspec.numcore import herm_power
 from fracspec.semigroup import SemigroupSpec, generator_matrix
-from fracspec.transform import build_difference_model
+from fracspec.transform import (
+    build_difference_model,
+    marchaud_power_check,
+    riesz_power_check,
+    riesz_power_constant,
+)
 
 
 def spd_matrix(n, seed, shift=None):
@@ -964,18 +970,32 @@ class TestClosedFormRoutes:
 
         a = 0.75
         expect = -gamma(2 * a - 1) * np.cos(a * np.pi / 2) / (2 ** (a - 1) * gamma(1 - a))
-        assert np.isclose(fp.riesz_power_constant(a), expect)
+        assert np.isclose(riesz_power_constant(a), expect)
         with pytest.raises(BadAlpha):
-            fp.riesz_power_constant(0.4)
+            riesz_power_constant(0.4)
 
     def test_marchaud_route_agrees(self):
         g = Grid1D(0.0, 1.0, 255)
         f = np.sin(np.pi * g.nodes) ** 2
-        assert fp.marchaud_power_check(0.5, g, f) <= 0.02
+        assert marchaud_power_check(0.5, g, f) <= 0.02
 
     def test_riesz_route_agrees(self):
         g = Grid1D(-20.0, 20.0, 511)
         f = np.exp(-g.nodes**2)
-        assert fp.riesz_power_check(0.85, g, f) <= 0.02
+        assert riesz_power_check(0.85, g, f) <= 0.02
         with pytest.raises(BadAlpha):
-            fp.riesz_power_check(0.6, g, f)
+            riesz_power_check(0.6, g, f)
+
+
+def test_package_imports_are_config_errors_numcore():
+    # fracpow holds matrix powers only: the closed forms that tie a power to a
+    # model's kernel live in transform, so fracpow reads no model layer
+    names = set()
+    for node in ast.walk(ast.parse(open(fp.__file__, encoding="utf-8").read())):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            names |= {node.module} if node.module else {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "fracspec":
+            names.add(node.module)
+        elif isinstance(node, ast.Import):
+            names |= {a.name for a in node.names if a.name.split(".")[0] == "fracspec"}
+    assert names == {"config", "errors", "numcore"}

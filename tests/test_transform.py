@@ -87,8 +87,9 @@ class TestKipriyanovModel:
         g = unit_grid(16)
         with pytest.raises(BadAlpha):
             tf.build_kipriyanov_1d(g, "const:1.0", "const:0.1", 1.2, 0.5)
-        with pytest.raises(BadAlpha):
-            tf.build_kipriyanov_1d(g, "const:1.0", "const:0.1", 0.3, 1.0)
+        for alpha in (0.0, 1.0, float("nan")):  # refused by the Marchaud derivative it assembles
+            with pytest.raises(BadAlpha):
+                tf.build_kipriyanov_1d(g, "const:1.0", "const:0.1", 0.3, alpha)
         with pytest.raises(CoefficientBoundViolated):
             tf.build_kipriyanov_1d(g, "const:-1.0", "const:0.1", 0.3, 0.5)
         with pytest.raises(CoefficientBoundViolated):
@@ -153,6 +154,13 @@ class TestRieszModel:
         Z = tf.assemble(m.spec) + 1.0 * np.eye(g.n)  # delta I
         rel = np.linalg.norm(m.L - Z) / np.linalg.norm(m.L)
         assert rel <= 1e-3
+
+    def test_fractional_integral_is_right_sided(self):
+        # I^sigma_+ integrates f(x + s), so F = conv I^sigma_+ rho is upper
+        # triangular with a nonzero strict upper part
+        F = tf.build_riesz_model(self.grid(24), "const:1.0", "const:0.1", 0.3, 0.95).spec.F
+        assert np.array_equal(F, np.triu(F))
+        assert np.all(F[np.triu_indices(24, 1)] != 0)
 
     def test_h2_matrix_positive(self):
         g = self.grid(48)
