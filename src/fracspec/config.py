@@ -1,8 +1,9 @@
-"""Centralized numerical tolerances and caps.
+"""Numerical tolerances and caps of the library routines.
 
-Every threshold used by the library lives here, in ``DEFAULT``, which the
-routines read directly. The values are fixed: no routine takes them per call,
-so acceptance checks are deterministic.
+They live here, in ``DEFAULT``, which the routines read directly; the
+verdict thresholds of ``checks`` (a defect at most 1e-8 or 1e-10, say) are
+written inline next to the verdict each decides. The values are fixed: no
+routine takes them per call, so acceptance checks are deterministic.
 """
 
 from dataclasses import dataclass

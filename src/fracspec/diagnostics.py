@@ -113,8 +113,8 @@ def order_estimate(svals):
     s = np.asarray(svals, dtype=float)
     if s.size < 16:
         raise ValueError("need at least 16 singular values")
-    if np.any(s <= 0):
-        raise ValueError("singular values must be positive")
+    if not np.all(np.isfinite(s) & (s > 0)):
+        raise ValueError("singular values must be positive and finite")
     m = max(8, int(s.size * DEFAULT.fit_fraction))
     y = np.log(s[:m])
     if np.ptp(y) < 1e-12:
@@ -141,6 +141,8 @@ def asymptotics_check(eigenvalues, mu, eps):
     """Largest value and log-log trend slope of i^(mu-eps)|l_i| over the leading
     ``DEFAULT.fit_fraction`` of the range; |l_i| = o(i^(-mu+eps)) wants a negative slope."""
     lam = np.abs(eigenvalues)
+    if lam.size < 8:
+        raise ValueError(f"need at least 8 eigenvalues, got {lam.size}")
     m = max(8, int(lam.size * DEFAULT.fit_fraction))
     i = np.arange(1, m + 1, dtype=float)
     seq = i ** (mu - eps) * lam[:m]

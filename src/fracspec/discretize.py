@@ -65,17 +65,21 @@ def sample_coefficient(spec, grid):
     return real_or_complex(vals)
 
 
-def _axis_profile(grid, expo):
-    """One-sided weights g_m for int_0^inf f(x+s) s^expo ds, expo in (-1, 1)."""
-    n, h = grid.n, grid.h
-    k = np.arange(n, dtype=float)
-    # integrals of u^expo and u^(expo+1) over cell k, [k h, (k+1) h], exact
+def _cell_weights(h, k, e1, e2):
+    """Product-trapezoidal weights of int u^(e1-1) f(u) du over the cells
+    [k h, (k+1) h], f linear on each cell: (near, far, M0), the weights of each
+    cell's end nearer to and farther from u = 0, and the exact integrals of
+    u^(e1-1) over the cells. e2 = e1 + 1, rounded as the caller forms it."""
     p, q = k * h, (k + 1) * h
-    e1, e2 = expo + 1.0, expo + 2.0
     M0 = (q**e1 - p**e1) / e1
     M1 = (q**e2 - p**e2) / e2
-    near = (q * M0 - M1) / h  # weight for the node nearer to x
-    far = (M1 - p * M0) / h   # weight for the node farther from x
+    return (q * M0 - M1) / h, (M1 - p * M0) / h, M0
+
+
+def _axis_profile(grid, expo):
+    """One-sided weights g_m for int_0^inf f(x+s) s^expo ds, expo in (-1, 1)."""
+    n = grid.n
+    near, far, _ = _cell_weights(grid.h, np.arange(n, dtype=float), expo + 1.0, expo + 2.0)
     g = np.empty(n)
     g[0] = near[0]
     g[1:] = near[1:] + far[:-1]
@@ -105,12 +109,8 @@ def marchaud_right_derivative(grid, alpha):
     n, h = grid.n, grid.h
     c = alpha / gamma(1.0 - alpha)
     first = h**-alpha / (1.0 - alpha)
-    k = np.arange(1, n, dtype=float)
-    p, q = k * h, (k + 1) * h
-    M0 = (p**-alpha - q**-alpha) / alpha
-    M1 = (q ** (1.0 - alpha) - p ** (1.0 - alpha)) / (1.0 - alpha)
-    near = (q * M0 - M1) / h
-    far = (M1 - p * M0) / h
+    # the cells [k h, (k+1) h] past the first, k = 1..n-1
+    near, far, M0 = _cell_weights(h, np.arange(1, n, dtype=float), -alpha, 1.0 - alpha)
     off = np.zeros(n)
     off[1] = -c * (first + near[0])
     off[2:] = -c * (near[1:] + far[:-1])

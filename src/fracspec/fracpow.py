@@ -32,8 +32,8 @@ from scipy.linalg import bandwidth, eigh_tridiagonal, get_lapack_funcs, toeplitz
 from scipy.special import gammaln, roots_jacobi
 
 from .config import DEFAULT
-from .errors import BadAlpha, NoConvergence, NotAccretive, QuadratureNotConverged
-from .numcore import min_hermitian_eig
+from .errors import BadAlpha, NotAccretive, QuadratureNotConverged
+from .numcore import _lapack, min_hermitian_eig
 
 
 @dataclass(frozen=True)
@@ -72,18 +72,15 @@ class _ResolventSolver:
     A solver is read-only after ``__init__``."""
 
     def __init__(self, A):
-        # checked once here, so the solves need not check each shift
-        A = np.asarray_chkfinite(A)
+        # a non-finite A is refused once here, by the gate of eigh_tridiagonal
+        # or of min_hermitian_eig, so the solves need not check each shift
         A = A.astype(np.result_type(A, float), copy=False)
         n = A.shape[0]
         lo, up = bandwidth(A)
         self.real = not np.iscomplexobj(A)
         self.V = self.ab = None
         if self.real and lo == up == 1 and np.array_equal(np.diagonal(A, -1), np.diagonal(A, 1)):
-            try:
-                self.w, self.V = eigh_tridiagonal(np.diagonal(A), np.diagonal(A, 1), check_finite=False)
-            except np.linalg.LinAlgError as exc:
-                raise NoConvergence(str(exc)) from exc
+            self.w, self.V = _lapack(eigh_tridiagonal, np.diagonal(A), np.diagonal(A, 1), check_finite=False)
             self.herm_min, self.rows = float(self.w[0]), 0
             return
         self.herm_min = min_hermitian_eig(A)
@@ -306,16 +303,14 @@ def negative_power(A, cfg, check=False):
 
 def lemma_constant(alpha, norm_J_inv):
     """C_(1-a) = 2 ||J^(-1)|| / (1-a) + 1/a, the negative-power norm bound."""
-    if not 0.0 < alpha < 1.0:
-        raise BadAlpha(f"alpha must lie in (0, 1), got {alpha}")
+    BalakrishnanConfig(alpha)  # BadAlpha outside (0, 1)
     return 2.0 * norm_J_inv / (1.0 - alpha) + 1.0 / alpha
 
 
 def gl_coefficients(alpha, lam, K):
     """Grunwald-type coefficients C_0..C_K by the stable recurrence
     C_0 = lam^a, C_(k+1) = C_k (k - a) / (k + 1), as a running product."""
-    if not 0.0 < alpha < 1.0:
-        raise BadAlpha(f"alpha must lie in (0, 1), got {alpha}")
+    BalakrishnanConfig(alpha)  # BadAlpha outside (0, 1)
     if lam <= 0 or K < 1:
         raise ValueError("need lam > 0 and K >= 1")
     k = np.arange(K)
@@ -330,8 +325,7 @@ def gl_coefficients_alt(alpha, lam, K):
     Deliberately quadrature-based (no closed Gamma form) so the identity
     C'_(k+1) - C'_k = C_(k+1) is a genuine cross-check.
     """
-    if not 0.0 < alpha < 1.0:
-        raise BadAlpha(f"alpha must lie in (0, 1), got {alpha}")
+    BalakrishnanConfig(alpha)  # BadAlpha outside (0, 1)
 
     def table(m):
         # xi = lam (1-t)/t maps the integral to lam^a int_0^1 (1-t)^(a-1) t^(k-a) dt;

@@ -27,12 +27,20 @@ def _check_hermitian(M):
     return M
 
 
-def _eigh(M):
-    """Eigenpairs of the Hermitian part of M."""
+def _lapack(driver, *arrays, **options):
+    """driver(*arrays, **options), the one gate of every eigen and SVD driver:
+    a non-finite array raises ValueError, and a LAPACK failure NoConvergence."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError("array must not contain infs or NaNs")
     try:
-        return np.linalg.eigh((M + M.conj().T) / 2)
+        return driver(*arrays, **options)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
+
+
+def _eigh(M):
+    """Eigenpairs of the Hermitian part of M."""
+    return _lapack(np.linalg.eigh, (M + M.conj().T) / 2)
 
 
 def hermitian_eigen(M):
@@ -86,11 +94,8 @@ def extreme_eigvecs(H):
     if info != 0:
         raise NoConvergence(f"zhetrd info={info}")
     Z = np.empty((n, 2), complex, order="F")
-    try:
-        for k, i in enumerate((0, n - 1)):
-            Z[:, k] = scipy.linalg.eigh_tridiagonal(d, e, select="i", select_range=(i, i))[1][:, 0]
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(str(exc)) from exc
+    for k, i in enumerate((0, n - 1)):
+        Z[:, k] = _lapack(scipy.linalg.eigh_tridiagonal, d, e, select="i", select_range=(i, i))[1][:, 0]
     reflectors = c[1:, : n - 1]
     _, work, info = lapack.zunmqr("L", "N", reflectors, tau, Z[1:], -1)
     if info == 0:
@@ -101,24 +106,20 @@ def extreme_eigvecs(H):
 
 
 def min_hermitian_eig(M):
-    """Smallest eigenvalue of the Hermitian part of M (ValueError if M is not
-    finite): by ``eigvals_banded`` on the band of Re M when M's band width k
-    has 8 k < n (exact on a diagonal M), else by a dense ``eigvalsh``.  With
-    one BLAS thread on 2 vCPUs the band read was the faster up to k = n/6 to
-    n/4 at n = 64 to 512, and took 0.2 ms against 3 ms at n = 256, k = 1."""
-    M = np.asarray_chkfinite(M)
+    """Smallest eigenvalue of the Hermitian part of M: by ``eigvals_banded``
+    on the band of Re M when M's band width k (which counts every non-finite
+    entry) has 8 k < n (exact on a diagonal M), else by a dense ``eigvalsh``.
+    With one BLAS thread on 2 vCPUs the band read was the faster up to k = n/6
+    to n/4 at n = 64 to 512, and took 0.2 ms against 3 ms at n = 256, k = 1."""
     n = M.shape[0]
     k = max(scipy.linalg.bandwidth(M))
-    try:
-        if 8 * k >= n:
-            return float(np.linalg.eigvalsh(hermitian_part(M))[0])
-        hb = np.zeros((k + 1, n), dtype=np.result_type(M, float))
-        for d in range(k + 1):
-            hb[k - d, d:] = (np.diagonal(M, d) + np.diagonal(M, -d).conj()) / 2
-        w = scipy.linalg.eigvals_banded(hb, select="i", select_range=(0, 0), check_finite=False)
-        return float(w[0])
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(str(exc)) from exc
+    if 8 * k >= n:
+        return float(_lapack(np.linalg.eigvalsh, hermitian_part(M))[0])
+    hb = np.zeros((k + 1, n), dtype=np.result_type(M, float))
+    for d in range(k + 1):
+        hb[k - d, d:] = (np.diagonal(M, d) + np.diagonal(M, -d).conj()) / 2
+    w = _lapack(scipy.linalg.eigvals_banded, hb, select="i", select_range=(0, 0), check_finite=False)
+    return float(w[0])
 
 
 def general_eigen(M):
@@ -128,20 +129,14 @@ def general_eigen(M):
     part, so reports are deterministic.  A real M's conjugate pairs are
     exact, so such a pair ties on modulus and lists +imag first.
     """
-    try:
-        lam = np.linalg.eigvals(M)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(str(exc)) from exc
+    lam = _lapack(np.linalg.eigvals, M)
     order = np.lexsort((-lam.imag, -lam.real, -np.abs(lam)))
     return lam[order]
 
 
 def singular_values(M):
     """s-numbers of M, descending."""
-    try:
-        return scipy.linalg.svdvals(M)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(str(exc)) from exc
+    return _lapack(scipy.linalg.svdvals, M)
 
 
 def op_norm(M):

@@ -280,6 +280,12 @@ class TestH1H2:
         # floor = n eps max|w| = 2 * 2.22e-16 * 2
         assert str(err.value) == "norm matrix min eigenvalue -1.000e+00 not above floor 8.882e-16"
 
+    def test_nan_input_raises_value_error(self):
+        bad = np.diag([1.0, np.nan])
+        for L, N in ((bad, np.eye(2)), (np.eye(2), bad)):
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                dg.verify_H1_H2(L, N)
+
     def test_riesz_512_norm_matrix_clears_the_rounding_floor(self):
         # the weighted-H2 norm matrix has lambda_min = 1.0015 and lambda_max =
         # 1.55e12: the floor n eps max|w| is 0.176, where 1e-12 ||N||_F (6.35)
@@ -357,6 +363,10 @@ class TestSectorialFactorization:
         with pytest.raises(NotPositiveDefinite):
             dg.sectorial_factorize(np.diag([1.0, -1.0]))
 
+    def test_nan_input_raises_value_error(self):
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            dg.sectorial_factorize(np.diag([1.0, np.nan]))
+
 
 class TestResolventIdentity:
     @staticmethod
@@ -389,6 +399,13 @@ class TestOrderAndSchatten:
             dg.order_estimate(np.ones(50))
         with pytest.raises(ValueError):
             dg.order_estimate(np.ones(8))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_singular_values_refused(self, bad):
+        s = np.arange(1, 33, dtype=float) ** -1.5
+        s[3] = bad
+        with pytest.raises(ValueError, match="positive and finite"):
+            dg.order_estimate(s)
 
     def test_dirichlet_resolvent_order(self):
         # -f'' on (0,1): resolvent singular values ~ (pi k)^-2, order 2
@@ -444,6 +461,10 @@ class TestEigenvalueInequalityAndAsymptotics:
         status, bad = run_check("eigenvalue-asymptotics",
                                 checks.Context(None, evals=i**-1.0, mu=2.0))
         assert status == "fail" and bad["trend_slope"] > 0
+
+    def test_asymptotics_names_too_few_eigenvalues(self):
+        with pytest.raises(ValueError, match="need at least 8 eigenvalues, got 5"):
+            dg.asymptotics_check(np.ones(5), 1.0, 0.1)
 
 
 class TestCompletenessAndMAccretive:

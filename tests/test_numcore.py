@@ -1,3 +1,6 @@
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -186,6 +189,43 @@ class TestHermPower:
         lhs = nc.herm_power(M, a) @ nc.herm_power(M, b)
         rhs = nc.herm_power(M, a + b)
         assert np.linalg.norm(lhs - rhs) <= 1e-9 * max(np.linalg.norm(rhs), 1.0)
+
+
+class TestLapackGate:
+    """Every eigen and SVD driver runs through ``numcore._lapack``: a
+    non-finite input raises ValueError, a LAPACK failure NoConvergence."""
+
+    @pytest.mark.parametrize("call", [
+        lambda M: nc.spd_powers(M, (0.5,)),
+        lambda M: nc.herm_power(M, 0.5),
+        nc.hermitian_eigen,
+        nc.general_eigen,
+        nc.singular_values,
+        nc.extreme_eigvecs,
+    ])
+    def test_nan_input_raises_value_error(self, call):
+        M = rand_spd(5, 4)
+        M[1, 1] = np.nan
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            call(M)
+
+    def test_general_eigen_failure_is_no_convergence(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "eigvals", failing)
+        with pytest.raises(NoConvergence, match="did not converge"):
+            nc.general_eigen(np.eye(3))
+
+    def test_linalg_error_is_caught_only_in_the_gate(self):
+        caught = []
+        for path in sorted(pathlib.Path(nc.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            funcs = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+            for h in ast.walk(tree):
+                if isinstance(h, ast.ExceptHandler) and h.type and "LinAlgError" in ast.unparse(h.type):
+                    # the innermost function that holds the handler
+                    fn = max((f for f in funcs if f.lineno <= h.lineno <= f.end_lineno),
+                             key=lambda f: f.lineno, default=None)
+                    caught.append((path.name, fn and fn.name))
+        assert caught == [("numcore.py", "_lapack")]
 
 
 def band_of_width(n, k, complex_, seed):
