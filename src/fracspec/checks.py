@@ -138,7 +138,7 @@ def _maccretive(ctx):
     J = ctx.model.spec.J
     herm_min, slack = diagnostics.maccretive_check(J)
     ok = (herm_min >= -DEFAULT.accretive_floor_rel * np.linalg.norm(J)
-          and slack <= DEFAULT.maccretive_slack)
+          and slack <= 1e-8)
     return _verdict(ok), {"min_herm_eig": herm_min, "worst_resolvent_slack": slack}
 
 

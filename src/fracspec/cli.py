@@ -22,23 +22,25 @@ import numpy as np
 
 from . import checks, transform
 from .discretize import Grid1D, real_or_complex, sample_coefficient
-from .errors import FracspecError
+from .errors import BadParameter, FracspecError
 from .transform import Model
 
 SCHEMA_ARTIFACT, SCHEMA_ARTIFACT_1 = "fracspec-artifact-2", "fracspec-artifact-1"
 SCHEMA_REPORT = "fracspec-report-1"
 
-MODELS = ("kipriyanov1d", "riesz", "difference", "custom-matrix")
+# each paper model: its grid interval, the name of its builder in transform,
+# and the config keys the builder takes after (grid, a11, rho). A model reads
+# grid_n, rho and those keys; build refuses any other paper flag set off its default.
+_PAPER_MODELS = {
+    "kipriyanov1d": ((0.0, 1.0), "build_kipriyanov_1d", ("sigma", "alpha")),
+    "riesz": ((-20.0, 20.0), "build_riesz_model", ("sigma", "alpha", "delta")),
+    "difference": ((0.0, 1.0), "build_difference_model", ("lambda", "mu", "alpha")),
+}
+MODELS = (*_PAPER_MODELS, "custom-matrix")
 SUITES = (*checks.SUITES, "full")
 
-_GRID_ENDPOINTS = {"kipriyanov1d": (0.0, 1.0), "riesz": (-20.0, 20.0), "difference": (0.0, 1.0)}
-_PAPER_FLAG_DEFAULTS = {"--grid-n": 128, "--alpha": 0.5, "--sigma": 0.25, "--lambda": 1.0,
-                        "--mu": None, "--delta": 1.0, "--rho": "const:0"}
-# the paper flags each model reads; build refuses any other set off its default
-_MODEL_FLAGS = {"kipriyanov1d": ("--grid-n", "--alpha", "--sigma", "--rho"),
-                "riesz": ("--grid-n", "--alpha", "--sigma", "--delta", "--rho"),
-                "difference": ("--grid-n", "--alpha", "--lambda", "--mu", "--rho"),
-                "custom-matrix": ()}
+_PAPER_DEFAULTS = {"grid_n": 128, "alpha": 0.5, "sigma": 0.25, "lambda": 1.0,
+                   "mu": None, "delta": 1.0, "rho": "const:0"}
 
 # --- strict JSON (RFC 8259 has no NaN or Infinity tokens) ------------------
 
@@ -77,17 +79,17 @@ def _make_parser():
     sub = p.add_subparsers(dest="command", required=True)
     q = sub.add_parser("build")
     q.add_argument("--model", default="kipriyanov1d", choices=MODELS)
-    q.add_argument("--grid-n", type=int, default=_PAPER_FLAG_DEFAULTS["--grid-n"])
-    q.add_argument("--alpha", type=float, default=_PAPER_FLAG_DEFAULTS["--alpha"])
-    q.add_argument("--sigma", type=float, default=_PAPER_FLAG_DEFAULTS["--sigma"])
-    q.add_argument("--lambda", type=float, default=_PAPER_FLAG_DEFAULTS["--lambda"])
-    q.add_argument("--mu", type=float, default=_PAPER_FLAG_DEFAULTS["--mu"],
+    q.add_argument("--grid-n", type=int, default=_PAPER_DEFAULTS["grid_n"])
+    q.add_argument("--alpha", type=float, default=_PAPER_DEFAULTS["alpha"])
+    q.add_argument("--sigma", type=float, default=_PAPER_DEFAULTS["sigma"])
+    q.add_argument("--lambda", type=float, default=_PAPER_DEFAULTS["lambda"])
+    q.add_argument("--mu", type=float, default=_PAPER_DEFAULTS["mu"],
                    help="poisson shift length; default 4h, must be a multiple of h")
-    q.add_argument("--delta", type=float, default=_PAPER_FLAG_DEFAULTS["--delta"])
+    q.add_argument("--delta", type=float, default=_PAPER_DEFAULTS["delta"])
     q.add_argument("--a11", default="const:1",
                    help="coefficient spec (const:c | sin | poly:c0,c1,... | CSV path); "
                         "matrix CSV path for custom-matrix")
-    q.add_argument("--rho", default=_PAPER_FLAG_DEFAULTS["--rho"])
+    q.add_argument("--rho", default=_PAPER_DEFAULTS["rho"])
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("--out", required=True, help="artifact path to write")
     # verify takes its model configuration from the artifact alone
@@ -100,37 +102,22 @@ def _make_parser():
 
 
 def _validate(args):
-    """Range checks; raises ValueError naming the offending field."""
+    """The checks about the command line itself; raises ValueError naming the
+    flag. The ranges of the model parameters are the builders' to check."""
     if args.seed < 0:
         raise ValueError("--seed must be nonnegative")
     if args.command == "verify":
         if not args.out:
             raise ValueError("verify needs --out pointing at a build artifact")
         return
-    values = {flag: getattr(args, flag[2:].replace("-", "_")) for flag in _PAPER_FLAG_DEFAULTS}
-    for flag in ("--alpha", "--sigma", "--lambda", "--mu", "--delta"):
-        if values[flag] is not None and not math.isfinite(values[flag]):
-            raise ValueError(f"{flag} must be finite")
-    if given := [flag for flag, v in values.items()
-                 if flag not in _MODEL_FLAGS[args.model] and v != _PAPER_FLAG_DEFAULTS[flag]]:
+    for key in ("alpha", "sigma", "lambda", "mu", "delta"):
+        value = getattr(args, key)
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"--{key} must be finite")
+    reads = ("grid_n", "rho", *_PAPER_MODELS[args.model][2]) if args.model in _PAPER_MODELS else ()
+    if given := ["--" + key.replace("_", "-") for key, default in _PAPER_DEFAULTS.items()
+                 if key not in reads and getattr(args, key) != default]:
         raise ValueError(f"{args.model} takes no {', '.join(given)}")
-    if args.model == "custom-matrix":  # the matrix is the whole model
-        return
-    if args.grid_n < 4:
-        raise ValueError("--grid-n must be at least 4")
-    if args.model == "riesz":
-        if not args.sigma / 2 + 0.75 < args.alpha < 1.0:
-            raise ValueError("--alpha must satisfy sigma/2 + 3/4 < alpha < 1 for the riesz model")
-    elif not 0.0 < args.alpha < 1.0:
-        raise ValueError("--alpha must lie in (0, 1)")
-    if not 0.0 <= args.sigma < 1.0:
-        raise ValueError("--sigma must lie in [0, 1)")
-    if values["--lambda"] <= 0:
-        raise ValueError("--lambda must be positive")
-    if args.mu is not None and args.mu <= 0:
-        raise ValueError("--mu must be positive")
-    if args.delta < 0:
-        raise ValueError("--delta must be nonnegative")
 
 
 def _config_doc(args):
@@ -150,18 +137,12 @@ def _build_model(config, doc=None):
             raise ValueError("matrix must be square and non-empty")
         model, data = Model(m), {"matrix": _complex_doc(m)}
     else:
-        grid = Grid1D(*_GRID_ENDPOINTS[config["model"]], config["grid_n"])
+        interval, builder, keys = _PAPER_MODELS[config["model"]]
+        grid = Grid1D(*interval, config["grid_n"])
         stored = doc.get("coefficients", {})
         a11, rho = (_complex_from_doc(stored[k]) if k in stored
                     else sample_coefficient(config[k], grid) for k in ("a11", "rho"))
-        alpha, sigma = config["alpha"], config["sigma"]
-        if config["model"] == "kipriyanov1d":
-            model = transform.build_kipriyanov_1d(grid, a11, rho, sigma, alpha)
-        elif config["model"] == "riesz":
-            model = transform.build_riesz_model(grid, a11, rho, sigma, alpha, config["delta"])
-        else:
-            model = transform.build_difference_model(grid, a11, rho, config["lambda"],
-                                                     config["mu"], alpha)
+        model = getattr(transform, builder)(grid, a11, rho, *(config[k] for k in keys))
         data = {"coefficients": {"a11": _complex_doc(a11), "rho": _complex_doc(rho)}}
     parts = [("matrix", model.L)]
     if model.spec is not None:
@@ -177,6 +158,9 @@ def cmd_build(args):
     try:
         _, data = _build_model(config)
         text = _json({"schema": SCHEMA_ARTIFACT, "config": config, **data}, separators=(",", ":"))
+    except BadParameter as exc:
+        print(f"invalid configuration: {exc}", file=sys.stderr)
+        return 2
     except (FracspecError, ValueError, OSError) as exc:
         print(f"assembly failed: {exc}", file=sys.stderr)
         return 3

@@ -22,7 +22,6 @@ class Tolerances:
     # diagnostics
     fit_fraction: float = 0.5          # fraction of spectrum trusted in fits
     sector_guard_rel: float = 1e-12    # Re(z - vertex) floor for angle fit
-    maccretive_slack: float = 1e-8
 
 
 DEFAULT = Tolerances()

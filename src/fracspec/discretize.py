@@ -13,7 +13,7 @@ import numpy as np
 from scipy.linalg import toeplitz
 from scipy.special import gamma
 
-from .errors import BadAlpha, CoefficientBoundViolated
+from .errors import BadAlpha, BadParameter, CoefficientBoundViolated
 
 
 @dataclass(frozen=True)
@@ -26,9 +26,9 @@ class Grid1D:
 
     def __post_init__(self):
         if not self.b > self.a:
-            raise ValueError("need a < b")
-        if self.n < 4:
-            raise ValueError("need n >= 4 interior nodes")
+            raise BadParameter(f"grid needs a < b, got a = {self.a}, b = {self.b}")
+        if not self.n >= 4:
+            raise BadParameter(f"grid needs n >= 4 interior nodes, got n = {self.n}")
 
     @property
     def h(self):

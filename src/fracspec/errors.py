@@ -25,7 +25,11 @@ class IllConditioned(FracspecError):
     """Condition number exceeds the configured cap."""
 
 
-class BadAlpha(FracspecError):
+class BadParameter(FracspecError, ValueError):
+    """A model parameter outside its admissible range; the message names it and its value."""
+
+
+class BadAlpha(BadParameter):
     """Fractional order outside the admissible range."""
 
 
@@ -45,11 +49,11 @@ class UnderResolvedTime(FracspecError):
     """Gauss semigroup time too small for the grid to resolve the kernel."""
 
 
-class IncommensurateShift(FracspecError):
+class IncommensurateShift(BadParameter):
     """Shift length is not an integer multiple of the grid spacing."""
 
 
-class NegativeParameter(FracspecError):
+class NegativeParameter(BadParameter):
     """A parameter required to be positive is not."""
 
 

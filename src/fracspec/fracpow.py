@@ -32,7 +32,7 @@ from scipy.linalg import bandwidth, eigh_tridiagonal, get_lapack_funcs, toeplitz
 from scipy.special import gammaln, roots_jacobi
 
 from .config import DEFAULT
-from .errors import BadAlpha, NotAccretive, QuadratureNotConverged
+from .errors import BadAlpha, NegativeParameter, NotAccretive, QuadratureNotConverged
 from .numcore import _lapack, min_hermitian_eig
 
 
@@ -311,8 +311,8 @@ def gl_coefficients(alpha, lam, K):
     """Grunwald-type coefficients C_0..C_K by the stable recurrence
     C_0 = lam^a, C_(k+1) = C_k (k - a) / (k + 1), as a running product."""
     BalakrishnanConfig(alpha)  # BadAlpha outside (0, 1)
-    if lam <= 0 or K < 1:
-        raise ValueError("need lam > 0 and K >= 1")
+    if not (lam > 0 and K >= 1):
+        raise NegativeParameter(f"need lam > 0 and K >= 1, got lam = {lam}, K = {K}")
     k = np.arange(K)
     c0 = lam**alpha
     return np.concatenate(([c0], c0 * np.cumprod((k - alpha) / (k + 1))))

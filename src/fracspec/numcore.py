@@ -18,8 +18,14 @@ def hermitian_part(M):
     return (M + M.conj().T) / 2
 
 
+def _check_finite(*arrays):
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError("array must not contain infs or NaNs")
+
+
 def _check_hermitian(M):
-    """M, once its relative departure from self-adjointness is checked."""
+    """M, once it is finite and its relative departure from self-adjointness is checked."""
+    _check_finite(M)
     scale = np.linalg.norm(M)
     defect = float(np.linalg.norm(M - M.conj().T) / scale) if scale != 0 else 0.0
     if defect > DEFAULT.hermitian_rel:
@@ -30,8 +36,7 @@ def _check_hermitian(M):
 def _lapack(driver, *arrays, **options):
     """driver(*arrays, **options), the one gate of every eigen and SVD driver:
     a non-finite array raises ValueError, and a LAPACK failure NoConvergence."""
-    if not all(np.isfinite(a).all() for a in arrays):
-        raise ValueError("array must not contain infs or NaNs")
+    _check_finite(*arrays)
     try:
         return driver(*arrays, **options)
     except np.linalg.LinAlgError as exc:
@@ -40,7 +45,7 @@ def _lapack(driver, *arrays, **options):
 
 def _eigh(M):
     """Eigenpairs of the Hermitian part of M."""
-    return _lapack(np.linalg.eigh, (M + M.conj().T) / 2)
+    return _lapack(lambda A: np.linalg.eigh(hermitian_part(A)), M)
 
 
 def hermitian_eigen(M):
@@ -107,10 +112,11 @@ def extreme_eigvecs(H):
 
 def min_hermitian_eig(M):
     """Smallest eigenvalue of the Hermitian part of M: by ``eigvals_banded``
-    on the band of Re M when M's band width k (which counts every non-finite
-    entry) has 8 k < n (exact on a diagonal M), else by a dense ``eigvalsh``.
-    With one BLAS thread on 2 vCPUs the band read was the faster up to k = n/6
-    to n/4 at n = 64 to 512, and took 0.2 ms against 3 ms at n = 256, k = 1."""
+    on the band of Re M when M's band width k has 8 k < n (exact on a
+    diagonal M), else by a dense ``eigvalsh``. With one BLAS thread on 2 vCPUs
+    the band read was the faster up to k = n/6 to n/4 at n = 64 to 512, and
+    took 0.2 ms against 3 ms at n = 256, k = 1."""
+    _check_finite(M)
     n = M.shape[0]
     k = max(scipy.linalg.bandwidth(M))
     if 8 * k >= n:

@@ -47,17 +47,18 @@ class SemigroupSpec:
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}")
         if self.kind == "poisson":
-            if self.lam <= 0 or self.mu <= 0:
-                raise NegativeParameter("poisson semigroup needs lam > 0 and mu > 0")
+            if not (self.lam > 0 and self.mu > 0):  # NaN is not above 0
+                raise NegativeParameter(f"poisson semigroup needs lam > 0 and mu > 0, "
+                                        f"got lam = {self.lam}, mu = {self.mu}")
             self.shift_steps  # validates commensurability
 
     @property
     def shift_steps(self):
         """mu / h as an exact integer (poisson kind only)."""
         ratio = self.mu / self.grid.h
-        m = round(ratio)
+        m = round(ratio) if np.isfinite(ratio) else 0
         if m < 1 or abs(ratio - m) > 1e-9:
-            raise IncommensurateShift(f"mu/h = {ratio!r} is not a positive integer")
+            raise IncommensurateShift(f"mu = {self.mu} is not a positive multiple of h = {self.grid.h}")
         return m
 
 
@@ -85,7 +86,7 @@ def _poisson_isf(q, rate):
 def apply(spec, t, f):
     """Apply T_t to the samples f, a vector or the k columns of an n x k array,
     in f's dtype (an integer f as float64)."""
-    if t < 0:
+    if not t >= 0:
         raise NegativeTime(f"semigroup time must be >= 0, got {t}")
     v = np.asarray(f)
     v = v.astype(np.result_type(v, float), copy=False)
@@ -131,7 +132,7 @@ def yosida_resolvent(spec, n_param, f):
     J_n f(x) = sqrt(n/2) int f(s) exp(-sqrt(2n)|x - s|) ds."""
     if spec.kind != "gauss":
         raise ValueError("yosida_resolvent implements the Gauss-generator kernel")
-    if n_param <= 0:
+    if not n_param > 0:
         raise NegativeParameter(f"Yosida parameter must be > 0, got {n_param}")
     grid = spec.grid
     d = grid.h * np.arange(grid.n)

@@ -21,7 +21,7 @@ from .discretize import (
     second_derivative,
     weighted_h2_matrix,
 )
-from .errors import BadAlpha
+from .errors import BadAlpha, NegativeParameter
 from .fracpow import (
     BalakrishnanConfig,
     balakrishnan_apply,
@@ -88,6 +88,13 @@ class Model:
     norm_Q_inv: float = None
 
 
+def _sigma_integral(grid, sigma):
+    """The left RL integral of order sigma in [0, 1) as a matrix; I at sigma = 0."""
+    if not 0.0 <= sigma < 1.0:
+        raise BadAlpha(f"sigma must lie in [0, 1), got {sigma}")
+    return rl_integral_left(grid, sigma) if sigma > 0 else np.eye(grid.n)
+
+
 def build_kipriyanov_1d(grid, a11, rho, sigma, alpha):
     """1-D Kipriyanov-type model L = -T + J^sigma_(0+) rho D^alpha_(d-).
 
@@ -96,12 +103,10 @@ def build_kipriyanov_1d(grid, a11, rho, sigma, alpha):
     up to a single boundary entry, since the discrete factorization
     J^H J differs from the Dirichlet Laplacian in its first corner.
     """
-    if not 0.0 <= sigma < 1.0:
-        raise BadAlpha(f"sigma must lie in [0, 1), got {sigma}")
+    frac_in = _sigma_integral(grid, sigma)
     spec_sg = SemigroupSpec("shift", grid)
     J = generator_matrix(spec_sg)
     G = multiply(grid, a11)
-    frac_in = rl_integral_left(grid, sigma) if sigma > 0 else np.eye(grid.n)
     F = frac_in @ multiply(grid, rho)
     L = elliptic_1d(grid, a11) + F @ marchaud_right_derivative(grid, alpha)
     return Model(L, TransformSpec(J, G, F, alpha), J.conj().T @ J, spec_sg)
@@ -115,14 +120,14 @@ def build_riesz_model(grid, a, rho, sigma, alpha, delta=1.0):
     J^H G J = T via a f'' g'' = 4a (Jf)(Jg)), and F carrying the
     kernel-normalization conversion between I^(2(1-a)) and J^alpha.
     """
-    if not 0.0 <= sigma < 1.0:
-        raise BadAlpha(f"sigma must lie in [0, 1), got {sigma}")
+    # I^sigma_+ integrates f(x + s): the transpose of the left RL integral
+    frac_in = _sigma_integral(grid, sigma).T
     if not sigma / 2.0 + 0.75 < alpha < 1.0:
         raise BadAlpha(f"riesz model needs sigma/2 + 3/4 < alpha < 1, got alpha = {alpha}")
+    if not delta >= 0:
+        raise NegativeParameter(f"riesz model needs delta >= 0, got delta = {delta}")
     n = grid.n
     T = fourth_order_weighted(grid, a)
-    # I^sigma_+ integrates f(x + s): the transpose of the left RL integral
-    frac_in = rl_integral_left(grid, sigma).T if sigma > 0 else np.eye(n)
     P = frac_in @ multiply(grid, rho)
     L = T + P @ riesz_potential(grid, 2.0 * (1.0 - alpha)) @ second_derivative(grid) \
         + delta * np.eye(n)

@@ -586,6 +586,49 @@ class TestArtifactInputs:
         assert not (tmp_path / "r.json").exists()
 
 
+class TestBuildVerifyParity:
+    """The builders own every parameter range: build refuses a value with the
+    library's message (exit 2, no artifact), and verify refuses a valid
+    artifact edited to the same value with the same message (exit 2, no report)."""
+
+    CASES = [
+        ("kipriyanov1d", "alpha", 1.5, "marchaud derivative needs alpha in (0, 1), got 1.5"),
+        ("difference", "alpha", 0.0, "alpha must lie in (0, 1), got 0.0"),
+        ("riesz", "alpha", 0.8, "riesz model needs sigma/2 + 3/4 < alpha < 1, got alpha = 0.8"),
+        ("kipriyanov1d", "sigma", 1.0, "sigma must lie in [0, 1), got 1.0"),
+        ("riesz", "sigma", -0.1, "sigma must lie in [0, 1), got -0.1"),
+        ("difference", "lambda", 0.0, "poisson semigroup needs lam > 0 and mu > 0, got lam = 0.0, mu = 0.16"),
+        ("difference", "mu", -0.08, "poisson semigroup needs lam > 0 and mu > 0, got lam = 1.0, mu = -0.08"),
+        ("difference", "mu", 0.013, "mu = 0.013 is not a positive multiple of h = 0.04"),
+        ("riesz", "delta", -50.0, "riesz model needs delta >= 0, got delta = -50.0"),
+        ("kipriyanov1d", "grid_n", 2, "grid needs n >= 4 interior nodes, got n = 2"),
+    ]
+
+    @pytest.mark.parametrize("model,key,value,message", CASES,
+                             ids=[f"{model}-{key}-{value}" for model, key, value, _ in CASES])
+    def test_build_and_verify_refuse_alike(self, tmp_path, capsys, model, key, value, message):
+        out, rep = tmp_path / "art.json", tmp_path / "r.json"
+        flag = "--" + key.replace("_", "-")
+        assert main(["build", "--model", model, *SMALL_BUILDS[model], flag, str(value),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"invalid configuration: {message}\n"
+        assert not out.exists()
+        assert main(["build", "--model", model, *SMALL_BUILDS[model], "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        doc["config"][key] = value
+        out.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", "--out", str(out), "--report", str(rep)]) == 2
+        assert capsys.readouterr().err == f"cannot read artifact: {message}\n"
+        assert not rep.exists()
+
+    def test_unreadable_coefficient_met_before_a_bad_alpha(self, tmp_path, capsys):
+        # the coefficient is sampled before the builder checks alpha
+        out = tmp_path / "art.json"
+        assert main(build_args(out, a11=tmp_path / "missing.csv", alpha=1.5)) == 3
+        assert "assembly failed" in capsys.readouterr().err
+
+
 class TestThreadCap:
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
     def test_env_cap_reaches_blas(self):

@@ -4,7 +4,7 @@ from scipy.integrate import quad
 from scipy.special import gamma
 
 from fracspec import discretize as dz
-from fracspec.errors import BadAlpha, CoefficientBoundViolated
+from fracspec.errors import BadAlpha, BadParameter, CoefficientBoundViolated
 
 
 def unit_grid(n):
@@ -22,6 +22,8 @@ class TestGrid:
             dz.Grid1D(1.0, 0.0, 8)
         with pytest.raises(ValueError):
             dz.Grid1D(0.0, 1.0, 3)
+        with pytest.raises(BadParameter, match="got a = 0.0, b = nan"):
+            dz.Grid1D(0.0, float("nan"), 8)
 
 
 class TestSampleCoefficient:

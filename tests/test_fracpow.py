@@ -10,7 +10,7 @@ from scipy.special import gammaln
 from fracspec import checks, semigroup
 from fracspec import fracpow as fp
 from fracspec.discretize import Grid1D
-from fracspec.errors import BadAlpha, NotAccretive, QuadratureNotConverged
+from fracspec.errors import BadAlpha, NegativeParameter, NotAccretive, QuadratureNotConverged
 from fracspec.numcore import herm_power
 from fracspec.semigroup import SemigroupSpec, generator_matrix
 from fracspec.transform import (
@@ -924,6 +924,11 @@ class TestGLCoefficients:
             fp.gl_coefficients(1.2, 1.0, 10)
         with pytest.raises(ValueError):
             fp.gl_coefficients(0.5, -1.0, 10)
+
+    def test_rejects_nan_lambda(self):
+        # NaN is not above 0: refused, not returned as NaN coefficients
+        with pytest.raises(NegativeParameter, match="got lam = nan"):
+            fp.gl_coefficients(0.5, float("nan"), 10)
 
 
 class TestGLPower:

@@ -7,6 +7,7 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from fracspec import numcore as nc
+from fracspec.diagnostics import sectorial_factorize
 from fracspec.errors import IllConditioned, NoConvergence, NotHermitian, NotPositiveDefinite
 
 
@@ -202,12 +203,19 @@ class TestLapackGate:
         nc.general_eigen,
         nc.singular_values,
         nc.extreme_eigvecs,
+        nc.min_hermitian_eig,
+        sectorial_factorize,
     ])
     def test_nan_input_raises_value_error(self, call):
-        M = rand_spd(5, 4)
-        M[1, 1] = np.nan
-        with pytest.raises(ValueError, match="infs or NaNs"):
-            call(M)
+        # a NaN, an inf on the diagonal, and a +inf/-inf pair across it (whose
+        # sum in a Hermitian part is NaN) are refused before any arithmetic, so
+        # under the error::RuntimeWarning filter no warning precedes the ValueError
+        for plant in ({(1, 1): np.nan}, {(1, 1): np.inf}, {(0, 1): np.inf, (1, 0): -np.inf}):
+            M = rand_spd(5, 4)
+            for ij, v in plant.items():
+                M[ij] = v
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                call(M)
 
     def test_general_eigen_failure_is_no_convergence(self, monkeypatch):
         monkeypatch.setattr(np.linalg, "eigvals", failing)

@@ -5,6 +5,7 @@ from fracspec import semigroup as sg
 from fracspec.config import DEFAULT
 from fracspec.discretize import Grid1D
 from fracspec.errors import (
+    BadParameter,
     IncommensurateShift,
     NegativeParameter,
     NegativeTime,
@@ -29,12 +30,32 @@ class TestSpecValidation:
             sg.SemigroupSpec("poisson", g, lam=1.0, mu=0.15)
         assert sg.SemigroupSpec("poisson", g, lam=1.0, mu=0.3).shift_steps == 3
 
+    @pytest.mark.parametrize("lam,mu,error", [
+        (float("nan"), 0.1, NegativeParameter), (1.0, float("nan"), NegativeParameter),
+        (1.0, float("inf"), IncommensurateShift)])
+    def test_non_finite_poisson_parameters(self, lam, mu, error):
+        # NaN is not above 0, and an infinite mu is no multiple of h
+        with pytest.raises(error):
+            sg.SemigroupSpec("poisson", unit_grid(9), lam=lam, mu=mu)
+
+    def test_parameter_errors_are_value_errors(self):
+        # one base for a refused parameter, a ValueError too
+        with pytest.raises(BadParameter, match="got lam = 0.0, mu = 0.1"):
+            sg.SemigroupSpec("poisson", unit_grid(9), lam=0.0, mu=0.1)
+        with pytest.raises(ValueError, match="mu = 0.15 is not a positive multiple of h"):
+            sg.SemigroupSpec("poisson", unit_grid(9), lam=1.0, mu=0.15)
+
 
 class TestApply:
     def test_negative_time(self):
         spec = sg.SemigroupSpec("shift", unit_grid(8))
         with pytest.raises(NegativeTime):
             sg.apply(spec, -0.1, np.ones(8))
+
+    @pytest.mark.parametrize("kind", ["shift", "gauss"])
+    def test_nan_time(self, kind):
+        with pytest.raises(NegativeTime, match="got nan"):
+            sg.apply(sg.SemigroupSpec(kind, unit_grid(8)), float("nan"), np.ones(8))
 
     def test_time_zero_identity(self):
         spec = sg.SemigroupSpec("gauss", unit_grid(8))
@@ -237,6 +258,8 @@ class TestYosida:
             sg.yosida_resolvent(sg.SemigroupSpec("shift", g), 1.0, np.ones(8))
         with pytest.raises(NegativeParameter):
             sg.yosida_resolvent(sg.SemigroupSpec("gauss", g), -1.0, np.ones(8))
+        with pytest.raises(NegativeParameter, match="got nan"):
+            sg.yosida_resolvent(sg.SemigroupSpec("gauss", g), float("nan"), np.ones(8))
 
 
 class TestAxioms:

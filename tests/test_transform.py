@@ -4,7 +4,7 @@ import pytest
 from fracspec import checks
 from fracspec import transform as tf
 from fracspec.discretize import Grid1D, multiply
-from fracspec.errors import BadAlpha, CoefficientBoundViolated
+from fracspec.errors import BadAlpha, CoefficientBoundViolated, NegativeParameter
 from fracspec.fracpow import gl_abs_sum
 from fracspec.semigroup import SemigroupSpec, generator_matrix
 
@@ -140,6 +140,16 @@ class TestRieszModel:
         g = self.grid(16)
         with pytest.raises(BadAlpha):
             tf.build_riesz_model(g, "const:1.0", "const:0.1", 0.2, 0.8)  # needs > 0.85
+
+    @pytest.mark.parametrize("sigma,delta,error,match", [
+        (0.2, -1.0, NegativeParameter, "needs delta >= 0, got delta = -1.0"),
+        (0.2, float("nan"), NegativeParameter, "got delta = nan"),
+        (1.0, 1.0, BadAlpha, r"sigma must lie in \[0, 1\), got 1.0"),
+        (float("nan"), 1.0, BadAlpha, "got nan")])
+    def test_parameter_validation(self, sigma, delta, error, match):
+        # sigma is refused before the alpha window that reads it
+        with pytest.raises(error, match=match):
+            tf.build_riesz_model(self.grid(16), "const:1.0", "const:0.1", sigma, 0.95, delta)
 
     def test_rho_zero_symmetric_positive(self):
         g = self.grid(64)
