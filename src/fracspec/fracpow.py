@@ -12,11 +12,11 @@ Routes implemented:
    A^(+-a) is integrated on its first column (A e_1, or e_1 for the negative
    power) and then expanded. The shifted solves are made by
    ``_ResolventSolver``, all the shifts of a pass together, as many to a call
-   as a cap on the call's entries allows; each call's block of solutions is
-   scaled by its weights and summed in one reduction, in node order. The
-   rule of each (order, step) is built once, read-only, and the solver of the
-   latest call is kept with the bytes of its matrix: a caller that applies
-   A^a to one vector after another sets up once.
+   as a cap on the call's entries allows; each call's solutions are
+   contracted with their weights. The rule of each (order, step) is built
+   once, read-only, and the solver of the latest call is kept with the bytes
+   of its matrix: a caller that applies A^a to one vector after another sets
+   up once.
 2. Spectral calculus for Hermitian positive matrices (numcore.herm_power).
 3. Grunwald-type series for the Poisson-difference generator.
 
@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import bandwidth, eigh_tridiagonal, get_lapack_funcs, toeplitz
-from scipy.special import gammaln, roots_jacobi
+from scipy.special import gamma, poch, roots_jacobi
 
 from .config import DEFAULT
 from .errors import BadAlpha, NegativeParameter, NotAccretive, QuadratureNotConverged
@@ -230,26 +230,22 @@ def _balakrishnan(A, B, cfg, check, negative=False):
     return (np.ascontiguousarray(Y).view(complex) if cplx else Y).reshape(X.shape)
 
 
-def _blocks(solver, lams, X):
-    """(index of its first shift, stacked solutions) for each call of
-    ``solver.solve`` that solves (l + A)^(-1) X for the shifts l of ``lams``,
-    in as few calls as keep each within _CALL_ENTRIES entries: (rows +
-    columns) x n a shift, a dense copy's rows being n."""
+def _sum(solver, lams, w, X):
+    """(sum_k w_k (l_k + A)^(-1) X, the solution at the first shift, the
+    solution at the last) over the shifts l_k of ``lams``. The shifts go to
+    ``solver.solve`` in as few calls as keep each within _CALL_ENTRIES
+    entries: (rows + columns) x n a shift, a dense copy's rows being n; each
+    call's stacked solutions are contracted with their weights."""
     n = X.shape[0]
-    per_call = max(1, _CALL_ENTRIES // ((solver.rows + X.size // n) * n))
-    for i in range(0, lams.size, per_call):
-        yield i, solver.solve(lams[i : i + per_call], X)
-
-
-def _add_block(out, Y, w):
-    """out + w_0 Y_0 + w_1 Y_1 + ..., added in that order (out = None: 0);
-    the block Y of stacked solutions is scaled in place."""
-    Y *= w.reshape((-1,) + (1,) * (Y.ndim - 1))
-    if out is not None:
-        Y[0] += out
-    # numpy sums axis 0 row after row unless it is the innermost axis of the
-    # loop, which only a 1 x 1 A makes it; then it would sum pairwise
-    return Y.sum(axis=0) if Y.shape[1] > 1 else np.cumsum(Y, axis=0)[-1]
+    step = max(1, _CALL_ENTRIES // ((solver.rows + X.size // n) * n))
+    for i in range(0, lams.size, step):
+        Y = solver.solve(lams[i : i + step], X)
+        part = np.tensordot(w[i : i + step], Y, 1)
+        if i == 0:
+            out, first = part, Y[0].copy()
+        else:
+            out += part
+    return out, first, Y[-1].copy()
 
 
 def _integral(solver, X, e, check, weight=1.0):
@@ -258,26 +254,15 @@ def _integral(solver, X, e, check, weight=1.0):
     twice, until a halving moves the result by at most ``quad_doubling_rel``;
     ``weight`` weighs the entries of the result in the measure of that move."""
     lam, w = _weights(e, 1)
-    out = None
-    for i, Y in _blocks(solver, lam, X):
-        # the end solutions, copied before their block is scaled
-        if check and i == 0:
-            first = Y[0].copy()
-        if check and i + len(Y) == lam.size:
-            last = Y[-1].copy()
-        out = _add_block(out, Y, w[i : i + len(Y)])
+    out, first, last = _sum(solver, lam, w, X)
     if not check:
         return out
     for m in (2, 4):
         # the old nodes are the even new ones, where the new weights are half
         # the old but for the end corrections
         lam, w_new = _weights(e, m)
-        new = out / 2
-        new += (w_new[0] - w[0] / 2) * first
-        new += (w_new[-1] - w[-1] / 2) * last
-        odd = w_new[1::2]
-        for i, Y in _blocks(solver, lam[1::2], X):
-            new = _add_block(new, Y, odd[i : i + len(Y)])
+        odd = _sum(solver, lam[1::2], w_new[1::2], X)[0]
+        new = out / 2 + (w_new[0] - w[0] / 2) * first + (w_new[-1] - w[-1] / 2) * last + odd
         moved = _moved(new, out, weight)
         if moved <= DEFAULT.quad_doubling_rel:
             return new
@@ -332,7 +317,8 @@ def gl_coefficients_alt(alpha, lam, K):
         # with t = (1+y)/2 and the Gauss-Jacobi weight (1-y)^(a-1) (1+y)^(-a)
         # the remaining factor is the polynomial ((1+y)/2)^k, so the rule is
         # exact once 2m exceeds K.
-        with np.errstate(invalid="ignore"):  # scipy's recurrence warms up with 0/0
+        # scipy's recurrence warms up with 0/0, and at some alpha with x/0
+        with np.errstate(invalid="ignore", divide="ignore"):
             y, w = roots_jacobi(m, alpha - 1.0, -alpha)
         base = (1.0 + y) / 2.0
         pows = base[None, :] ** np.arange(K + 1)[:, None]
@@ -346,8 +332,10 @@ def gl_coefficients_alt(alpha, lam, K):
 
 
 def gl_partial_sum(alpha, lam, K):
-    """S_K = sum_(k<=K) C_k = lam^a Gamma(K+1-a) / (K! Gamma(1-a)), exact."""
-    return lam**alpha * np.exp(gammaln(K + 1 - alpha) - gammaln(K + 1) - gammaln(1 - alpha))
+    """S_K = sum_(k<=K) C_k = lam^a Gamma(K+1-a) / (K! Gamma(1-a)), exact; the
+    ratio K! / Gamma(K+1-a) is the Pochhammer symbol (K+1-a)_a, formed
+    without the difference of two large log-Gammas."""
+    return lam**alpha / (poch(K + 1 - alpha, alpha) * gamma(1 - alpha))
 
 
 def gl_abs_sum(alpha, lam):

@@ -1,7 +1,9 @@
 import ast
 import dataclasses
+import warnings
 from collections import Counter
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -20,6 +22,8 @@ from fracspec.transform import (
     riesz_power_constant,
 )
 
+EPS = np.finfo(float).eps
+
 
 def spd_matrix(n, seed, shift=None):
     rng = np.random.default_rng(seed)
@@ -27,9 +31,9 @@ def spd_matrix(n, seed, shift=None):
     return B @ B.T + (shift if shift is not None else n) * np.eye(n)
 
 
-def generator(kind, n):
+def generator(kind, n, lam=1.0):
     grid = Grid1D(-20.0, 20.0, n) if kind == "gauss" else Grid1D(0.0, 1.0, n)
-    return generator_matrix(SemigroupSpec(kind, grid, mu=4 * grid.h if kind == "poisson" else 0.0))
+    return generator_matrix(SemigroupSpec(kind, grid, lam, mu=4 * grid.h if kind == "poisson" else 0.0))
 
 
 def count_solves(monkeypatch):
@@ -306,17 +310,17 @@ class TestBandedDrivers:
         n = A.shape[0]
         solver = fp._ResolventSolver(A)
         X = real_view(solver, np.random.default_rng(7).standard_normal((n, n)) * (1 + 1j))
-        lams, _ = fp._weights(0.5, 1)
+        lams, w = fp._weights(0.5, 1)
         whole = solver.solve(lams, X)
         calls = []
         solve = fp._ResolventSolver.solve
-        monkeypatch.setattr(fp._ResolventSolver, "solve", lambda self, l, B: calls.append(l.size) or solve(self, l, B))
-        starts, blocks = zip(*fp._blocks(solver, lams, X))
-        split = np.concatenate(blocks)
-        assert len(calls) > 1 and sum(calls) == lams.size
-        assert list(starts) == list(np.cumsum([0] + calls[:-1]))
-        assert max(calls) * (solver.rows + X.shape[1]) * n <= fp._CALL_ENTRIES
-        assert np.linalg.norm(split - whole) <= 1e-15 * np.linalg.norm(whole)
+        monkeypatch.setattr(fp._ResolventSolver, "solve", lambda self, l, B: calls.append(l) or solve(self, l, B))
+        total, first, last = fp._sum(solver, lams, w, X)
+        assert len(calls) > 1 and np.array_equal(np.concatenate(calls), lams)
+        assert max(l.size for l in calls) * (solver.rows + X.shape[1]) * n <= fp._CALL_ENTRIES
+        want = np.tensordot(w, whole, 1)
+        assert np.linalg.norm(total - want) <= 16 * EPS * np.linalg.norm(want)
+        assert np.array_equal(first, whole[0]) and np.array_equal(last, whole[-1])
 
     @pytest.mark.parametrize("complex_", [False, True])
     def test_singular_shifted_matrix_raises(self, complex_):
@@ -592,7 +596,10 @@ class TestToeplitzColumnRoute:
 
     @pytest.mark.parametrize("kind", ["shift", "poisson"])
     def test_gate_measures_the_matrix_move(self, kind, monkeypatch):
-        A, cfg = generator(kind, 96), fp.BalakrishnanConfig(0.5)
+        # lam scales the Poisson-difference generator alone. At lam = 1 the
+        # coarse rule is already exact on it, and the moves compared would be
+        # rounding; at lam = 1000 they are ~1e-8
+        A, cfg = generator(kind, 96, lam=1000.0), fp.BalakrishnanConfig(0.5)
         moves = []
         moved = fp._moved
         monkeypatch.setattr(fp, "_moved", lambda *args: moves.append(moved(*args)) or moves[-1])
@@ -647,14 +654,14 @@ class TestToeplitzColumnRoute:
 
 def integral_by_shift(solver, X, e, check, weight=1.0):
     """fp._integral summed one shift at a time, out += w_k Y_k in node order,
-    on the solutions of the same calls of the solver."""
+    each shift solved by a call of its own."""
     def solutions(lams):
-        for _, Y in fp._blocks(solver, lams, X):
-            yield from Y
+        for lam in lams:
+            yield solver.solve(np.array([lam]), X)[0]
 
     lam, w = fp._weights(e, 1)
     ys = solutions(lam)
-    first = next(ys).copy()
+    first = next(ys)
     out = w[0] * first
     for k, last in enumerate(ys, 1):
         out += w[k] * last
@@ -683,8 +690,8 @@ def count_setups(monkeypatch):
 
 
 class TestBlockedSum:
-    """Each block of stacked solutions is summed in one reduction, with the
-    bits of a sum over one shift at a time."""
+    """Each call's stacked solutions are contracted with their weights; the
+    pass sums to a sum over one shift at a time, to rounding."""
 
     @staticmethod
     def cases():
@@ -700,7 +707,7 @@ class TestBlockedSum:
             "general-complex": (banded_matrix(2, 1, True), f.real),
             # a dense A, several shifts to a call
             "dense": (spd_matrix(24, 3), f[:24]),
-            # a 1 x 1 A, whose blocks are summed in turn by cumsum
+            # a 1 x 1 A
             "scalar": (np.array([[2.5]]), f[:1]),
         }
 
@@ -715,7 +722,8 @@ class TestBlockedSum:
             with monkeypatch.context() as m:
                 m.setattr(fp, "_integral", integral_by_shift)
                 want = call(A, cfg, check=check)
-            assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert got.dtype == want.dtype
+            assert np.linalg.norm(got - want) <= 16 * EPS * np.linalg.norm(want)
 
     @pytest.mark.parametrize("complex_", [False, True])
     @pytest.mark.parametrize("check", [False, True])
@@ -735,7 +743,8 @@ class TestBlockedSum:
             with monkeypatch.context() as m:
                 m.setattr(fp, "_integral", integral_by_shift)
                 want = call(A, cfg, check=check)
-            assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert got.dtype == want.dtype
+            assert np.linalg.norm(got - want) <= 16 * EPS * np.linalg.norm(want)
 
 
 class TestSetupMemo:
@@ -891,6 +900,24 @@ class TestGLCoefficients:
         c = fp.gl_coefficients(alpha, lam, 50)
         for K in (1, 10, 50):
             assert np.isclose(np.sum(c[: K + 1]), fp.gl_partial_sum(alpha, lam, K), rtol=1e-12)
+
+    @pytest.mark.parametrize("alpha", [0.001, 0.01, 0.3, 0.99])
+    def test_partial_sum_at_the_abs_sum_depth_matches_mpmath(self, alpha):
+        # at K = 10^5 a difference of log-Gammas near 1e6 would lose ~1e-10
+        K, lam = 100_000, 1.7
+        with mpmath.workdps(40):
+            a = mpmath.mpf(alpha)
+            want = float(mpmath.mpf(lam) ** a * mpmath.gamma(K + 1 - a)
+                         / (mpmath.gamma(K + 1) * mpmath.gamma(1 - a)))
+        assert fp.gl_partial_sum(alpha, lam, K) == pytest.approx(want, rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("alpha", [0.01, 0.1, 0.3, 0.45])
+    def test_quadrature_route_is_silent(self, alpha):
+        # scipy's Gauss-Jacobi recurrence divides by zero at these orders
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            cp = fp.gl_coefficients_alt(alpha, 1.0, 40)
+        assert np.all(np.isfinite(cp))
 
     def test_quadrature_route_matches_recurrence(self):
         for alpha in (0.25, 0.5, 0.75):
