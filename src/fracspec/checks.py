@@ -90,9 +90,9 @@ def _yosida(ctx):
 
 
 def _alpha_lambda(ctx):
-    """The transform's alpha > 0 and a Poisson semigroup's lambda; else 0.5 and 1.0."""
+    """The transform's alpha and a Poisson semigroup's lambda; else 0.5 and 1.0."""
     spec, sg = ctx.model.spec, ctx.model.semigroup
-    return (spec.alpha if spec is not None and spec.alpha > 0 else 0.5,
+    return (spec.alpha if spec is not None else 0.5,
             sg.lam if sg is not None and sg.kind == "poisson" else 1.0)
 
 

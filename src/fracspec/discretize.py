@@ -14,6 +14,7 @@ from scipy.linalg import toeplitz
 from scipy.special import gamma
 
 from .errors import BadAlpha, BadParameter, CoefficientBoundViolated
+from .fracpow import BalakrishnanConfig
 
 
 @dataclass(frozen=True)
@@ -104,8 +105,7 @@ def marchaud_right_derivative(grid, alpha):
     linear interpolant (the difference vanishes linearly there, so the cell
     integral is finite and the scheme keeps its O(h^(1-a)) consistency).
     """
-    if not 0.0 < alpha < 1.0:
-        raise BadAlpha(f"marchaud derivative needs alpha in (0, 1), got {alpha}")
+    BalakrishnanConfig(alpha)  # BadAlpha outside (0, 1)
     n, h = grid.n, grid.h
     c = alpha / gamma(1.0 - alpha)
     first = h**-alpha / (1.0 - alpha)
@@ -176,15 +176,10 @@ def elliptic_1d(grid, a11):
     a = sample_coefficient(a11, grid)
     _check_positive(a, "elliptic_1d coefficient a11")
     n, h = grid.n, grid.h
-    mid = np.empty(n + 1, dtype=a.dtype)  # a at half-nodes, zero-order hold at ends
-    mid[1:n] = (a[:-1] + a[1:]) / 2.0
-    mid[0], mid[n] = a[0], a[-1]
-    W = np.zeros((n, n), dtype=a.dtype)
-    idx = np.arange(n)
-    W[idx, idx] = (mid[:-1] + mid[1:]) / h**2
-    W[idx[:-1], idx[:-1] + 1] = -mid[1:n] / h**2
-    W[idx[1:], idx[1:] - 1] = -mid[1:n] / h**2
-    return W
+    # a at half-nodes, zero-order hold at ends
+    mid = np.concatenate((a[:1], (a[:-1] + a[1:]) / 2.0, a[-1:]))
+    off = -mid[1:n] / h**2
+    return np.diag((mid[:-1] + mid[1:]) / h**2) + np.diag(off, 1) + np.diag(off, -1)
 
 
 def fourth_order_weighted(grid, a):

@@ -26,7 +26,6 @@ from .fracpow import (
     BalakrishnanConfig,
     balakrishnan_apply,
     balakrishnan_power,
-    gl_abs_sum,
     gl_power_matrix,
     lemma_constant,
 )
@@ -36,7 +35,7 @@ from .semigroup import SemigroupSpec, generator_matrix
 
 @dataclass(frozen=True)
 class TransformSpec:
-    """J, G and F as matrices, real when their data are, and the order alpha."""
+    """J, G and F as matrices, real when their data are, and the order alpha in (0, 1)."""
 
     J: np.ndarray
     G: np.ndarray
@@ -44,18 +43,13 @@ class TransformSpec:
     alpha: float
 
     def __post_init__(self):
-        if not 0.0 <= self.alpha < 1.0:
-            raise BadAlpha(f"transform order must lie in [0, 1), got {self.alpha}")
+        BalakrishnanConfig(self.alpha)  # BadAlpha outside (0, 1)
 
 
 def assemble(spec):
-    """Z = J^H G J + F J^alpha; alpha = 0 uses J^0 = I."""
+    """Z = J^H G J + F J^alpha, alpha in (0, 1), J^alpha the Balakrishnan power."""
     J, G, F = spec.J, spec.G, spec.F
-    if spec.alpha == 0.0:
-        Ja = np.eye(J.shape[0])
-    else:
-        Ja = balakrishnan_power(J, BalakrishnanConfig(spec.alpha))
-    return J.conj().T @ G @ J + F @ Ja
+    return J.conj().T @ G @ J + F @ balakrishnan_power(J, BalakrishnanConfig(spec.alpha))
 
 
 def check_class(spec):
@@ -63,7 +57,7 @@ def check_class(spec):
     gamma_G = min_hermitian_eig(spec.G)
     norm_J_inv = inverse_norm(spec.J)
     norm_F = op_norm(spec.F)
-    C_alpha = lemma_constant(1.0 - spec.alpha, norm_J_inv) if spec.alpha > 0 else 1.0
+    C_alpha = lemma_constant(1.0 - spec.alpha, norm_J_inv)
     return gamma_G, C_alpha, norm_J_inv, norm_F
 
 
@@ -145,8 +139,10 @@ def build_difference_model(grid, a, b, lam, mu, alpha, nu=1.0):
     Poisson-difference generator A of shift mu (None: 4h), N = nu I and Q the
     backward difference.
 
-    sigma_const is the paper's perturbation bound 4 lam ||a|| + ||b|| sum|C_k|;
-    the H2 hypothesis requires gamma_N > sigma_const ||Q^-1||^2.
+    sigma_const is the paper's perturbation bound 4 lam ||a|| + ||b|| sum|C_k|,
+    with sum|C_k| = 2 lam^alpha in closed form (C_0 = lam^alpha, every later
+    C_k is negative and the C_k sum to 0); the H2 hypothesis requires
+    gamma_N > sigma_const ||Q^-1||^2.
     """
     spec_sg = SemigroupSpec("poisson", grid, lam=lam, mu=4 * grid.h if mu is None else mu)
     A = generator_matrix(spec_sg)
@@ -157,7 +153,7 @@ def build_difference_model(grid, a, b, lam, mu, alpha, nu=1.0):
     QtQ = Q.T @ Q  # Q*NQ = nu Q^T Q, and gamma_N = min eig(nu I) = nu
     L = A.conj().T @ G @ A + F @ gl_power_matrix(spec_sg, alpha) + nu * QtQ
     sigma_const = 4.0 * lam * float(np.max(np.abs(av))) \
-        + float(np.max(np.abs(bv))) * gl_abs_sum(alpha, lam)
+        + float(np.max(np.abs(bv))) * 2.0 * lam**alpha
     return Model(L, TransformSpec(A, G, F, alpha), QtQ, spec_sg, sigma_const=sigma_const,
                  gamma_N=float(nu), norm_Q_inv=inverse_norm(Q))
 

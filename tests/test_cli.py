@@ -339,6 +339,29 @@ class TestVerify:
         assert f"cannot write {rep}: " in capsys.readouterr().err
         assert ran == []  # refused before any check ran
 
+    def test_unwritable_sidecar_exit_2(self, tmp_path, capsys):
+        # the report is written; its spectrum sidecar's path is a directory
+        out, rep = tmp_path / "art.json", tmp_path / "r.json"
+        sidecar = tmp_path / "r.json.spectrum.csv"
+        assert main(build_args(out)) == 0
+        sidecar.mkdir()
+        capsys.readouterr()
+        assert main(["verify", "--out", str(out), "--suite", "spectrum", "--report", str(rep)]) == 2
+        assert f"cannot write {sidecar}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["build", "verify"])
+    def test_negative_seed_exit_2(self, tmp_path, capsys, command):
+        out, rep = tmp_path / "art.json", tmp_path / "r.json"
+        if command == "build":
+            argv = build_args(out)
+        else:
+            assert main(build_args(out)) == 0
+            argv = ["verify", "--out", str(out), "--report", str(rep)]
+        capsys.readouterr()
+        assert main([*argv, "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "invalid configuration: --seed must be nonnegative\n"
+        assert not (rep if command == "verify" else out).exists()
+
     @pytest.mark.parametrize("grid_n", [8, 40])
     def test_conjugate_pair_lists_positive_imag_first(self, tmp_path, capsys, grid_n):
         out, rep = tmp_path / "art.json", tmp_path / "rep.json"
@@ -592,7 +615,7 @@ class TestBuildVerifyParity:
     artifact edited to the same value with the same message (exit 2, no report)."""
 
     CASES = [
-        ("kipriyanov1d", "alpha", 1.5, "marchaud derivative needs alpha in (0, 1), got 1.5"),
+        ("kipriyanov1d", "alpha", 1.5, "alpha must lie in (0, 1), got 1.5"),
         ("difference", "alpha", 0.0, "alpha must lie in (0, 1), got 0.0"),
         ("riesz", "alpha", 0.8, "riesz model needs sigma/2 + 3/4 < alpha < 1, got alpha = 0.8"),
         ("kipriyanov1d", "sigma", 1.0, "sigma must lie in [0, 1), got 1.0"),

@@ -35,7 +35,7 @@ def matrix_context(L, hplus=None):
 
 def generator_context(J):
     """The check context of a model L = J whose transform has the generator J."""
-    return checks.Context(Model(J, TransformSpec(J, J, J, 0.0)))
+    return checks.Context(Model(J, TransformSpec(J, J, J, 0.5)))
 
 
 class TestModelParts:
@@ -43,13 +43,13 @@ class TestModelParts:
 
     def test_only_the_readers_of_a_missing_part_change(self):
         # L alone, as verify builds a custom matrix, against L with the
-        # stand-in parts J = G = F = hplus = L and alpha = 0: the entries that
+        # stand-in parts J = G = F = hplus = L and alpha = 0.5: the entries that
         # read J, the h+ norm matrix or the transform are info, every other
         # entry is the same
         k = np.arange(1.0, 21.0)
         L = np.diag(k**2) + 0.3 * (np.eye(20, k=1) - np.eye(20, k=-1))
         bare = {e["name"]: e for e in checks.run(matrix_context(L), checks.SUITES)}
-        stand_in = checks.Context(Model(L, TransformSpec(L, L, L, 0.0), L))
+        stand_in = checks.Context(Model(L, TransformSpec(L, L, L, 0.5), L))
         full = {e["name"]: e for e in checks.run(stand_in, checks.SUITES)}
         readers = {"generator-m-accretive", "h1-h2-bounds", "class-membership"}
         assert list(bare) == list(full) and "difference-h2-threshold" not in bare

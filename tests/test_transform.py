@@ -23,15 +23,8 @@ class TestSpecAndAssemble:
             tf.TransformSpec(J, G, F, 1.0)
         with pytest.raises(BadAlpha):
             tf.TransformSpec(J, G, F, -0.1)
-
-    def test_alpha_zero_uses_identity(self):
-        g = unit_grid(12)
-        J = generator_matrix(SemigroupSpec("shift", g))
-        G = multiply(g, "const:2.0")
-        F = multiply(g, "const:0.5")
-        Z = tf.assemble(tf.TransformSpec(J, G, F, 0.0))
-        expect = J.conj().T @ G @ J + F
-        assert np.allclose(Z, expect, atol=1e-12)
+        with pytest.raises(BadAlpha):
+            tf.TransformSpec(J, G, F, 0.0)
 
     def test_diagonal_oracle(self):
         # J, G, F all diagonal: Z = g j^2 + f j^alpha entrywise
