@@ -17,8 +17,6 @@ class Tolerances:
     # fracpow
     accretive_floor_rel: float = 1e-10
     quad_doubling_rel: float = 1e-8
-    # semigroup
-    poisson_tail: float = 1e-14
     # diagnostics
     fit_fraction: float = 0.5          # fraction of spectrum trusted in fits
     sector_guard_rel: float = 1e-12    # Re(z - vertex) floor for angle fit

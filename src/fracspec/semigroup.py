@@ -11,20 +11,23 @@ gauss
 poisson
     T_t f(x) = e^(-lam t) sum_k (lam t)^k / k! f(x - k mu);
     generator A = lam (f(x) - f(x - mu)).
-    The sum stops at k = min((n - 1) // (mu/h), K + 1), where K is the
-    smallest k with P(N > k) <= DEFAULT.poisson_tail for N ~ Poisson(lam t).
-    The weights and K come from scipy.special by the expressions
-    scipy.stats.poisson evaluates (its _logpmf and _ppf), so they equal
-    poisson.pmf and poisson.isf bit for bit without importing scipy.stats.
+    The weights come from scipy.special by the expression scipy.stats.poisson
+    evaluates (its _logpmf), so they equal poisson.pmf bit for bit without
+    importing scipy.stats.
+
+On the grid each T_t is shift-invariant with zero extension, so ``apply``
+forms it as one Toeplitz matrix from its first column and first row. The
+Poisson sum runs over every k with k mu inside the grid: cutting a
+lower-triangular Toeplitz matrix to the grid keeps products, so this T_t is
+exactly e^(-tA) of the Poisson generator below.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import toeplitz
-from scipy.special import gammaln, pdtr, pdtrik, xlogy
+from scipy.special import gammaln, xlogy
 
-from .config import DEFAULT
 from .discretize import Grid1D, second_derivative
 from .errors import (
     IncommensurateShift,
@@ -47,7 +50,8 @@ class SemigroupSpec:
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}")
         if self.kind == "poisson":
-            if not (self.lam > 0 and self.mu > 0):  # NaN is not above 0
+            # NaN is not above 0, and an infinite lam makes no generator
+            if not (0 < self.lam < np.inf and self.mu > 0):
                 raise NegativeParameter(f"poisson semigroup needs lam > 0 and mu > 0, "
                                         f"got lam = {self.lam}, mu = {self.mu}")
             self.shift_steps  # validates commensurability
@@ -62,58 +66,33 @@ class SemigroupSpec:
         return m
 
 
-def _shift_values(v, steps):
-    """Values of f(x + steps*h) along axis 0, with zero extension (steps may be negative)."""
-    out = np.zeros_like(v)
-    n = v.shape[0]
-    if steps >= n or steps <= -n:
-        return out
-    if steps >= 0:
-        out[: n - steps] = v[steps:]
-    else:
-        out[-steps:] = v[: n + steps]
-    return out
-
-
-def _poisson_isf(q, rate):
-    """Smallest k with P(N > k) <= q for N ~ Poisson(rate), 0 < q < 1."""
-    p = 1.0 - q
-    k = np.ceil(pdtrik(p, rate))
-    below = np.maximum(k - 1, 0)
-    return int(below if pdtr(below, rate) >= p else k)
-
-
 def apply(spec, t, f):
     """Apply T_t to the samples f, a vector or the k columns of an n x k array,
     in f's dtype (an integer f as float64)."""
-    if not t >= 0:
-        raise NegativeTime(f"semigroup time must be >= 0, got {t}")
+    if not 0 <= t < np.inf:
+        raise NegativeTime(f"semigroup time must be finite and >= 0, got {t}")
     v = np.asarray(f)
     v = v.astype(np.result_type(v, float), copy=False)
-    grid = spec.grid
     if t == 0:
-        out = v.copy()
-    elif spec.kind == "shift":
-        steps, frac = divmod(t / grid.h, 1.0)
-        out = (1.0 - frac) * _shift_values(v, int(steps))
-        if frac > 0:
-            out += frac * _shift_values(v, int(steps) + 1)
+        return v.copy()
+    n, h = spec.grid.n, spec.grid.h
+    j = np.arange(n)
+    if spec.kind == "shift":
+        # row 0 is the interpolation hat at t / h: 1 - frac at j = steps, frac at steps + 1
+        steps, frac = divmod(t / h, 1.0)
+        row = np.where(j == steps, 1.0 - frac, np.where(j == steps + 1, frac, 0.0))
+        col = np.where(j == 0, row[0], 0.0)
     elif spec.kind == "gauss":
-        if t < grid.h**2 / 4:
-            raise UnderResolvedTime(f"t = {t} below resolvable floor h^2/4 = {grid.h ** 2 / 4}")
-        d = grid.h * np.arange(grid.n)
-        kernel = grid.h / np.sqrt(2 * np.pi * t) * np.exp(-(d**2) / (2 * t))
-        out = toeplitz(kernel) @ v
+        if t < h**2 / 4:
+            raise UnderResolvedTime(f"t = {t} below resolvable floor h^2/4 = {h ** 2 / 4}")
+        col = row = h / np.sqrt(2 * np.pi * t) * np.exp(-((h * j) ** 2) / (2 * t))
     else:
-        m = spec.shift_steps
-        rate = spec.lam * t
-        kmax = min((grid.n - 1) // m, _poisson_isf(DEFAULT.poisson_tail, rate) + 1)
-        ks = np.arange(kmax + 1)
-        weights = np.exp(xlogy(ks, rate) - gammaln(ks + 1) - rate)
-        out = np.zeros_like(v)
-        for k, w in enumerate(weights):
-            out += w * _shift_values(v, -k * m)
-    return out
+        m, rate = spec.shift_steps, spec.lam * t
+        k = np.arange((n - 1) // m + 1)
+        col = np.zeros(n)
+        col[::m] = np.exp(xlogy(k, rate) - gammaln(k + 1) - rate)
+        row = np.where(j == 0, col[0], 0.0)
+    return toeplitz(col, row) @ v
 
 
 def generator_matrix(spec):

@@ -381,6 +381,14 @@ class TestVerify:
         assert (entry["name"], entry["status"]) == ("semigroup-suite", "error")
         assert entry["numbers"]["exception"] == "UnderResolvedTime"
 
+    def test_huge_poisson_rate_passes_semigroup_suite(self, tmp_path, capsys):
+        # at lam t up to 2e12 every Poisson weight underflows to 0, so T_t is 0
+        out, rep = tmp_path / "art.json", tmp_path / "rep.json"
+        assert main(["build", "--model", "difference", "--grid-n", "16", "--lambda", "1e12",
+                     "--out", str(out)]) == 0
+        assert main(["verify", "--out", str(out), "--suite", "semigroup", "--report", str(rep)]) == 0
+        assert [(c["name"], c["status"]) for c in json.loads(rep.read_text())["checks"]] == SEMIGROUP_OK
+
 
 
 class TestCustomMatrix:

@@ -1,6 +1,7 @@
 """Verdicts that the mathematics says cannot move: every spectrum-suite status
-of a seeded sectorial matrix L is the same for c L (c > 0), for L^T and for
-the complex128 copy of L."""
+of a seeded sectorial matrix L is the same for c L (c > 0), for L^T, for the
+complex128 copy of L, and for a real orthogonal Q L Q^T and a complex unitary
+U L U^H."""
 
 import numpy as np
 import pytest
@@ -8,11 +9,25 @@ import pytest
 from fracspec import checks
 from fracspec.transform import Model
 
+
+def similar(L, complex_):
+    """Q L Q^H with Q the seeded QR factor of a Gaussian matrix: real
+    orthogonal, or complex unitary."""
+    rng = np.random.default_rng(7)
+    z = rng.standard_normal(L.shape)
+    if complex_:
+        z = z + 1j * rng.standard_normal(L.shape)
+    Q = np.linalg.qr(z)[0]
+    return Q @ L @ Q.conj().T
+
+
 MOVES = {
     "1e-6 L": lambda L: 1e-6 * L,
     "1e6 L": lambda L: 1e6 * L,
     "L^T": lambda L: L.T.copy(),
     "complex128 L": lambda L: L.astype(np.complex128),
+    "Q L Q^T": lambda L: similar(L, False),
+    "U L U^H": lambda L: similar(L, True),
 }
 
 

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from fracspec import semigroup as sg
-from fracspec.config import DEFAULT
 from fracspec.discretize import Grid1D
 from fracspec.errors import (
     BadParameter,
@@ -32,9 +32,10 @@ class TestSpecValidation:
 
     @pytest.mark.parametrize("lam,mu,error", [
         (float("nan"), 0.1, NegativeParameter), (1.0, float("nan"), NegativeParameter),
-        (1.0, float("inf"), IncommensurateShift)])
+        (float("inf"), 0.1, NegativeParameter), (1.0, float("inf"), IncommensurateShift)])
     def test_non_finite_poisson_parameters(self, lam, mu, error):
-        # NaN is not above 0, and an infinite mu is no multiple of h
+        # NaN is not above 0, an infinite lam builds no generator, and an
+        # infinite mu is no multiple of h
         with pytest.raises(error):
             sg.SemigroupSpec("poisson", unit_grid(9), lam=lam, mu=mu)
 
@@ -52,10 +53,14 @@ class TestApply:
         with pytest.raises(NegativeTime):
             sg.apply(spec, -0.1, np.ones(8))
 
-    @pytest.mark.parametrize("kind", ["shift", "gauss"])
+    @pytest.mark.parametrize("kind", sg.KINDS)
     def test_nan_time(self, kind):
-        with pytest.raises(NegativeTime, match="got nan"):
-            sg.apply(sg.SemigroupSpec(kind, unit_grid(8)), float("nan"), np.ones(8))
+        # and inf: no T_t of a finite grid stands for t = inf
+        g = unit_grid(8)
+        spec = sg.SemigroupSpec(kind, g, mu=g.h if kind == "poisson" else 0.0)
+        for t in (float("nan"), float("inf")):
+            with pytest.raises(NegativeTime, match=f"got {t}"):
+                sg.apply(spec, t, np.ones(8))
 
     def test_time_zero_identity(self):
         spec = sg.SemigroupSpec("gauss", unit_grid(8))
@@ -69,6 +74,15 @@ class TestApply:
         out = sg.apply(spec, 3 * g.h, f)
         assert np.allclose(out[:6], g.nodes[3:])
         assert np.allclose(out[6:], 0.0)
+
+    def test_shift_weights_are_one_minus_frac_and_frac(self):
+        # row i of T_t holds 1 - frac at i + steps and frac at i + steps + 1, bit for bit
+        g = unit_grid(9)
+        spec = sg.SemigroupSpec("shift", g)
+        for t in (0.0125, 0.37 * g.h, 3.25 * g.h, 8.5 * g.h, 20 * g.h):
+            steps, frac = divmod(t / g.h, 1.0)
+            want = (1.0 - frac) * np.eye(9, k=int(steps)) + frac * np.eye(9, k=int(steps) + 1)
+            assert sg.apply(spec, t, np.eye(9)).tobytes() == want.tobytes(), t
 
     def test_shift_interpolates_between_steps(self):
         g = unit_grid(9)
@@ -107,6 +121,24 @@ class TestApply:
         for k in range(5):
             assert out[10 + k] == pd.pmf(k, 2.0 * t)
 
+    def test_poisson_huge_rate_is_zero(self):
+        # at lam t = 1e12 every weight e^(-lam t) (lam t)^k / k! on 16 nodes underflows
+        g = unit_grid(16)
+        spec = sg.SemigroupSpec("poisson", g, lam=1e12, mu=4 * g.h)
+        assert np.array_equal(sg.apply(spec, 1.0, np.ones(16)), np.zeros(16))
+
+    def test_poisson_is_the_exponential_of_its_generator(self):
+        # T_t = e^(-tJ): the truncated lower-triangular Toeplitz series is
+        # exact; J^T, the wrong direction, is far off
+        g = unit_grid(64)
+        spec = sg.SemigroupSpec("poisson", g, lam=1.0, mu=4 * g.h)
+        J = sg.generator_matrix(spec)
+        for t in (0.1, 0.5, 1.0):
+            T = sg.apply(spec, t, np.eye(g.n))
+            for gen, lo, hi in ((J, 0.0, 1e-14), (J.T, 0.1, np.inf)):
+                E = expm(-t * gen)
+                assert lo <= np.linalg.norm(T - E) / np.linalg.norm(E) <= hi
+
     @pytest.mark.parametrize("kind", sg.KINDS)
     def test_block_matches_single_applies(self, kind):
         g = unit_grid(33)
@@ -131,19 +163,19 @@ def poisson_impulse_response(n, m, rate):
 
 
 def scipy_poisson_series(n, m, rate):
-    """The impulse response from scipy.stats: weight k at node k m for
-    k <= min((n - 1) // m, isf(poisson_tail) + 1), zero elsewhere."""
+    """The impulse response from scipy.stats: weight k at node k m for every
+    k <= (n - 1) // m, zero elsewhere."""
     from scipy.stats import poisson
 
-    kmax = min((n - 1) // m, int(poisson.isf(DEFAULT.poisson_tail, rate)) + 1)
+    kmax = (n - 1) // m
     out = np.zeros(n, dtype=complex)
     out[: m * kmax + 1 : m] = poisson.pmf(np.arange(kmax + 1), rate)
     return out
 
 
 class TestPoissonWeights:
-    """The weights and tail cutoff are scipy.special expressions; they must
-    give scipy.stats.poisson's pmf and isf bit for bit."""
+    """The weights are scipy.special expressions; they must give
+    scipy.stats.poisson's pmf bit for bit at every k up to the grid's edge."""
 
     # every lam t that verify_axioms reaches at lam = 1: times, their pair
     # sums and the continuity time min(times) / 8
@@ -155,15 +187,15 @@ class TestPoissonWeights:
                               scipy_poisson_series(200, 1, rate))
 
     def test_rate_sweep(self):
-        # at lam t = 50 the series ends at k = 114, inside 200 nodes, so the
-        # tail rule binds
+        # up to lam t = 50 the series runs to the grid's edge, k = 199, with
+        # no tail left out
         for rate in np.linspace(50.0, 0.0, 1201, endpoint=False):
             rate = float(rate)
             assert np.array_equal(poisson_impulse_response(200, 1, rate),
                                   scipy_poisson_series(200, 1, rate)), rate
 
     def test_grid_cap_binds(self):
-        # the tail rule keeps k <= 98 at lam t = 40; 9 nodes with mu = 2h hold k <= 4
+        # 9 nodes with mu = 2h hold k <= 4, however large lam t
         out = poisson_impulse_response(9, 2, 40.0)
         assert np.array_equal(out, scipy_poisson_series(9, 2, 40.0))
         assert np.count_nonzero(out) == 5
