@@ -104,6 +104,14 @@ def realpart_resolvent_check(R, S, C):
     return float(np.linalg.norm(X - Y) / scale), float(np.linalg.norm(X - Y / 2) / scale)
 
 
+def _loglog_fit(y):
+    """Slope and r^2 of the least-squares line through (log i, y_i), i = 1..len(y)."""
+    x = np.log(np.arange(1, y.size + 1, dtype=float))
+    (slope, _), (ss_res,), *_ = np.linalg.lstsq(np.vstack([x, np.ones_like(x)]).T, y, rcond=None)
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    return float(slope), 1.0 - float(ss_res) / ss_tot if ss_tot > 0 else 1.0
+
+
 def order_estimate(svals):
     """Order mu from the log-log slope of the leading singular values.
 
@@ -119,13 +127,8 @@ def order_estimate(svals):
     y = np.log(s[:m])
     if np.ptp(y) < 1e-12:
         raise DegenerateFit("singular values carry no decay to fit")
-    x = np.log(np.arange(1, m + 1, dtype=float))
-    A = np.vstack([x, np.ones_like(x)]).T
-    (slope, intercept), res, *_ = np.linalg.lstsq(A, y, rcond=None)
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    ss_res = float(res[0]) if res.size else float(np.sum((A @ [slope, intercept] - y) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return float(-slope), float(r2)
+    slope, r2 = _loglog_fit(y)
+    return -slope, r2
 
 
 def eigenvalue_inequality(R_W, R_H, p=1.0):
@@ -144,11 +147,8 @@ def asymptotics_check(eigenvalues, mu, eps):
     if lam.size < 8:
         raise ValueError(f"need at least 8 eigenvalues, got {lam.size}")
     m = max(8, int(lam.size * DEFAULT.fit_fraction))
-    i = np.arange(1, m + 1, dtype=float)
-    seq = i ** (mu - eps) * lam[:m]
-    x = np.log(i)
-    y = np.log(np.maximum(seq, 1e-300))
-    return float(np.max(seq)), float(np.polyfit(x, y, 1)[0])
+    seq = np.arange(1, m + 1, dtype=float) ** (mu - eps) * lam[:m]
+    return float(np.max(seq)), _loglog_fit(np.log(np.maximum(seq, 1e-300)))[0]
 
 
 def maccretive_check(A):

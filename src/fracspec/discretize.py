@@ -194,11 +194,6 @@ def fourth_order_weighted(grid, a):
     return D2.T @ (av[:, None] * D2)
 
 
-def multiply(grid, rho):
-    """Multiplication operator: diagonal matrix of coefficient samples."""
-    return np.diag(sample_coefficient(rho, grid))
-
-
 def weighted_h2_matrix(grid):
     """Norm matrix of ||f||^2 + ||f''||^2 weighted by (1+|x|)^5.
 

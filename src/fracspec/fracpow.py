@@ -10,16 +10,18 @@ Routes implemented:
    Toeplitz A (the shift and Poisson-difference generators, the first through
    its transpose) has lower-triangular Toeplitz resolvents and powers, so
    A^(+-a) is integrated on its first column (A e_1, or e_1 for the negative
-   power) and then expanded. The shifted solves are made by
-   ``_ResolventSolver``, all the shifts of a pass together, as many to a call
-   as a cap on the call's entries allows; each call's solutions are
-   contracted with their weights. The rule of each (order, step) is built
-   once, read-only, and the solver of the latest call is kept with the bytes
-   of its matrix: a caller that applies A^a to one vector after another sets
-   up once. A narrow band that is neither triangular nor real symmetric
-   tridiagonal takes the dense copies: a checked ``balakrishnan_apply`` on a
-   complex non-Hermitian tridiagonal at n=256 takes 0.36-0.43 s (one BLAS
-   thread, 2 vCPUs); no model's generator is such a band.
+   power) and then expanded; ``balakrishnan_apply`` multiplies the expanded
+   power by f, so the power and the apply share one set-up. The shifted
+   solves are made by ``_ResolventSolver``, all the shifts of a pass
+   together, as many to a call as a cap on the call's entries allows; each
+   call's solutions are contracted with their weights. The rule of each
+   (order, step) is built once, read-only, and the solver of the latest call
+   is kept with the bytes of its matrix: a caller that applies A^a to one
+   vector after another sets up once. A narrow band that is neither
+   triangular nor real symmetric tridiagonal takes the dense copies: a
+   checked ``balakrishnan_apply`` on a complex non-Hermitian tridiagonal at
+   n=256 takes 0.36-0.43 s (one BLAS thread, 2 vCPUs); no model's generator
+   is such a band.
 2. Spectral calculus for Hermitian positive matrices (numcore.herm_power).
 3. Grunwald-type series for the Poisson-difference generator.
 
@@ -194,10 +196,11 @@ def _triangular_toeplitz(A):
 
 def _balakrishnan(A, B, cfg, check, negative=False):
     """A^(+-alpha) B for m-accretive A in the dtype of A and B (B = None: I).
-    The integral runs on one column for a triangular-Toeplitz A and B = None,
-    and on ones in the eigenbasis of a real symmetric tridiagonal A."""
+    The integral runs on one column for a triangular-Toeplitz A, whose power
+    is expanded and then multiplied by B, and on ones in the eigenbasis of a
+    real symmetric tridiagonal A."""
     A = np.asarray(A)
-    side = None if B is not None else _triangular_toeplitz(A)
+    side = _triangular_toeplitz(A)
     # the Hermitian part of A^T has the eigenvalues of that of A
     low = A.T if side == "upper" else A
     solver = _solver(low)
@@ -211,7 +214,8 @@ def _balakrishnan(A, B, cfg, check, negative=False):
         # doubling gate weighs it by sqrt(n - j) to measure the matrix's move
         col = _integral(solver, x, e, check, weight=np.sqrt(np.arange(n, 0, -1)))
         out = toeplitz(col, np.zeros(n))
-        return out if side == "lower" else out.T
+        out = out if side == "lower" else out.T
+        return out if B is None else out @ B
     if B is None:
         X = np.eye(n) if negative else A
     else:
@@ -279,7 +283,8 @@ def balakrishnan_power(A, cfg, check=False):
 
 
 def balakrishnan_apply(A, f, cfg, check=False):
-    """A^alpha f without forming the full power matrix."""
+    """A^alpha f; a triangular-Toeplitz A forms A^alpha from its first column
+    and multiplies it by f, any other A never forms the power matrix."""
     f = np.asarray_chkfinite(f)
     return _balakrishnan(A, f.astype(np.result_type(f, float), copy=False), cfg, check)
 

@@ -13,7 +13,6 @@ from .discretize import (
     first_difference,
     fourth_order_weighted,
     marchaud_right_derivative,
-    multiply,
     rl_integral_left,
     riesz_constant,
     riesz_potential,
@@ -98,12 +97,12 @@ def build_kipriyanov_1d(grid, a11, rho, sigma, alpha):
     J^H J differs from the Dirichlet Laplacian in its first corner.
     """
     frac_in = _sigma_integral(grid, sigma)
+    av, rhov = sample_coefficient(a11, grid), sample_coefficient(rho, grid)
     spec_sg = SemigroupSpec("shift", grid)
     J = generator_matrix(spec_sg)
-    G = multiply(grid, a11)
-    F = frac_in @ multiply(grid, rho)
-    L = elliptic_1d(grid, a11) + F @ marchaud_right_derivative(grid, alpha)
-    return Model(L, TransformSpec(J, G, F, alpha), J.conj().T @ J, spec_sg)
+    F = frac_in * rhov
+    L = elliptic_1d(grid, av) + F @ marchaud_right_derivative(grid, alpha)
+    return Model(L, TransformSpec(J, np.diag(av), F, alpha), J.conj().T @ J, spec_sg)
 
 
 def build_riesz_model(grid, a, rho, sigma, alpha, delta=1.0):
@@ -120,14 +119,14 @@ def build_riesz_model(grid, a, rho, sigma, alpha, delta=1.0):
         raise BadAlpha(f"riesz model needs sigma/2 + 3/4 < alpha < 1, got alpha = {alpha}")
     if not delta >= 0:
         raise NegativeParameter(f"riesz model needs delta >= 0, got delta = {delta}")
-    n = grid.n
-    T = fourth_order_weighted(grid, a)
-    P = frac_in @ multiply(grid, rho)
-    L = T + P @ riesz_potential(grid, 2.0 * (1.0 - alpha)) @ second_derivative(grid) \
-        + delta * np.eye(n)
+    av, rhov = sample_coefficient(a, grid), sample_coefficient(rho, grid)
+    P = frac_in * rhov
+    L = fourth_order_weighted(grid, av) \
+        + P @ riesz_potential(grid, 2.0 * (1.0 - alpha)) @ second_derivative(grid) \
+        + delta * np.eye(grid.n)
     spec_sg = SemigroupSpec("gauss", grid)
     J = generator_matrix(spec_sg)
-    G = multiply(grid, 4.0 * sample_coefficient(a, grid))
+    G = np.diag(4.0 * av)
     # J^alpha realizes K_a B_a x (|s|^(1-2a) kernel on f''); the model's
     # fractional term uses the I^(2(1-a)) normalization B_(2-2a) instead.
     conv = riesz_constant(2.0 - 2.0 * alpha) / _riesz_power_scale(alpha)
@@ -146,16 +145,14 @@ def build_difference_model(grid, a, b, lam, mu, alpha, nu=1.0):
     """
     spec_sg = SemigroupSpec("poisson", grid, lam=lam, mu=4 * grid.h if mu is None else mu)
     A = generator_matrix(spec_sg)
-    av = sample_coefficient(a, grid)
-    bv = sample_coefficient(b, grid)
-    G, F = np.diag(av), np.diag(bv)
+    av, bv = sample_coefficient(a, grid), sample_coefficient(b, grid)
     Q = first_difference(grid)
     QtQ = Q.T @ Q  # Q*NQ = nu Q^T Q, and gamma_N = min eig(nu I) = nu
-    L = A.conj().T @ G @ A + F @ gl_power_matrix(spec_sg, alpha) + nu * QtQ
+    L = (A.conj().T * av) @ A + bv[:, None] * gl_power_matrix(spec_sg, alpha) + nu * QtQ
     sigma_const = 4.0 * lam * float(np.max(np.abs(av))) \
         + float(np.max(np.abs(bv))) * 2.0 * lam**alpha
-    return Model(L, TransformSpec(A, G, F, alpha), QtQ, spec_sg, sigma_const=sigma_const,
-                 gamma_N=float(nu), norm_Q_inv=inverse_norm(Q))
+    return Model(L, TransformSpec(A, np.diag(av), np.diag(bv), alpha), QtQ, spec_sg,
+                 sigma_const=sigma_const, gamma_N=float(nu), norm_Q_inv=inverse_norm(Q))
 
 
 def riesz_power_constant(alpha):

@@ -394,6 +394,23 @@ class TestOrderAndSchatten:
         assert np.isclose(mu, 1.7, atol=1e-10)
         assert r2 >= 1.0 - 1e-12
 
+    def test_order_and_trend_fit_one_line_over_the_leading_half(self):
+        # one least-squares fit in log i over the leading fit_fraction: the
+        # entries past the window move neither number
+        i = np.arange(1, 201, dtype=float)
+        s = i**-1.7 * (1.0 + 0.1 * np.sin(i))
+        x, y = np.log(i[:100]), np.log(s[:100])
+        (slope, _), (ss_res,), *_ = np.polyfit(x, y, 1, full=True)
+        mu, r2 = dg.order_estimate(s)
+        assert np.isclose(mu, -slope, rtol=1e-12, atol=0)
+        assert np.isclose(r2, 1.0 - ss_res / np.sum((y - y.mean()) ** 2), rtol=1e-12, atol=0)
+        _, trend = dg.asymptotics_check(s, mu, 0.1)
+        assert np.isclose(trend, np.polyfit(x, (mu - 0.1) * x + y, 1)[0], rtol=1e-10, atol=0)
+        tail = s.copy()
+        tail[100:] *= 1.0 + i[100:]
+        assert dg.order_estimate(tail) == (mu, r2)
+        assert dg.asymptotics_check(tail, mu, 0.1)[1] == trend
+
     def test_degenerate_fit(self):
         with pytest.raises(DegenerateFit):
             dg.order_estimate(np.ones(50))

@@ -222,7 +222,3 @@ class TestEllipticAndForms:
         D2 = dz.second_derivative(g)
         w = (1.0 + np.abs(g.nodes)) ** 5
         assert dz.weighted_h2_matrix(g).tobytes() == (np.eye(64) + D2.T @ (w[:, None] * D2)).tobytes()
-
-    def test_multiply(self):
-        g = unit_grid(8)
-        assert np.allclose(dz.multiply(g, "const:3.0"), 3.0 * np.eye(8))

@@ -367,9 +367,8 @@ class TestBandedDrivers:
 
 class TestDtype:
     """Results keep the dtype of A and f; an integer f is taken as float64.
-    Between them the cases run every route: one column (powers of shift and
-    poisson), the eigenbasis (real gauss), tbtrs (the rest of shift and
-    poisson) and dense copies (complex gauss)."""
+    Between them the cases run the models' routes: one column (shift and
+    poisson), the eigenbasis (real gauss) and dense copies (complex gauss)."""
 
     @pytest.mark.parametrize("kind", ["shift", "gauss", "poisson"])
     @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
@@ -634,6 +633,22 @@ class TestToeplitzColumnRoute:
             assert all(ndim == 1 for _, ndim in calls)
             assert 0 < len(calls) == len({lam for lam, _ in calls}) <= 193
 
+    @pytest.mark.parametrize("kind", ["shift", "poisson"])
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("cols", [None, 3])
+    @pytest.mark.parametrize("check", [False, True])
+    def test_apply_is_the_expanded_power_times_f(self, kind, complex_, cols, check):
+        # shift is upper and poisson lower triangular Toeplitz: A^a f is the
+        # column route's A^a times f, bit for bit, for a vector or a block
+        A, cfg = generator(kind, 64), fp.BalakrishnanConfig(0.6)
+        rng = np.random.default_rng(17)
+        shape = (64,) if cols is None else (64, cols)
+        f = rng.standard_normal(shape) + (1j * rng.standard_normal(shape) if complex_ else 0.0)
+        got = fp.balakrishnan_apply(A, f, cfg, check=check)
+        want = fp.balakrishnan_power(A, cfg, check=check) @ f
+        assert got.dtype == want.dtype and got.shape == shape
+        assert np.array_equal(got, want)
+
     @pytest.mark.parametrize("alpha", [0.02, 0.5, 0.98])
     def test_poisson_power_matches_grunwald_at_bench_size(self, alpha):
         grid = Grid1D(0.0, 1.0, 256)
@@ -700,7 +715,7 @@ class TestBlockedSum:
         return {
             # eigenbasis: a vector of ones, weighed by the rows of V^T X
             "eigenbasis": (generator("gauss", 64), f[:64]),
-            # tbtrs: the Toeplitz column, and the full vector route
+            # tbtrs: the Toeplitz column, for the powers and the apply alike
             "tbtrs": (generator("poisson", 96), f),
             # a general band takes the dense route, real and complex
             "general": (banded_matrix(2, 1, False), f),
@@ -763,17 +778,16 @@ class TestSetupMemo:
             assert np.array_equal(y, fp.balakrishnan_apply(A, f, cfg, check=True))
         assert len(setups) == 5
 
-    def test_shift_power_and_negative_power_share_the_transpose(self, monkeypatch):
+    def test_shift_power_negative_power_and_apply_share_the_transpose(self, monkeypatch):
         A, cfg = generator("shift", 96), fp.BalakrishnanConfig(0.5)
         setups = count_setups(monkeypatch)
         fp.balakrishnan_power(A, cfg, check=True)
         solver = fp._last[1]
         fp.negative_power(A, cfg, check=True)
+        # A^a f integrates the column of A^a too, solving with the transpose
+        fp.balakrishnan_apply(A, np.ones(96), cfg)
         assert len(setups) == 1 and fp._last[1] is solver
         assert fp._last[0] == (A.shape, A.dtype, A.T.tobytes())
-        # A^a f solves with A itself, not with its transpose
-        fp.balakrishnan_apply(A, np.ones(96), cfg)
-        assert len(setups) == 2
 
     @pytest.mark.parametrize("kind", ["gauss", "poisson", "dense"])
     def test_matrix_changed_in_place_gets_a_new_setup(self, kind, monkeypatch):

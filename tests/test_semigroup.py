@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from fracspec import checks
 from fracspec import semigroup as sg
 from fracspec.discretize import Grid1D
 from fracspec.errors import (
@@ -11,6 +12,7 @@ from fracspec.errors import (
     NegativeTime,
     UnderResolvedTime,
 )
+from fracspec.transform import Model
 
 
 def unit_grid(n):
@@ -314,6 +316,19 @@ class TestAxioms:
         assert rep.t0_identity_exact
         assert rep.law_defect <= 1e-12
         assert rep.contraction_max <= 1.0 + 1e-12
+
+    def test_nan_semigroup_fails_the_law(self):
+        # lam t overflows to inf at t = 1 + 1, where T_t holds NaN; the law
+        # defect carries the NaN to a failing verdict instead of reading 0
+        g = unit_grid(16)
+        spec = sg.SemigroupSpec("poisson", g, lam=1e308, mu=4 * g.h)
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(sg.apply(spec, 2.0, np.ones(16))).any()
+            rep = sg.verify_axioms(spec)
+            entries = checks.run(checks.Context(Model(None, semigroup=spec)), ("semigroup",))
+        assert np.isnan(rep.law_defect)
+        law = next(e for e in entries if e["name"] == "semigroup-law")
+        assert law["status"] == "fail" and np.isnan(law["numbers"]["max_defect"])
 
     @pytest.mark.parametrize("kind", sg.KINDS)
     def test_contraction_matches_per_probe_loop(self, kind):

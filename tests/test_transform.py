@@ -3,9 +3,20 @@ import pytest
 
 from fracspec import checks
 from fracspec import transform as tf
-from fracspec.discretize import Grid1D, multiply
+from fracspec.discretize import (
+    Grid1D,
+    elliptic_1d,
+    first_difference,
+    fourth_order_weighted,
+    marchaud_right_derivative,
+    riesz_constant,
+    riesz_potential,
+    rl_integral_left,
+    sample_coefficient,
+    second_derivative,
+)
 from fracspec.errors import BadAlpha, CoefficientBoundViolated, NegativeParameter
-from fracspec.fracpow import gl_abs_sum
+from fracspec.fracpow import gl_abs_sum, gl_power_matrix
 from fracspec.semigroup import SemigroupSpec, generator_matrix
 
 
@@ -17,8 +28,8 @@ class TestSpecAndAssemble:
     def test_alpha_range(self):
         g = unit_grid(8)
         J = generator_matrix(SemigroupSpec("shift", g))
-        G = multiply(g, "const:1.0")
-        F = multiply(g, "const:0.0")
+        G = np.diag(sample_coefficient("const:1.0", g))
+        F = np.diag(sample_coefficient("const:0.0", g))
         with pytest.raises(BadAlpha):
             tf.TransformSpec(J, G, F, 1.0)
         with pytest.raises(BadAlpha):
@@ -48,8 +59,8 @@ class TestCheckClass:
         g = unit_grid(16)
         spec = tf.TransformSpec(
             generator_matrix(SemigroupSpec("shift", g)),
-            multiply(g, "const:1.0"),
-            multiply(g, "const:0.0"),
+            np.diag(sample_coefficient("const:1.0", g)),
+            np.diag(sample_coefficient("const:0.0", g)),
             0.5,
         )
         gamma_G, C_alpha, norm_J_inv, norm_F = tf.check_class(spec)
@@ -62,10 +73,11 @@ class TestCheckClass:
     def test_margin_linear_in_F_and_flip(self):
         g = unit_grid(16)
         J = generator_matrix(SemigroupSpec("shift", g))
-        G = multiply(g, "const:1.0")
+        G = np.diag(sample_coefficient("const:1.0", g))
 
         def report(scale):
-            return class_membership(tf.TransformSpec(J, G, multiply(g, f"const:{scale}"), 0.5))[1]
+            F = np.diag(sample_coefficient(f"const:{scale}", g))
+            return class_membership(tf.TransformSpec(J, G, F, 0.5))[1]
 
         r1, r2 = report(0.01), report(0.02)
         assert np.isclose(r2["norm_F"], 2 * r1["norm_F"], rtol=1e-10)
@@ -206,3 +218,36 @@ class TestDifferenceModel:
     def test_custom_nu_scales_gamma(self):
         g, m = self.build(nu=2.5)
         assert np.isclose(m.gamma_N, 2.5)
+
+
+class TestCoefficientScaling:
+    """The builders scale rows or columns by the coefficient samples: the
+    values of the products with the dense diagonal matrices of the samples."""
+
+    def test_kipriyanov(self):
+        g = unit_grid(48)
+        a, rho = sample_coefficient("poly:1,0.5", g), sample_coefficient("sin", g)
+        m = tf.build_kipriyanov_1d(g, "poly:1,0.5", "sin", 0.3, 0.6)
+        F = rl_integral_left(g, 0.3) @ np.diag(rho)
+        assert np.array_equal(m.spec.F, F) and np.array_equal(m.spec.G, np.diag(a))
+        assert np.array_equal(m.L, elliptic_1d(g, a) + F @ marchaud_right_derivative(g, 0.6))
+
+    def test_riesz(self):
+        g = Grid1D(-20.0, 20.0, 48)
+        a, rho = sample_coefficient("poly:2,0.01", g), sample_coefficient("sin", g)
+        m = tf.build_riesz_model(g, "poly:2,0.01", "sin", 0.1, 0.9)
+        P = rl_integral_left(g, 0.1).T @ np.diag(rho)
+        beta = 2.0 * (1.0 - 0.9)  # 0.19999999999999996, as the builder forms it
+        L = fourth_order_weighted(g, a) + P @ riesz_potential(g, beta) @ second_derivative(g) + np.eye(48)
+        conv = riesz_constant(2.0 - 2.0 * 0.9) / tf._riesz_power_scale(0.9)
+        assert np.array_equal(m.L, L) and np.array_equal(m.spec.F, conv * P)
+        assert np.array_equal(m.spec.G, np.diag(4.0 * a))
+
+    def test_difference(self):
+        g = unit_grid(48)
+        a, b = sample_coefficient("poly:1,0.5", g), sample_coefficient("sin", g)
+        m = tf.build_difference_model(g, "poly:1,0.5", "sin", 1.0, None, 0.5)
+        A, Q = m.spec.J, first_difference(g)
+        L = A.T @ np.diag(a) @ A + np.diag(b) @ gl_power_matrix(m.semigroup, 0.5) + Q.T @ Q
+        assert np.array_equal(m.L, L)
+        assert np.array_equal(m.spec.G, np.diag(a)) and np.array_equal(m.spec.F, np.diag(b))
