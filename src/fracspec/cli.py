@@ -71,6 +71,15 @@ def _complex_from_doc(doc):
     return real_or_complex(re + 1j * im)
 
 
+def _stored_samples(doc, name, n):
+    """An artifact's samples of the coefficient ``name``, one per grid node;
+    the builders would broadcast a single sample to every node."""
+    vals = _complex_from_doc(doc)
+    if vals.shape != (n,):
+        raise ValueError(f"coefficient {name} holds {vals.size} samples, grid has {n} nodes")
+    return vals
+
+
 # --- configuration ----------------------------------------------------------
 
 def _make_parser():
@@ -140,7 +149,7 @@ def _build_model(config, doc=None):
         interval, builder, keys = _PAPER_MODELS[config["model"]]
         grid = Grid1D(*interval, config["grid_n"])
         stored = doc.get("coefficients", {})
-        a11, rho = (_complex_from_doc(stored[k]) if k in stored
+        a11, rho = (_stored_samples(stored[k], k, grid.n) if k in stored
                     else sample_coefficient(config[k], grid) for k in ("a11", "rho"))
         model = getattr(transform, builder)(grid, a11, rho, *(config[k] for k in keys))
         data = {"coefficients": {"a11": _complex_doc(a11), "rho": _complex_doc(rho)}}

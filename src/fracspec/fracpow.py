@@ -195,7 +195,8 @@ def _triangular_toeplitz(A):
 
 
 def _balakrishnan(A, B, cfg, check, negative=False):
-    """A^(+-alpha) B for m-accretive A in the dtype of A and B (B = None: I).
+    """A^alpha B (B = None: I), or A^(-alpha) when ``negative`` (no B), for
+    m-accretive A in the dtype of A and B.
     The integral runs on one column for a triangular-Toeplitz A, whose power
     is expanded and then multiplied by B, and on ones in the eigenbasis of a
     real symmetric tridiagonal A."""
@@ -219,7 +220,7 @@ def _balakrishnan(A, B, cfg, check, negative=False):
     if B is None:
         X = np.eye(n) if negative else A
     else:
-        X = B if negative else A @ B
+        X = A @ B
     # a real solver takes a complex X as its real view, Re and Im side by
     # side, so every solve and product is real
     cplx = solver.real and np.iscomplexobj(X)
@@ -230,7 +231,7 @@ def _balakrishnan(A, B, cfg, check, negative=False):
         # the rule runs on ones, entry i weighed by the norm of row i of
         # Y = V^T X (V is orthogonal: the gate measures V diag(col) Y); V^T I
         # is V^T, so the negative power of I needs no product
-        Y = solver.V.T.copy() if B is None and negative else solver.V.T @ X2
+        Y = solver.V.T.copy() if negative else solver.V.T @ X2
         col = _integral(solver, np.ones(n), e, check, weight=np.sqrt(np.einsum("ij,ij->i", Y, Y)))
         Y *= col[:, None]
         Y = solver.V @ Y

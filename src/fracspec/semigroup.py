@@ -13,7 +13,8 @@ poisson
     generator A = lam (f(x) - f(x - mu)).
     The weights come from scipy.special by the expression scipy.stats.poisson
     evaluates (its _logpmf), so they equal poisson.pmf bit for bit without
-    importing scipy.stats.
+    importing scipy.stats. The one exception is a lam t that overflows to
+    inf: there every weight is its limit 0, where the expression gives NaN.
 
 On the grid each T_t is shift-invariant with zero extension, so ``apply``
 forms it as one Toeplitz matrix from its first column and first row. The
@@ -88,6 +89,8 @@ def apply(spec, t, f):
         col = row = h / np.sqrt(2 * np.pi * t) * np.exp(-((h * j) ** 2) / (2 * t))
     else:
         m, rate = spec.shift_steps, spec.lam * t
+        if rate == np.inf:
+            return np.zeros_like(v)
         k = np.arange((n - 1) // m + 1)
         col = np.zeros(n)
         col[::m] = np.exp(xlogy(k, rate) - gammaln(k + 1) - rate)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -124,10 +126,17 @@ class TestApply:
             assert out[10 + k] == pd.pmf(k, 2.0 * t)
 
     def test_poisson_huge_rate_is_zero(self):
-        # at lam t = 1e12 every weight e^(-lam t) (lam t)^k / k! on 16 nodes underflows
+        # at lam t = 1e12 every weight e^(-lam t) (lam t)^k / k! on 16 nodes
+        # underflows; at 1e308 * 2 lam t overflows to inf, and the weights'
+        # limit is still 0, not the NaN of inf - inf
         g = unit_grid(16)
-        spec = sg.SemigroupSpec("poisson", g, lam=1e12, mu=4 * g.h)
-        assert np.array_equal(sg.apply(spec, 1.0, np.ones(16)), np.zeros(16))
+        for lam, t in ((1e12, 1.0), (1e308, 2.0)):
+            spec = sg.SemigroupSpec("poisson", g, lam=lam, mu=4 * g.h)
+            for dtype in (float, complex):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    out = sg.apply(spec, t, np.ones(16, dtype))
+                assert out.dtype == dtype and np.array_equal(out, np.zeros(16))
 
     def test_poisson_is_the_exponential_of_its_generator(self):
         # T_t = e^(-tJ): the truncated lower-triangular Toeplitz series is
@@ -317,15 +326,14 @@ class TestAxioms:
         assert rep.law_defect <= 1e-12
         assert rep.contraction_max <= 1.0 + 1e-12
 
-    def test_nan_semigroup_fails_the_law(self):
-        # lam t overflows to inf at t = 1 + 1, where T_t holds NaN; the law
-        # defect carries the NaN to a failing verdict instead of reading 0
+    def test_nan_semigroup_fails_the_law(self, monkeypatch):
+        # a T_t that holds NaN: the law defect carries the NaN to a failing
+        # verdict instead of reading 0
         g = unit_grid(16)
-        spec = sg.SemigroupSpec("poisson", g, lam=1e308, mu=4 * g.h)
-        with np.errstate(invalid="ignore"):
-            assert np.isnan(sg.apply(spec, 2.0, np.ones(16))).any()
-            rep = sg.verify_axioms(spec)
-            entries = checks.run(checks.Context(Model(None, semigroup=spec)), ("semigroup",))
+        spec = sg.SemigroupSpec("poisson", g, lam=1.0, mu=4 * g.h)
+        monkeypatch.setattr(sg, "apply", lambda spec, t, f: np.full(np.shape(f), np.nan))
+        rep = sg.verify_axioms(spec)
+        entries = checks.run(checks.Context(Model(None, semigroup=spec)), ("semigroup",))
         assert np.isnan(rep.law_defect)
         law = next(e for e in entries if e["name"] == "semigroup-law")
         assert law["status"] == "fail" and np.isnan(law["numbers"]["max_defect"])
